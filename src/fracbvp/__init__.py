@@ -23,6 +23,7 @@ from .conditions import (
     combined_error_bound,
     delta_gap_bound,
     lipschitz_constants,
+    radius_bound,
     spectral_radius,
 )
 from .determine import (
@@ -120,6 +121,7 @@ __all__ = [
     "resolve_bounds",
     "run_iteration",
     "solve_determining",
+    "radius_bound",
     "spectral_radius",
     "u0",
 ]

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -121,16 +120,15 @@ def _gate_conditions(prob: Problem, force: bool):
     if not report.ok and not force:
         raise ConditionFailure(
             f"solvability conditions fail (spectral radius {report.spectral_radius:.6g}, "
+            f"certified bound {report.radius_bound:.6g}, "
             f"dbeta_ok={report.dbeta_ok}); rerun with --force to proceed anyway"
         )
     return report
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("FRACBVP_THREADS", "1") or "1"))
-    except ValueError:
-        return 1
+def _note_escapes(approx) -> None:
+    if approx.escapes:
+        print(f"note: {len(approx.escapes)} domain excursion(s) recorded (policy=warn)")
 
 
 # --- Subcommands -------------------------------------------------------
@@ -160,7 +158,8 @@ def cmd_check(args) -> int:
     print(f"problem: {source} (n={prob.n}, p={prob.p}, T={prob.T}, N={prob.N})")
     print(f"M = {np.array2string(report.M, precision=6)}   K max = {np.max(report.K):.6g}")
     print(f"beta (raw) = {np.array2string(report.beta, precision=6)}   beta/M = {report.beta_over_m:.6f}")
-    print(f"spectral radius r(Q) = {report.spectral_radius:.6f}  ({'< 1 ok' if report.spectral_radius < 1 else '>= 1 FAIL'})")
+    print(f"spectral radius r(Q) = {report.spectral_radius:.6f}  (certified bound "
+          f"{report.radius_bound:.6f} {'< 1 ok' if report.radius_bound < 1 else '>= 1 FAIL'})")
     print(f"D_beta nonempty ({report.dbeta_basis} basis): {'yes' if report.dbeta_ok else 'NO'}"
           f"   [alpha1-centered raw-beta ball inside D: {'yes' if report.dbeta_centered_ok else 'no'}]")
     print(f"verdict: {'conditions hold' if report.ok else 'conditions FAIL'}")
@@ -223,8 +222,7 @@ def cmd_solve(args) -> int:
         + "\n",
         encoding="utf-8",
     )
-    if approx.escapes:
-        print(f"note: {len(approx.escapes)} domain excursion(s) recorded (policy=warn)")
+    _note_escapes(approx)
     return EXIT_OK
 
 
@@ -233,7 +231,7 @@ def cmd_exclude(args) -> int:
     out = _out_dir(args)
     _gate_conditions(prob, args.force)
     _manifest(args, "exclude", source, prob, m=args.m, subdiv=args.subdiv).write(out)
-    result = exclusion_sweep(prob, args.m, args.subdiv, workers=_workers())
+    result = exclusion_sweep(prob, args.m, args.subdiv)
     n = prob.n
     header = ",".join(
         ["index", *_suffixed("lo", n), *_suffixed("hi", n), *_suffixed("center", n),
@@ -307,6 +305,7 @@ def cmd_verify(args) -> int:
           f"(delta offset {'included' if report.includes_delta_offset else 'omitted'})")
     print(f"boundary residuals: {np.max(report.boundary_residuals[0]):.3g} / "
           f"{np.max(report.boundary_residuals[1]):.3g}")
+    _note_escapes(approx)
     return EXIT_OK
 
 

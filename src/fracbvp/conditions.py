@@ -40,43 +40,46 @@ __all__ = [
     "combined_error_bound",
     "delta_gap_bound",
     "lipschitz_constants",
+    "radius_bound",
     "spectral_radius",
 ]
 
 
 class BoundUndefinedError(ValueError):
-    """Raised when a bound requires r(Q) < 1 but the radius is >= 1."""
+    """Raised when a bound requires r(Q) < 1 but the certified bound on r(Q) is >= 1."""
 
 
-def spectral_radius(Q: np.ndarray, max_iter: int = 200, tol: float = 1e-12, seed: int = 0) -> float:
-    """Perron root of a nonnegative matrix by power iteration.
-
-    Iterates v <- Qv with sup-norm normalization until the norm estimate
-    stagnates below ``tol`` or ``max_iter`` sweeps pass; on a cycle that
-    fails to settle, restarts once from a fresh positive vector and then
-    accepts the current estimate.  For the tiny system matrices here
-    (n = problem dimension) this is exact to roundoff.
-    """
+def spectral_radius(Q) -> float:
+    """Spectral radius max |lambda| over the eigenvalues of Q."""
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     if Q.shape[0] != Q.shape[1]:
         raise ValueError(f"spectral_radius: matrix must be square, got {Q.shape}")
-    rng = np.random.default_rng(seed)
-    lam = 0.0
-    for _restart in range(2):
-        v = rng.random(Q.shape[0]) + 0.5
-        v /= np.max(v)
-        lam = 0.0
-        for _ in range(max_iter):
-            w = Q @ v
-            norm = float(np.max(np.abs(w)))
-            if norm == 0.0:
-                return 0.0
-            w = w / norm
-            if abs(norm - lam) <= tol * max(1.0, norm):
-                return norm
-            lam = norm
-            v = w
-    return lam
+    return float(np.max(np.abs(np.linalg.eigvals(Q))))
+
+
+def radius_bound(Q) -> float:
+    """Collatz-Wielandt upper bound max_i (Qv)_i / v_i on r(Q), for Q >= 0.
+
+    Any v > 0 gives r(Q) <= max_i (Qv)_i / v_i (Horn & Johnson, Matrix
+    Analysis, Sec. 8.1).  v starts as the eigenvector of the eigenvalue
+    with the largest real part, clipped to be positive (for irreducible Q,
+    the Perron vector); n + 1 power steps, which never raise the bound,
+    restore the relative accuracy of its small entries.  Rounding up by
+    the error of the n-term sums keeps it an upper bound in floating point.
+    """
+    Q = np.atleast_2d(np.asarray(Q, dtype=float))
+    eps = np.finfo(float).eps
+    w, V = np.linalg.eig(Q)
+    v = np.abs(V[:, np.argmax(w.real)].real)
+    bound = np.inf
+    for _ in range(Q.shape[0] + 1):
+        v = np.maximum(v, eps * np.max(v))
+        Qv = Q @ v
+        bound = min(bound, float(np.max(Qv / v)))
+        if not np.any(Qv):
+            break
+        v = Qv
+    return float(bound * (1.0 + (Q.shape[0] + 2) * eps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,6 +95,7 @@ class ConditionsReport:
     beta_over_m: float           # the M-normalized constant, = kc
     Q: np.ndarray                # contraction matrix K * kc
     spectral_radius: float
+    radius_bound: float          # certified upper bound on the spectral radius
     dbeta_ok: bool               # admissible-set nonemptiness verdict
     dbeta_basis: str             # which beta the verdict used
     dbeta_centered_ok: bool      # diagnostic: alpha1 +- raw beta inside D
@@ -104,7 +108,7 @@ class ConditionsReport:
 
     @property
     def ok(self) -> bool:
-        return self.spectral_radius < 1.0 and self.dbeta_ok
+        return self.radius_bound < 1.0 and self.dbeta_ok
 
     def to_dict(self) -> dict:
         return {
@@ -117,6 +121,7 @@ class ConditionsReport:
             "beta_over_m": self.beta_over_m,
             "Q": self.Q.tolist(),
             "spectral_radius": self.spectral_radius,
+            "radius_bound": self.radius_bound,
             "dbeta_ok": self.dbeta_ok,
             "dbeta_basis": self.dbeta_basis,
             "dbeta_centered_ok": self.dbeta_centered_ok,
@@ -138,7 +143,8 @@ def _require_bounds(prob: Problem) -> tuple[np.ndarray, np.ndarray]:
 def check_conditions(prob: Problem) -> ConditionsReport:
     """Compute the solvability report (no exceptions; verdicts only).
 
-    beta = M * kc, Q = K * kc, r(Q) by power iteration.  dbeta_ok is the
+    beta = M * kc, Q = K * kc, r(Q) from the eigenvalues of Q; the gate
+    uses the certified Collatz-Wielandt bound on r(Q).  dbeta_ok is the
     nonemptiness check width(D) >= 2*beta using the normalized constant
     (see module docstring); the raw-beta ball around alpha1 is reported
     as ``dbeta_centered_ok``.  The a-priori bound list holds the m-step
@@ -149,7 +155,7 @@ def check_conditions(prob: Problem) -> ConditionsReport:
     kc = kernel_constant(prob.T, prob.p)
     beta = M * kc
     Q = K * kc
-    r = spectral_radius(Q)
+    bound = radius_bound(Q)
     beta_norm = np.full(prob.n, kc)
     dbeta_ok = bool(np.all(prob.domain.width >= 2.0 * beta_norm))
     centered = bool(
@@ -167,13 +173,14 @@ def check_conditions(prob: Problem) -> ConditionsReport:
         beta=beta,
         beta_over_m=kc,
         Q=Q,
-        spectral_radius=r,
+        spectral_radius=spectral_radius(Q),
+        radius_bound=bound,
         dbeta_ok=dbeta_ok,
         dbeta_basis="normalized",
         dbeta_centered_ok=centered,
         R=R,
     )
-    if r < 1.0:
+    if bound < 1.0:
         cap = 1e-12 * max(1.0, float(np.max(np.abs(M))))
         bounds: list[np.ndarray] = []
         for m in range(25):
@@ -186,9 +193,10 @@ def check_conditions(prob: Problem) -> ConditionsReport:
 
 
 def _resolvent(report: ConditionsReport) -> np.ndarray:
-    if report.spectral_radius >= 1.0:
+    if report.radius_bound >= 1.0:
         raise BoundUndefinedError(
-            f"spectral radius {report.spectral_radius:.6g} >= 1; error bounds undefined"
+            f"spectral radius {report.spectral_radius:.6g} (bound {report.radius_bound:.6g}) "
+            ">= 1; error bounds undefined"
         )
     n = report.n
     return np.linalg.inv(np.eye(n) - report.Q)

@@ -7,27 +7,25 @@ when the determining function vanishes:
                     - (p/T^p) * int_0^T (T-s)^(p-1) f(s, u_m(s, chi1)) ds.
 
 Every probe of Delta_m re-runs the iteration from u_0 at the probed
-chi1 (no warm starts — probes stay independent, which also makes them
-trivially parallel).  For scalar problems the root search is a bracket
-scan plus Brent; for systems a damped Newton with forward-difference
-Jacobian.  The exclusion sweep applies the necessary-condition filter:
-a parameter box can be discarded once |Delta_m| at its center exceeds
-what the Lipschitz coefficient over the box plus the iteration tube
-can explain.
+chi1 (no warm starts — probes stay independent) with the problem's
+cached integral operator.  For scalar problems the root search is a
+bracket scan plus Brent; for systems a damped Newton with
+forward-difference Jacobian.  The exclusion sweep applies the
+necessary-condition filter: a parameter box can be discarded once
+|Delta_m| at its center exceeds what the Lipschitz coefficient over the
+box plus the iteration tube can explain.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .conditions import ConditionsReport, check_conditions, delta_gap_bound
-from .fracops import GridFunction, ProductTrapezoid, gamma
-from .iterate import ApproxSolution, quiet_domain_warnings, run_iteration
+from .fracops import GridFunction, gamma
+from .iterate import ApproxSolution, _operator, run_iteration
 from .problem import Box, Problem
 
 __all__ = [
@@ -77,9 +75,9 @@ class DeterminingResult:
 
 
 def _delta_value(prob: Problem, chi1: np.ndarray, u: GridFunction) -> np.ndarray:
-    fvals = prob.rhs(u.grid.nodes, u.values)
-    quad = ProductTrapezoid(u.grid, prob.p)
-    raw_T = quad.running(fvals)[:, -1]  # int_0^T (T-s)^(p-1) f ds, no 1/Gamma
+    op = _operator(prob, u.grid)
+    fvals = prob.rhs(op.nodes, u.values)
+    raw_T = op.quad.running(fvals)[:, -1]  # int_0^T (T-s)^(p-1) f ds, no 1/Gamma
     gp1 = gamma(prob.p + 1.0)
     return gp1 / prob.T**prob.p * (prob.alpha2 - prob.alpha1 - chi1 * prob.T) - (
         prob.p / prob.T**prob.p
@@ -118,13 +116,11 @@ def solve_determining(
         trace.append((chi.copy(), val.copy()))
         return val
 
-    with quiet_domain_warnings():
-        if prob.n == 1:
-            root = _solve_scalar(prob, probe, config)
-        else:
-            root = _solve_newton(prob, probe, config, trace)
-    # evaluated outside the quiet block so a run that leaves D still
-    # surfaces one warning per solve
+    if prob.n == 1:
+        root = _solve_scalar(prob, probe, config)
+    else:
+        root = _solve_newton(prob, probe, config, trace)
+    # a fresh probe at the root, kept out of the solver trace
     residual = np.abs(delta_at(prob, root, m))
     return DeterminingResult(
         chi1_star=root, residual=residual, iterations_used=m, solver_trace=trace
@@ -236,17 +232,14 @@ def _exclusion_coefficient(report: ConditionsReport) -> np.ndarray:
     ) * np.eye(n)
 
 
-def exclusion_sweep(
-    prob: Problem, m: int, n_subdiv: int, workers: int | None = None
-) -> ExclusionResult:
+def exclusion_sweep(prob: Problem, m: int, n_subdiv: int) -> ExclusionResult:
     """Split Omega into n_subdiv^n equal boxes and filter by necessity.
 
     A box is kept iff |Delta_m(center)| <= coefficient @ halfwidth
     + Q^m M (I-Q)^(-1) componentwise — the inequality any box containing
     the true root must satisfy, so discarded boxes are certified
-    root-free (up to the quality of M and K).  Probes parallelize over
-    threads when ``workers`` > 1 (or FRACBVP_THREADS is set); results
-    are assembled in box order either way.
+    root-free (up to the quality of M and K).  Boxes are probed one
+    after another, in box order.
     """
     if n_subdiv < 1:
         raise ValueError(f"n_subdiv must be >= 1, got {n_subdiv}")
@@ -264,14 +257,7 @@ def exclusion_sweep(
         for idx in index_grid
     ]
     centers = [b.center for b in boxes]
-    if workers is None:
-        workers = int(os.environ.get("FRACBVP_THREADS", "1") or "1")
-    with quiet_domain_warnings():
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                deltas = list(pool.map(lambda c: delta_at(prob, c, m), centers))
-        else:
-            deltas = [delta_at(prob, c, m) for c in centers]
+    deltas = [delta_at(prob, c, m) for c in centers]
     subsets: list[BoxVerdict] = []
     survivors: list[Box] = []
     for box, center, delta in zip(boxes, centers, deltas):
@@ -318,9 +304,8 @@ def existence_check_scalar(prob: Problem, m: int) -> ExistenceVerdict:
         raise NotImplementedError("existence certification is scalar-only (n = 1)")
     report = check_conditions(prob)
     tube = float(delta_gap_bound(report, prob.M, m)[0])
-    with quiet_domain_warnings():
-        d_lo = float(delta_at(prob, prob.omega.lo, m)[0])
-        d_hi = float(delta_at(prob, prob.omega.hi, m)[0])
+    d_lo = float(delta_at(prob, prob.omega.lo, m)[0])
+    d_hi = float(delta_at(prob, prob.omega.hi, m)[0])
     cleared = (abs(d_lo) > tube, abs(d_hi) > tube)
     sign_change = (d_lo < 0.0 < d_hi) or (d_hi < 0.0 < d_lo)
     certified = cleared[0] and cleared[1] and sign_change

@@ -19,13 +19,13 @@ corresponding a-priori bounds.
 
 from __future__ import annotations
 
-import contextlib
 import logging
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fracops import GridFunction, ProductTrapezoid, gamma, kernel_constant
+from .fracops import Grid, GridFunction, ProductTrapezoid, gamma, kernel_constant
 from .problem import ParameterPoint, Problem
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "DomainEscape",
     "DomainEscapeError",
     "iterate_step",
-    "quiet_domain_warnings",
     "run_iteration",
     "u0",
 ]
@@ -43,20 +42,36 @@ _log = logging.getLogger(__name__)
 _DOMAIN_SLACK = 1e-9
 
 
-@contextlib.contextmanager
-def quiet_domain_warnings():
-    """Silence per-run domain-excursion warnings (used by probe loops).
+@dataclass(frozen=True, eq=False)
+class _Operator:
+    """The boundary-corrected I^p of one problem on one grid.
 
-    Root searches and exclusion sweeps re-run the iteration dozens of
-    times; without this the same excursion is reported once per probe.
-    Escapes are still recorded on each ApproxSolution.
+    ``nodes`` and ``ratio`` = (t/T)^p are read-only: every iterate and
+    every Delta_m probe of the problem shares them.
     """
-    prev = _log.level
-    _log.setLevel(logging.ERROR)
-    try:
-        yield
-    finally:
-        _log.setLevel(prev)
+
+    quad: ProductTrapezoid
+    nodes: np.ndarray
+    ratio: np.ndarray
+    gamma_p: float
+
+
+# Problem -> {Grid: _Operator}.  The keys are weak, so an operator lives
+# exactly as long as the problem that built it.
+_OPERATORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _operator(prob: Problem, grid: Grid) -> _Operator:
+    """The cached operator of ``prob`` on ``grid``, built on first use."""
+    ops = _OPERATORS.setdefault(prob, {})
+    op = ops.get(grid)
+    if op is None:
+        nodes = grid.nodes
+        ratio = (nodes / prob.T) ** prob.p
+        nodes.flags.writeable = False
+        ratio.flags.writeable = False
+        op = ops[grid] = _Operator(ProductTrapezoid(grid, prob.p), nodes, ratio, gamma(prob.p))
+    return op
 
 
 class DomainEscapeError(RuntimeError):
@@ -73,7 +88,9 @@ class DomainEscape:
     excess: float
 
 
-def _check_domain(prob: Problem, u: GridFunction, escapes: list[DomainEscape] | None) -> None:
+def _check_domain(
+    prob: Problem, u: GridFunction, nodes: np.ndarray, escapes: list[DomainEscape] | None
+) -> None:
     v = u.values
     lo = prob.domain.lo[:, np.newaxis]
     hi = prob.domain.hi[:, np.newaxis]
@@ -82,15 +99,15 @@ def _check_domain(prob: Problem, u: GridFunction, escapes: list[DomainEscape] | 
     if worst <= _DOMAIN_SLACK:
         return
     i, j = np.unravel_index(int(np.argmax(excess)), excess.shape)
-    t_bad = float(u.grid.nodes[j])
+    t_bad = float(nodes[j])
     record = DomainEscape(t=t_bad, component=i + 1, value=float(v[i, j]), excess=worst)
     if prob.domain_policy == "strict":
         raise DomainEscapeError(
             f"iterate leaves D by {worst:.6g} at t={t_bad:.6g} (component {i + 1}); "
             "the convergence theory assumes iterates stay in D"
         )
-    # One visible line for standalone calls; collected runs get a single
-    # summary from run_iteration instead of a line per step.
+    # One visible line for standalone calls; collected runs return their
+    # escapes as data instead of a line per step.
     log = _log.warning if escapes is None else _log.debug
     log(
         "iterate leaves D by %.3g at t=%.6g (component %d); continuing (domain_policy=warn)",
@@ -102,21 +119,25 @@ def _check_domain(prob: Problem, u: GridFunction, escapes: list[DomainEscape] | 
         escapes.append(record)
 
 
-def u0(prob: Problem, chi1) -> GridFunction:
-    """Zeroth approximation: the (t/T)^p-corrected boundary interpolant."""
-    chi = np.atleast_1d(np.asarray(chi1, dtype=float))
-    grid = prob.grid
-    t = grid.nodes
-    ratio = (t / prob.T) ** prob.p
+def _interpolant(prob: Problem, op: _Operator, chi: np.ndarray, ip=None) -> GridFunction:
+    """u_0 at chi, plus the corrected integral term ip - (t/T)^p ip(T) when given."""
     coeff = prob.alpha2 - prob.alpha1 - chi * prob.T
     vals = (
         prob.alpha1[:, np.newaxis]
-        + chi[:, np.newaxis] * t[np.newaxis, :]
-        + coeff[:, np.newaxis] * ratio[np.newaxis, :]
+        + chi[:, np.newaxis] * op.nodes[np.newaxis, :]
+        + coeff[:, np.newaxis] * op.ratio[np.newaxis, :]
     )
+    if ip is not None:
+        vals = vals + ip - ip[:, -1][:, np.newaxis] * op.ratio[np.newaxis, :]
     vals[:, 0] = prob.alpha1
     vals[:, -1] = prob.alpha2
-    return GridFunction(grid, vals)
+    return GridFunction(op.quad.grid, vals)
+
+
+def u0(prob: Problem, chi1) -> GridFunction:
+    """Zeroth approximation: the (t/T)^p-corrected boundary interpolant."""
+    chi = np.atleast_1d(np.asarray(chi1, dtype=float))
+    return _interpolant(prob, _operator(prob, prob.grid), chi)
 
 
 def iterate_step(
@@ -131,24 +152,12 @@ def iterate_step(
     under the 'strict' policy; logged and recorded under 'warn'), then
     evaluates f along prev and assembles the corrected integral term.
     """
-    _check_domain(prob, prev, escapes)
-    grid = prev.grid
+    op = _operator(prob, prev.grid)
+    _check_domain(prob, prev, op.nodes, escapes)
     chi = np.atleast_1d(np.asarray(chi1, dtype=float))
-    fvals = prob.rhs(grid.nodes, prev.values)
-    quad = ProductTrapezoid(grid, prob.p)
-    ip = quad.running(fvals) / gamma(prob.p)
-    ratio = (grid.nodes / prob.T) ** prob.p
-    coeff = prob.alpha2 - prob.alpha1 - chi * prob.T
-    vals = (
-        prob.alpha1[:, np.newaxis]
-        + chi[:, np.newaxis] * grid.nodes[np.newaxis, :]
-        + coeff[:, np.newaxis] * ratio[np.newaxis, :]
-        + ip
-        - ip[:, -1][:, np.newaxis] * ratio[np.newaxis, :]
-    )
-    vals[:, 0] = prob.alpha1
-    vals[:, -1] = prob.alpha2
-    return GridFunction(grid, vals)
+    fvals = prob.rhs(op.nodes, prev.values)
+    ip = op.quad.running(fvals) / op.gamma_p
+    return _interpolant(prob, op, chi, ip)
 
 
 @dataclass
@@ -181,7 +190,8 @@ def run_iteration(
     wanted, e.g. for determining-function probes — the loop still stops
     early on a bitwise fixed point, which changes nothing downstream).
     Non-convergence at m_max is reported via ``converged=False``, not an
-    exception.
+    exception; domain excursions under the 'warn' policy are returned in
+    ``escapes`` and not logged.
     """
     if m_max < 0:
         raise ValueError(f"m_max must be >= 0, got {m_max}")
@@ -213,16 +223,6 @@ def run_iteration(
         if np.all(diff <= tol_vec):
             converged = True
             break
-    if escapes:
-        worst = max(escapes, key=lambda e: e.excess)
-        _log.warning(
-            "%d iterate(s) left D, worst by %.3g at t=%.6g (component %d); "
-            "continuing (domain_policy=warn)",
-            len(escapes),
-            worst.excess,
-            worst.t,
-            worst.component,
-        )
     point = ParameterPoint(chi, prob.omega.contains(chi))
     return ApproxSolution(
         chi1=point,

@@ -64,6 +64,30 @@ NARROW_WARN_CFG = textwrap.dedent(
     """
 )
 
+# Cross-coupled f = (60 u2, u1): K = [[0, 60], [1, 0]] is cyclic, and
+# r(Q) = sqrt(60) * kc = 1.4567 although every diagonal entry is zero.
+COUPLED_CFG = textwrap.dedent(
+    """
+    [problem]
+    p = 1.5
+    T = 1.0
+    alpha1 = 0.0 0.0
+    alpha2 = 1.0 1.0
+    N = 51
+
+    [domain]
+    lo = -5.0 -5.0
+    hi = 5.0 5.0
+
+    [rhs]
+    expr = 60*u2; 1*u1
+
+    [omega_box]
+    lo = -1.0 -1.0
+    hi = 1.0 1.0
+    """
+)
+
 
 def _read_csv(path):
     lines = path.read_text(encoding="utf-8").strip().split("\n")
@@ -150,6 +174,18 @@ def test_check_fails_radius_gate(tmp_path, capsys):
     assert "conditions FAIL" in out
     data = json.loads((tmp_path / "conditions.json").read_text(encoding="utf-8"))
     assert data["spectral_radius"] == pytest.approx(9.403159725795937, rel=1e-10)
+
+
+def test_check_fails_cyclic_coupling(tmp_path, capsys):
+    cfg = tmp_path / "coupled.ini"
+    cfg.write_text(COUPLED_CFG, encoding="utf-8")
+    assert main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "conditions FAIL" in capsys.readouterr().out
+    data = json.loads((tmp_path / "conditions.json").read_text(encoding="utf-8"))
+    assert data["spectral_radius"] == pytest.approx(1.4567312407894402, rel=1e-12)
+    assert data["radius_bound"] >= data["spectral_radius"]
+    assert all(b >= 0.0 for bound in data["apriori_bounds"] for b in bound)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
 def test_check_manifest(tmp_path):
@@ -321,12 +357,13 @@ def test_exclude_single_box(tmp_path):
     assert float(rows[0][-1]) == 1.0
 
 
-def test_exclude_threaded_matches_serial(tmp_path, monkeypatch):
-    serial, threaded = tmp_path / "s", tmp_path / "t"
-    assert main(["exclude", "--builtin", "acc-gyre", "--out", str(serial), "--m", "1"]) == 0
-    monkeypatch.setenv("FRACBVP_THREADS", "4")
-    assert main(["exclude", "--builtin", "acc-gyre", "--out", str(threaded), "--m", "1"]) == 0
-    assert (serial / "boxes.csv").read_bytes() == (threaded / "boxes.csv").read_bytes()
+def test_exclude_unchanged_after_a_solve_on_another_grid(tmp_path):
+    # each run builds its own integral operator; none leaks into the next
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert main(["exclude", "--builtin", "acc-gyre", "--out", str(first)]) == 0
+    assert main(["solve", "--builtin", "acc-gyre", "--grid-n", "201", "--out", str(tmp_path / "s")]) == 0
+    assert main(["exclude", "--builtin", "acc-gyre", "--out", str(second)]) == 0
+    assert (first / "boxes.csv").read_bytes() == (second / "boxes.csv").read_bytes()
 
 
 # --- verify ---------------------------------------------------------------------
@@ -334,9 +371,11 @@ def test_exclude_threaded_matches_serial(tmp_path, monkeypatch):
 
 def test_verify_reads_solve_outputs(tmp_path, capsys):
     assert main(["solve", "--builtin", "acc-gyre", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
     assert main(["verify", "--builtin", "acc-gyre", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "sup interior residual at m=2" in out
+    assert "note: 2 domain excursion(s) recorded (policy=warn)" in out
 
     data = json.loads((tmp_path / "verify.json").read_text(encoding="utf-8"))
     assert data["m"] == 2

@@ -3,6 +3,7 @@
 import json
 import textwrap
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +16,7 @@ from fracbvp.conditions import (
     combined_error_bound,
     delta_gap_bound,
     lipschitz_constants,
+    radius_bound,
     spectral_radius,
 )
 from fracbvp.fracops import alpha1, kernel_constant
@@ -85,6 +87,67 @@ def test_spectral_radius_matches_eig_oracle(seed, n):
     Q = rng.uniform(0.0, 3.0, size=(n, n))
     want = float(np.max(np.abs(np.linalg.eigvals(Q))))
     assert spectral_radius(Q) == pytest.approx(want, rel=1e-8, abs=1e-10)
+
+
+def test_spectral_radius_cyclic_matrix():
+    # imprimitive: eigenvalues +-sqrt(1.5) share the largest modulus
+    Q = np.array([[0.0, 3.0], [0.5, 0.0]])
+    assert spectral_radius(Q) == pytest.approx(np.sqrt(1.5), rel=1e-14)
+    assert radius_bound(Q) == pytest.approx(np.sqrt(1.5), rel=1e-12)
+
+
+def test_radius_bound_reducible_stays_above_radius():
+    Q = np.array([[0.9, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])
+    assert spectral_radius(Q) == pytest.approx(1.0, rel=1e-14)
+    assert radius_bound(Q) >= spectral_radius(Q)
+    assert radius_bound(np.zeros((3, 3))) == 0.0
+
+
+_ENTRY = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
+
+
+@st.composite
+def _nonnegative_matrix(draw):
+    n = draw(st.integers(1, 5))
+    Q = np.array(draw(st.lists(_ENTRY, min_size=n * n, max_size=n * n))).reshape(n, n)
+    if draw(st.booleans()):  # one entry per row and column: cyclic blocks
+        Q = Q * np.eye(n)[draw(st.permutations(range(n)))]
+    return Q
+
+
+def _cycle_radius(Q):
+    """Exact radius when Q has one positive entry per row and column: the
+    largest geometric mean of the entries along a cycle of the pattern."""
+    succ = np.argmax(Q > 0, axis=1)
+    best = 0.0
+    for start in range(len(Q)):
+        i, prod, length = start, 1.0, 0
+        while i != start or length == 0:
+            prod, i, length = prod * Q[i, succ[i]], succ[i], length + 1
+        best = max(best, prod ** (1.0 / length))
+    return best
+
+
+def _exact_radius(Q):
+    with mpmath.workdps(50):
+        eigs = mpmath.eig(mpmath.matrix(Q.tolist()), left=False)[0]
+        return float(max(abs(e) for e in eigs))
+
+
+@given(_nonnegative_matrix())
+def test_radius_and_bound_on_nonnegative_matrices(Q):
+    n = Q.shape[0]
+    r = spectral_radius(Q)
+    assert r == pytest.approx(float(np.max(np.abs(np.linalg.eigvals(Q)))), rel=1e-12, abs=0.0)
+    if np.count_nonzero(Q) == np.count_nonzero(Q.any(axis=1)) == np.count_nonzero(Q.any(axis=0)) == n:
+        assert r == pytest.approx(_cycle_radius(Q), rel=1e-12)
+    # eigvals itself is off by a few ulps, so the bound is held against
+    # a 50-digit radius
+    exact = _exact_radius(Q)
+    bound = radius_bound(Q)
+    assert bound >= exact
+    if np.all(np.linalg.matrix_power(np.eye(n) + (Q > 0), n - 1) > 0):  # irreducible
+        assert bound <= exact * (1.0 + 1e-9)
 
 
 # --- the report on the steep-forcing example ----------------------------

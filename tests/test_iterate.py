@@ -1,6 +1,9 @@
 """Successive approximations: closed forms, pins, domain policy, logging."""
 
+import dataclasses
+import gc
 import logging
+import weakref
 
 import numpy as np
 import pytest
@@ -9,8 +12,8 @@ from hypothesis import given, strategies as st
 from conftest import random_scalar_problem, zero_rhs_problem
 from fracbvp.iterate import (
     DomainEscapeError,
+    _operator,
     iterate_step,
-    quiet_domain_warnings,
     run_iteration,
     u0,
 )
@@ -74,10 +77,38 @@ def test_iterate_step_midpoint_pin(gyre):
 
 
 def test_iterate_step_keeps_boundary_values(gyre):
-    with quiet_domain_warnings():
-        nxt = iterate_step(gyre, u0(gyre, CHI_THIRD), CHI_THIRD)
+    nxt = iterate_step(gyre, u0(gyre, CHI_THIRD), CHI_THIRD)
     assert nxt.values[0, 0] == gyre.alpha1[0]
     assert nxt.values[0, -1] == gyre.alpha2[0]
+
+
+# --- the cached operator ----------------------------------------------------
+
+
+def test_operator_is_built_once_per_problem(gyre):
+    op = _operator(gyre, gyre.grid)
+    assert _operator(gyre, gyre.grid) is op
+    assert u0(gyre, CHI_FIRST).grid is op.quad.grid
+    other = dataclasses.replace(gyre, N=201)
+    assert _operator(other, other.grid) is not op
+    assert _operator(other, other.grid).nodes.shape == (201,)
+
+
+def test_operator_arrays_are_read_only(gyre):
+    op = _operator(gyre, gyre.grid)
+    with pytest.raises(ValueError):
+        op.nodes[1] = 0.5
+    with pytest.raises(ValueError):
+        op.ratio[1] = 0.5
+
+
+def test_operator_dies_with_its_problem(gyre):
+    prob = dataclasses.replace(gyre, N=51)
+    op = weakref.ref(_operator(prob, prob.grid))
+    assert op() is not None
+    del prob
+    gc.collect()
+    assert op() is None
 
 
 # --- domain policy --------------------------------------------------------
@@ -92,8 +123,7 @@ def test_strict_policy_raises_with_location(zero_rhs):
 
 
 def test_warn_policy_records_escapes(gyre):
-    with quiet_domain_warnings():
-        sol = run_iteration(gyre, CHI_THIRD, m_max=4, tol=0.0)
+    sol = run_iteration(gyre, CHI_THIRD, m_max=4, tol=0.0)
     assert len(sol.escapes) == 4  # every iterate dips below lo(D) = 1
     worst = max(e.excess for e in sol.escapes)
     assert worst == pytest.approx(99.41640324513766, rel=1e-10)
@@ -104,12 +134,11 @@ def test_warn_policy_records_escapes(gyre):
         assert e.excess == pytest.approx(gyre.domain.lo[0] - e.value, rel=1e-12)
 
 
-def test_run_iteration_emits_one_summary_warning(gyre, caplog):
+def test_run_iteration_returns_escapes_without_warning(gyre, caplog):
     with caplog.at_level(logging.WARNING, logger="fracbvp.iterate"):
-        run_iteration(gyre, CHI_THIRD, m_max=3, tol=0.0)
-    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
-    assert len(warnings) == 1
-    assert "domain_policy=warn" in warnings[0].getMessage()
+        sol = run_iteration(gyre, CHI_THIRD, m_max=3, tol=0.0)
+    assert not any(r.levelno >= logging.WARNING for r in caplog.records)
+    assert len(sol.escapes) == 3
 
 
 def test_standalone_step_warns_per_call(gyre, caplog):
@@ -120,22 +149,11 @@ def test_standalone_step_warns_per_call(gyre, caplog):
     assert sum(r.levelno == logging.WARNING for r in caplog.records) == 2
 
 
-def test_quiet_domain_warnings_suppresses_and_restores(gyre, caplog):
-    logger = logging.getLogger("fracbvp.iterate")
-    before = logger.level
-    with caplog.at_level(logging.WARNING, logger="fracbvp.iterate"):
-        with quiet_domain_warnings():
-            run_iteration(gyre, CHI_THIRD, m_max=2, tol=0.0)
-    assert not any(r.levelno == logging.WARNING for r in caplog.records)
-    assert logger.level == before
-
-
 # --- full runs -------------------------------------------------------------
 
 
 def test_run_iteration_sup_diff_pins(gyre):
-    with quiet_domain_warnings():
-        sol = run_iteration(gyre, CHI_THIRD, m_max=4, tol=0.0)
+    sol = run_iteration(gyre, CHI_THIRD, m_max=4, tol=0.0)
     assert sol.m == 4
     assert sol.converged is False
     want = [
@@ -149,8 +167,7 @@ def test_run_iteration_sup_diff_pins(gyre):
 
 
 def test_run_iteration_bound_trace_pins(gyre):
-    with quiet_domain_warnings():
-        sol = run_iteration(gyre, CHI_THIRD, m_max=3, tol=0.0)
+    sol = run_iteration(gyre, CHI_THIRD, m_max=3, tol=0.0)
     want = [158.82009645226074, 14.934107346069244, 1.4042779673727155]
     got = [float(b[0]) for b in sol.bounds_used]
     assert got == pytest.approx(want, rel=1e-12)
@@ -161,15 +178,13 @@ def test_run_iteration_bound_trace_pins(gyre):
 
 
 def test_sup_diffs_stay_below_displacement_bounds(gyre):
-    with quiet_domain_warnings():
-        sol = run_iteration(gyre, CHI_THIRD, m_max=4, tol=0.0)
+    sol = run_iteration(gyre, CHI_THIRD, m_max=4, tol=0.0)
     for diff, bound in zip(sol.sup_diffs, sol.bounds_used):
         assert diff[0] <= bound[0]
 
 
 def test_default_tolerance_converges(gyre):
-    with quiet_domain_warnings():
-        sol = run_iteration(gyre, CHI_THIRD, m_max=12)
+    sol = run_iteration(gyre, CHI_THIRD, m_max=12)
     assert sol.converged is True
     assert sol.m == 8
     # default tol = 1e-8 * (1 + |alpha2 - alpha1|) = 2e-8
@@ -178,8 +193,7 @@ def test_default_tolerance_converges(gyre):
 
 
 def test_zero_tolerance_runs_to_m_max_unless_fixed_point(gyre, zero_rhs):
-    with quiet_domain_warnings():
-        sol = run_iteration(gyre, CHI_THIRD, m_max=2, tol=0.0)
+    sol = run_iteration(gyre, CHI_THIRD, m_max=2, tol=0.0)
     assert (sol.m, sol.converged) == (2, False)
     # a bitwise fixed point still counts as converged even at tol = 0
     line = run_iteration(zero_rhs, 1.0, m_max=5, tol=0.0)
@@ -188,8 +202,7 @@ def test_zero_tolerance_runs_to_m_max_unless_fixed_point(gyre, zero_rhs):
 
 
 def test_vector_tolerance_accepted(gyre):
-    with quiet_domain_warnings():
-        sol = run_iteration(gyre, CHI_THIRD, m_max=10, tol=np.array([0.05]))
+    sol = run_iteration(gyre, CHI_THIRD, m_max=10, tol=np.array([0.05]))
     assert sol.converged is True
     assert float(sol.sup_diffs[-1][0]) <= 0.05
 
@@ -209,16 +222,14 @@ def test_negative_steps_rejected(gyre):
 
 
 def test_parameter_point_flags_omega_membership(gyre):
-    with quiet_domain_warnings():
-        inside = run_iteration(gyre, CHI_THIRD, m_max=1, tol=0.0)
-        outside = run_iteration(gyre, -500.0, m_max=1, tol=0.0)
+    inside = run_iteration(gyre, CHI_THIRD, m_max=1, tol=0.0)
+    outside = run_iteration(gyre, -500.0, m_max=1, tol=0.0)
     assert inside.chi1.in_omega is True
     assert outside.chi1.in_omega is False
 
 
 def test_all_iterates_pin_boundaries(gyre):
-    with quiet_domain_warnings():
-        sol = run_iteration(gyre, CHI_THIRD, m_max=3, tol=0.0)
+    sol = run_iteration(gyre, CHI_THIRD, m_max=3, tol=0.0)
     for it in sol.iterates:
         assert it.values[0, 0] == gyre.alpha1[0]
         assert it.values[0, -1] == gyre.alpha2[0]

@@ -6,7 +6,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from fracbvp.iterate import quiet_domain_warnings, run_iteration
+from fracbvp.iterate import run_iteration
 from fracbvp.problem import Box, Problem, builtin_problem, problem_from_config
 from fracbvp.verify import emit_figure_data, residuals
 from fracbvp import exprlang
@@ -46,8 +46,7 @@ CUBIC_CFG = textwrap.dedent(
 
 
 def _gyre_run(gyre, m, chi=CHI_ROOT):
-    with quiet_domain_warnings():
-        return run_iteration(gyre, chi, m_max=m, tol=0.0)
+    return run_iteration(gyre, chi, m_max=m, tol=0.0)
 
 
 # --- residual report --------------------------------------------------------
@@ -141,8 +140,7 @@ def test_iterate_stable_under_grid_refinement():
     vals = {}
     for N in (401, 4001):
         g = dataclasses.replace(builtin_problem("acc-gyre"), N=N)
-        with quiet_domain_warnings():
-            sol = run_iteration(g, -320.68, m_max=1, tol=0.0)
+        sol = run_iteration(g, -320.68, m_max=1, tol=0.0)
         vals[N] = float(sol.final(0.5)[0])
     assert vals[401] == pytest.approx(-95.55462309604106, rel=1e-12)
     assert vals[4001] == pytest.approx(-95.55464448874446, rel=1e-12)
