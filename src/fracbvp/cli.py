@@ -126,6 +126,15 @@ def _gate_conditions(prob: Problem, force: bool):
     return report
 
 
+def _domain_summary(result) -> dict:
+    """Domain-escape fields of an exclusion or existence result for JSON."""
+    return {
+        "escaped_probes": result.escaped_probes,
+        "worst_excess": result.worst_excess,
+        "conditional_on_domain": result.escaped_probes > 0,
+    }
+
+
 def _note_escapes(approx) -> None:
     if approx.escapes:
         print(f"note: {len(approx.escapes)} domain excursion(s) recorded (policy=warn)")
@@ -250,6 +259,7 @@ def cmd_exclude(args) -> int:
         "survivors": [[b.lo.tolist(), b.hi.tolist()] for b in result.survivors],
         "coefficient": result.coefficient.tolist(),
         "tail": result.tail.tolist(),
+        **_domain_summary(result),
     }
     if n == 1:
         verdict = existence_check_scalar(prob, args.m)
@@ -258,11 +268,18 @@ def cmd_exclude(args) -> int:
             "endpoint_deltas": list(verdict.endpoint_deltas),
             "tube": verdict.tube,
             "sign_change": verdict.sign_change,
+            **_domain_summary(verdict),
         }
     (out / "exclusion.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     print(f"kept {len(result.survivors)} of {len(result.subsets)} boxes at m={args.m}")
     if n == 1:
-        print(f"existence certificate: {'yes' if summary['existence']['certified'] else 'inconclusive'}")
+        if not verdict.certified:
+            answer = "inconclusive"
+        elif verdict.escaped_probes:
+            answer = f"yes (conditional on domain: {verdict.escaped_probes} probes left D)"
+        else:
+            answer = "yes"
+        print(f"existence certificate: {answer}")
     return EXIT_OK
 
 

@@ -25,7 +25,7 @@ from scipy.optimize import brentq
 
 from .conditions import ConditionsReport, check_conditions, delta_gap_bound
 from .fracops import GridFunction, gamma
-from .iterate import ApproxSolution, _operator, run_iteration
+from .iterate import ApproxSolution, DomainEscape, _operator, run_iteration
 from .problem import Box, Problem
 
 __all__ = [
@@ -77,7 +77,7 @@ class DeterminingResult:
 def _delta_value(prob: Problem, chi1: np.ndarray, u: GridFunction) -> np.ndarray:
     op = _operator(prob, u.grid)
     fvals = prob.rhs(op.nodes, u.values)
-    raw_T = op.quad.running(fvals)[:, -1]  # int_0^T (T-s)^(p-1) f ds, no 1/Gamma
+    raw_T = op.quad.endpoint(fvals)  # int_0^T (T-s)^(p-1) f ds, no 1/Gamma
     gp1 = gamma(prob.p + 1.0)
     return gp1 / prob.T**prob.p * (prob.alpha2 - prob.alpha1 - chi1 * prob.T) - (
         prob.p / prob.T**prob.p
@@ -89,11 +89,34 @@ def delta_m(prob: Problem, approx: ApproxSolution) -> np.ndarray:
     return _delta_value(prob, approx.chi1.chi1, approx.final)
 
 
-def delta_at(prob: Problem, chi1, m: int) -> np.ndarray:
-    """Delta_m at an arbitrary chi1: runs the iteration, then evaluates."""
+def delta_at(
+    prob: Problem, chi1, m: int, escapes: list[DomainEscape] | None = None
+) -> np.ndarray:
+    """Delta_m at an arbitrary chi1: runs the iteration, then evaluates.
+
+    The probe's domain escapes are appended to ``escapes`` when given.
+    """
     chi = np.atleast_1d(np.asarray(chi1, dtype=float))
     approx = run_iteration(prob, chi, m_max=m, tol=0.0)
+    if escapes is not None:
+        escapes.extend(approx.escapes)
     return _delta_value(prob, chi, approx.final)
+
+
+def _probe_points(prob: Problem, points, m: int) -> tuple[list[np.ndarray], int, float]:
+    """Delta_m at each point, one probe after another.
+
+    Also returns how many probes had an iterate leave D and the worst
+    excess over D among them (0.0 when none did).
+    """
+    escapes: list[DomainEscape] = []
+    deltas: list[np.ndarray] = []
+    escaped = 0
+    for chi in points:
+        before = len(escapes)
+        deltas.append(delta_at(prob, chi, m, escapes))
+        escaped += len(escapes) > before
+    return deltas, escaped, max((e.excess for e in escapes), default=0.0)
 
 
 def solve_determining(
@@ -217,6 +240,8 @@ class ExclusionResult:
     tail: np.ndarray
     m: int
     n_subdiv: int
+    escaped_probes: int
+    worst_excess: float
 
 
 def _exclusion_coefficient(report: ConditionsReport) -> np.ndarray:
@@ -238,8 +263,9 @@ def exclusion_sweep(prob: Problem, m: int, n_subdiv: int) -> ExclusionResult:
     A box is kept iff |Delta_m(center)| <= coefficient @ halfwidth
     + Q^m M (I-Q)^(-1) componentwise — the inequality any box containing
     the true root must satisfy, so discarded boxes are certified
-    root-free (up to the quality of M and K).  Boxes are probed one
-    after another, in box order.
+    root-free (up to the quality of M and K) — provided the probe
+    iterates stayed in D; ``escaped_probes`` counts the ones that did not.
+    Boxes are probed one after another, in box order.
     """
     if n_subdiv < 1:
         raise ValueError(f"n_subdiv must be >= 1, got {n_subdiv}")
@@ -257,7 +283,7 @@ def exclusion_sweep(prob: Problem, m: int, n_subdiv: int) -> ExclusionResult:
         for idx in index_grid
     ]
     centers = [b.center for b in boxes]
-    deltas = [delta_at(prob, c, m) for c in centers]
+    deltas, escaped, worst = _probe_points(prob, centers, m)
     subsets: list[BoxVerdict] = []
     survivors: list[Box] = []
     for box, center, delta in zip(boxes, centers, deltas):
@@ -273,6 +299,8 @@ def exclusion_sweep(prob: Problem, m: int, n_subdiv: int) -> ExclusionResult:
         tail=tail,
         m=m,
         n_subdiv=n_subdiv,
+        escaped_probes=escaped,
+        worst_excess=worst,
     )
 
 
@@ -285,6 +313,8 @@ class ExistenceVerdict:
     tube: float
     cleared: tuple[bool, bool]
     sign_change: bool
+    escaped_probes: int
+    worst_excess: float
 
     def __bool__(self) -> bool:
         return self.certified
@@ -298,14 +328,15 @@ def existence_check_scalar(prob: Problem, m: int) -> ExistenceVerdict:
     both endpoints of Omega AND the endpoint values differ in sign: the
     one-dimensional degree of a map nonvanishing on the boundary is then
     +-1.  Anything else is inconclusive (certified=False) — not a proof
-    of nonexistence.
+    of nonexistence.  ``escaped_probes`` counts the endpoint probes
+    whose iterates left D; a certificate resting on them is conditional.
     """
     if prob.n != 1:
         raise NotImplementedError("existence certification is scalar-only (n = 1)")
     report = check_conditions(prob)
     tube = float(delta_gap_bound(report, prob.M, m)[0])
-    d_lo = float(delta_at(prob, prob.omega.lo, m)[0])
-    d_hi = float(delta_at(prob, prob.omega.hi, m)[0])
+    (d_lo, d_hi), escaped, worst = _probe_points(prob, [prob.omega.lo, prob.omega.hi], m)
+    d_lo, d_hi = float(d_lo[0]), float(d_hi[0])
     cleared = (abs(d_lo) > tube, abs(d_hi) > tube)
     sign_change = (d_lo < 0.0 < d_hi) or (d_hi < 0.0 < d_lo)
     certified = cleared[0] and cleared[1] and sign_change
@@ -315,4 +346,6 @@ def existence_check_scalar(prob: Problem, m: int) -> ExistenceVerdict:
         tube=tube,
         cleared=cleared,
         sign_change=sign_change,
+        escaped_probes=escaped,
+        worst_excess=worst,
     )

@@ -335,6 +335,12 @@ def test_exclude_gyre_thirteen(tmp_path, capsys):
     assert summary["existence"]["certified"] is False
     assert summary["existence"]["sign_change"] is True
     assert summary["existence"]["tube"] == pytest.approx(8.242068542826146, rel=1e-12)
+    assert summary["escaped_probes"] == 13
+    assert summary["worst_excess"] == pytest.approx(98.39083208732839, rel=1e-12)
+    assert summary["conditional_on_domain"] is True
+    assert summary["existence"]["escaped_probes"] == 2
+    assert summary["existence"]["worst_excess"] == pytest.approx(98.46387524629428, rel=1e-12)
+    assert summary["existence"]["conditional_on_domain"] is True
 
 
 def test_exclude_zero_rhs_certifies(tmp_path, capsys):
@@ -343,9 +349,22 @@ def test_exclude_zero_rhs_certifies(tmp_path, capsys):
     assert "existence certificate: yes" in out
     summary = json.loads((tmp_path / "exclusion.json").read_text(encoding="utf-8"))
     assert summary["existence"]["certified"] is True
+    for part in (summary, summary["existence"]):
+        assert (part["escaped_probes"], part["worst_excess"]) == (0, 0.0)
+        assert part["conditional_on_domain"] is False
     assert summary["kept"] == 2  # the two boxes meeting at chi* = 1
     for lo, hi in summary["survivors"]:
         assert lo[0] <= 1.0 <= hi[0]
+
+
+def test_exclude_marks_a_certificate_whose_probes_left_d(tmp_path, capsys):
+    # at m=3 both endpoint values of acc-gyre clear the tube, but the
+    # iterates behind them leave D
+    assert main(
+        ["exclude", "--builtin", "acc-gyre", "--out", str(tmp_path), "--m", "3", "--subdiv", "1"]
+    ) == 0
+    out = capsys.readouterr().out
+    assert "existence certificate: yes (conditional on domain: 2 probes left D)" in out
 
 
 def test_exclude_single_box(tmp_path):
@@ -390,6 +409,19 @@ def test_verify_reads_solve_outputs(tmp_path, capsys):
     assert len(rows) == 401
     header, _ = _read_csv(tmp_path / "residuals.csv")
     assert header == ["t", "residual"]
+
+
+def test_solve_and_verify_on_the_fft_grid(tmp_path):
+    # N=6401 convolves by FFT; references recorded with direct convolution
+    # (the residual's 1/h^2 stencil amplifies roundoff, hence 1e-6)
+    grid = ["--builtin", "acc-gyre", "--grid-n", "6401", "--out", str(tmp_path)]
+    assert main(["solve", *grid, "--m", "2"]) == 0
+    det = json.loads((tmp_path / "determining.json").read_text(encoding="utf-8"))
+    assert det["chi1_star"][0] == pytest.approx(-332.30223132767003, rel=1e-9)
+    assert det["residual"][0] <= 1e-9
+    assert main(["verify", *grid]) == 0
+    data = json.loads((tmp_path / "verify.json").read_text(encoding="utf-8"))
+    assert data["sup_residual"][0] == pytest.approx(0.34996755761989107, rel=1e-6)
 
 
 def test_verify_without_solve_outputs(tmp_path, capsys):

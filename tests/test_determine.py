@@ -19,6 +19,7 @@ from fracbvp.determine import (
     existence_check_scalar,
     solve_determining,
 )
+from fracbvp.fracops import ProductTrapezoid
 from fracbvp.iterate import run_iteration
 from fracbvp.problem import Box, Problem, builtin_problem
 from fracbvp import exprlang
@@ -91,6 +92,29 @@ def test_delta_m_matches_delta_at(gyre):
     via_solution = delta_m(gyre, approx)
     direct = delta_at(gyre, -325.0, 2)
     assert via_solution[0] == direct[0]
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_delta_at_runs_one_convolution_per_step(gyre, monkeypatch, m):
+    # the endpoint integral is a dot product, not another convolution
+    calls = []
+    running = ProductTrapezoid.running
+
+    def counted(self, values):
+        calls.append(1)
+        return running(self, values)
+
+    monkeypatch.setattr(ProductTrapezoid, "running", counted)
+    delta_at(gyre, -325.0, m)
+    assert len(calls) == m
+
+
+def test_delta_at_collects_the_probe_escapes(gyre):
+    escapes = []
+    value = delta_at(gyre, -325.0, 2, escapes)
+    approx = run_iteration(gyre, -325.0, m_max=2, tol=0.0)
+    assert escapes == approx.escapes and len(escapes) == 2
+    assert value[0] == delta_at(gyre, -325.0, 2)[0]
 
 
 # --- scalar root search -----------------------------------------------------
@@ -198,6 +222,9 @@ def test_exclusion_gyre_thirteen_boxes(gyre):
     keeps = [v.keep for v in res.subsets]
     assert keeps == [True] * 8 + [False] * 5
     assert len(res.survivors) == 8
+    # every probe's iterates leave D, so the verdicts are conditional
+    assert res.escaped_probes == 13
+    assert res.worst_excess == pytest.approx(98.39083208732839, rel=1e-12)
     # the deep root -332.30... sits in the leftmost surviving box
     assert res.survivors[0].contains(np.array([-332.30179286902836]))
     # verdicts carry the actual filter inputs
@@ -229,6 +256,7 @@ def test_exclusion_zero_rhs_is_exact(zero_rhs):
     for n_subdiv in range(1, 10):
         res = exclusion_sweep(zero_rhs, 2, n_subdiv)
         assert res.tail[0] == 0.0
+        assert (res.escaped_probes, res.worst_excess) == (0, 0.0)
         for v in res.subsets:
             halfwidth = 0.5 * v.box.width[0]
             dist = abs(v.center[0] - 1.0)
@@ -260,6 +288,8 @@ def test_existence_gyre_inconclusive(gyre):
     assert verdict.tube == pytest.approx(8.242068542826146, rel=1e-12)
     assert verdict.endpoint_deltas[0] == pytest.approx(0.8930596668404291, rel=1e-12)
     assert verdict.endpoint_deltas[1] == pytest.approx(-15.7349224231873, rel=1e-12)
+    assert verdict.escaped_probes == 2
+    assert verdict.worst_excess == pytest.approx(98.46387524629428, rel=1e-12)
 
 
 def test_existence_certified_on_zero_rhs(zero_rhs):
@@ -271,6 +301,7 @@ def test_existence_certified_on_zero_rhs(zero_rhs):
     assert verdict.cleared == (True, True)
     assert verdict.endpoint_deltas[0] == pytest.approx(GAMMA_2P5, rel=1e-13)
     assert verdict.endpoint_deltas[1] == pytest.approx(-GAMMA_2P5, rel=1e-13)
+    assert (verdict.escaped_probes, verdict.worst_excess) == (0, 0.0)
 
 
 def test_existence_scalar_only():

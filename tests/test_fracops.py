@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fracbvp.fracops import (
+    _FFT_MIN_N,
     Grid,
     GridFunction,
     ProductTrapezoid,
@@ -172,6 +173,74 @@ def test_anchored_running_matches_full_integral():
     vals = rng.normal(size=(1, 101))
     anchored = quad.anchored_running(vals)
     assert anchored[0, -1] == pytest.approx(quad.running(vals)[0, -1], rel=1e-12)
+
+
+# --- direct and FFT convolution paths ------------------------------------
+
+def _direct_running(quad, rows):
+    """The O(N^2) reference: one np.convolve per row, then the g_0 correction."""
+    out = np.empty_like(rows)
+    for i, row in enumerate(rows):
+        acc = np.convolve(row, quad._w)[: quad.grid.N]
+        acc -= quad._corr * row[0]
+        acc[0] = 0.0
+        out[i] = acc
+    return out
+
+
+@pytest.mark.parametrize("N", [51, 401, 801, _FFT_MIN_N - 1])
+@pytest.mark.parametrize("p", [0.5, 1.5])
+def test_running_below_crossover_is_the_direct_formula(N, p):
+    quad = ProductTrapezoid(Grid(N, 1.3), p)
+    assert quad._spectrum is None
+    rows = np.random.default_rng(N).normal(size=(2, N))
+    ref = _direct_running(quad, rows)
+    assert np.array_equal(quad.running(rows), ref)
+    assert np.array_equal(quad.running(rows[1]), ref[1])
+
+
+@pytest.mark.parametrize("N", [_FFT_MIN_N, 6401])
+@pytest.mark.parametrize("p", [0.5, 1.3, 1.5, 2.0])
+def test_running_by_fft_matches_direct_convolution(N, p):
+    quad = ProductTrapezoid(Grid(N, 2.0), p)
+    assert quad._spectrum is not None
+    t = quad.grid.nodes
+    rng = np.random.default_rng(N)
+    rows = np.stack([np.cos(3.0 * t) + t**1.5, rng.normal(size=N)])
+    ref = _direct_running(quad, rows)
+    got = quad.running(rows)
+    for g, r in zip(got, ref):
+        assert np.max(np.abs(g - r)) <= 1e-13 * np.max(np.abs(r))
+    single = quad.running(rows[0])
+    assert np.max(np.abs(single - ref[0])) <= 1e-13 * np.max(np.abs(ref[0]))
+
+
+@pytest.mark.parametrize("N", [51, 401, 6401])
+def test_endpoint_is_the_last_running_entry(N):
+    quad = ProductTrapezoid(Grid(N, 1.0), 1.5)
+    rows = np.random.default_rng(7).normal(size=(2, N))
+    for values in (rows[:1], rows, rows[0]):
+        want = quad.running(values)[..., -1]
+        got = quad.endpoint(values)
+        assert np.shape(got) == np.shape(want)
+        if N < _FFT_MIN_N:
+            assert np.array_equal(got, want)
+        else:
+            assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_frac_integral_of_one_on_the_fft_path():
+    g = Grid(6401, 1.0)
+    res = frac_integral(GridFunction(g, np.ones((1, 6401))), 1.5)
+    assert np.max(np.abs(res[0] - g.nodes**1.5 / gamma(2.5))) <= 1e-13
+
+
+def test_cached_weight_arrays_are_read_only():
+    quad = ProductTrapezoid(Grid(_FFT_MIN_N, 1.0), 1.5)
+    with pytest.raises(ValueError):
+        quad._wrev[0] = 1.0
+    with pytest.raises(ValueError):
+        quad._spectrum[0] = 1.0
 
 
 # --- Caputo derivative ---------------------------------------------------
