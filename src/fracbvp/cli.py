@@ -26,7 +26,6 @@ from .determine import (
     NonConvergenceError,
     NoRootBracketError,
     SolverConfig,
-    delta_m,
     exclusion_sweep,
     existence_check_scalar,
     solve_determining,
@@ -63,18 +62,10 @@ class RunManifest:
         path.write_text(json.dumps(dataclasses.asdict(self), indent=2) + "\n", encoding="utf-8")
 
 
-def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    return format(float(x), ".17g")
-
-
-def _write_csv(path: Path, header: str, rows) -> None:
+def _write_csv(path: Path, header: str, rows, fmt: str = "%.17g") -> None:
+    """Header line, then one line per row; floats round-trip at 17 digits."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            cells = row if isinstance(row, (tuple, list)) else np.atleast_1d(row)
-            fh.write(",".join(_fmt(v) for v in cells) + "\n")
+        np.savetxt(fh, rows, fmt=fmt, delimiter=",", header=header, comments="")
 
 
 def _suffixed(base: str, n: int) -> list[str]:
@@ -135,6 +126,15 @@ def _domain_summary(result) -> dict:
     }
 
 
+def _escape_summary(approx) -> dict:
+    """Domain-escape fields of the iteration run a JSON file describes."""
+    return {
+        "domain_escapes": len(approx.escapes),
+        "worst_excess": max((e.excess for e in approx.escapes), default=0.0),
+        "conditional_on_domain": bool(approx.escapes),
+    }
+
+
 def _note_escapes(approx) -> None:
     if approx.escapes:
         print(f"note: {len(approx.escapes)} domain excursion(s) recorded (policy=warn)")
@@ -150,20 +150,13 @@ def cmd_check(args) -> int:
     (out / "conditions.json").write_text(
         json.dumps({"problem": source, **report.to_dict()}, indent=2) + "\n", encoding="utf-8"
     )
-    rows = []
-    names = []
-    for j in range(report.n):
-        names.append(f"beta_{j + 1}")
-        rows.append(report.beta[j])
-    names.append("beta_over_m")
-    rows.append(report.beta_over_m)
-    for i in range(report.n):
-        for j in range(report.n):
-            names.append(f"Q_{i + 1}{j + 1}")
-            rows.append(report.Q[i, j])
-    names += ["spectral_radius", "dbeta_ok", "dbeta_centered_ok", "R"]
-    rows += [report.spectral_radius, float(report.dbeta_ok), float(report.dbeta_centered_ok), report.R[0]]
-    _write_csv(out / "conditions.csv", "quantity,value", zip(names, rows))
+    n = report.n
+    table = [(f"beta_{j + 1}", report.beta[j]) for j in range(n)]
+    table.append(("beta_over_m", report.beta_over_m))
+    table += [(f"Q_{i + 1}{j + 1}", report.Q[i, j]) for i in range(n) for j in range(n)]
+    table += [("spectral_radius", report.spectral_radius), ("dbeta_ok", float(report.dbeta_ok)),
+              ("dbeta_centered_ok", float(report.dbeta_centered_ok)), ("R", report.R[0])]
+    _write_csv(out / "conditions.csv", "quantity,value", np.array(table, dtype=object), fmt="%s,%.17g")
     print(f"problem: {source} (n={prob.n}, p={prob.p}, T={prob.T}, N={prob.N})")
     print(f"M = {np.array2string(report.M, precision=6)}   K max = {np.max(report.K):.6g}")
     print(f"beta (raw) = {np.array2string(report.beta, precision=6)}   beta/M = {report.beta_over_m:.6f}")
@@ -194,7 +187,7 @@ def cmd_solve(args) -> int:
             break
         roots.append(res)
         trace_rows.append([float(k), *res.chi1_star, *res.residual])
-        chi_txt = ", ".join(_fmt(c) for c in res.chi1_star)
+        chi_txt = ", ".join(f"{c:.17g}" for c in res.chi1_star)
         print(f"m={k}: chi1 = [{chi_txt}]  |Delta_m| = {np.max(res.residual):.3g}")
     header = ",".join(["k", *_suffixed("chi1", n), *_suffixed("residual", n)])
     _write_csv(out / "chi_trace.csv", header, trace_rows)
@@ -224,7 +217,7 @@ def cmd_solve(args) -> int:
                 "converged": approx.converged,
                 "chi_trace": [r.chi1_star.tolist() for r in roots],
                 "probes": len(final.solver_trace),
-                "domain_escapes": len(approx.escapes),
+                **_escape_summary(approx),
             },
             indent=2,
         )
@@ -273,12 +266,9 @@ def cmd_exclude(args) -> int:
     (out / "exclusion.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     print(f"kept {len(result.survivors)} of {len(result.subsets)} boxes at m={args.m}")
     if n == 1:
-        if not verdict.certified:
-            answer = "inconclusive"
-        elif verdict.escaped_probes:
-            answer = f"yes (conditional on domain: {verdict.escaped_probes} probes left D)"
-        else:
-            answer = "yes"
+        answer = "yes" if verdict.certified else "inconclusive"
+        if all(verdict.cleared) and verdict.sign_change and verdict.escaped_probes:
+            answer += f" (sign test passes, but {verdict.escaped_probes} probes left D)"
         print(f"existence certificate: {answer}")
     return EXIT_OK
 
@@ -315,7 +305,8 @@ def cmd_verify(args) -> int:
         np.column_stack([report.residual_grid.grid.nodes, report.residual_grid.values.T]),
     )
     (out / "verify.json").write_text(
-        json.dumps({"m": m, "chi1": chi.tolist(), **report.to_dict()}, indent=2) + "\n",
+        json.dumps({"m": m, "chi1": chi.tolist(), **report.to_dict(), **_escape_summary(approx)},
+                   indent=2) + "\n",
         encoding="utf-8",
     )
     print(f"sup interior residual at m={m}: {np.max(report.sup_residual):.6g} "

@@ -23,13 +23,12 @@ as ``dbeta_centered_ok`` so nothing is hidden.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .fracops import alpha1, gamma, kernel_constant
+from .fracops import alpha1, kernel_constant
 from .problem import Problem
 
 __all__ = [
@@ -204,10 +203,7 @@ def _resolvent(report: ConditionsReport) -> np.ndarray:
 
 def apriori_error(report: ConditionsReport, M, m: int) -> np.ndarray:
     """m-step uniform error bound kc * Q^m (I-Q)^(-1) M (componentwise)."""
-    M = np.atleast_1d(np.asarray(M, dtype=float))
-    inv = _resolvent(report)
-    Qm = np.linalg.matrix_power(report.Q, m)
-    return report.kernel_const * (Qm @ (inv @ M))
+    return report.kernel_const * delta_gap_bound(report, M, m)
 
 
 def delta_gap_bound(report: ConditionsReport, M, m: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .conditions import ConditionsReport, check_conditions, delta_gap_bound
+from .conditions import ConditionsReport, _resolvent, check_conditions, delta_gap_bound
 from .fracops import GridFunction, gamma
 from .iterate import ApproxSolution, DomainEscape, _operator, run_iteration
 from .problem import Box, Problem
@@ -77,7 +77,7 @@ class DeterminingResult:
 def _delta_value(prob: Problem, chi1: np.ndarray, u: GridFunction) -> np.ndarray:
     op = _operator(prob, u.grid)
     fvals = prob.rhs(op.nodes, u.values)
-    raw_T = op.quad.endpoint(fvals)  # int_0^T (T-s)^(p-1) f ds, no 1/Gamma
+    raw_T = op.endpoint(fvals)  # int_0^T (T-s)^(p-1) f ds, no 1/Gamma
     gp1 = gamma(prob.p + 1.0)
     return gp1 / prob.T**prob.p * (prob.alpha2 - prob.alpha1 - chi1 * prob.T) - (
         prob.p / prob.T**prob.p
@@ -250,7 +250,7 @@ def _exclusion_coefficient(report: ConditionsReport) -> np.ndarray:
     K R + Q R (I-Q)^(-1) + Gamma(p+1)/T^(p-1) I  (n x n, nonnegative).
     """
     n = report.n
-    inv = np.linalg.inv(np.eye(n) - report.Q)
+    inv = _resolvent(report)
     R = float(report.R[0])
     return R * (report.K + report.Q @ inv) + gamma(report.p + 1.0) / report.T ** (
         report.p - 1.0
@@ -325,11 +325,12 @@ def existence_check_scalar(prob: Problem, m: int) -> ExistenceVerdict:
 
     Existence of a root of the exact determining function inside Omega
     is certified iff |Delta_m| exceeds the gap tube Q^m M (I-Q)^(-1) at
-    both endpoints of Omega AND the endpoint values differ in sign: the
-    one-dimensional degree of a map nonvanishing on the boundary is then
-    +-1.  Anything else is inconclusive (certified=False) — not a proof
-    of nonexistence.  ``escaped_probes`` counts the endpoint probes
-    whose iterates left D; a certificate resting on them is conditional.
+    both endpoints of Omega AND the endpoint values differ in sign AND
+    no iterate of either endpoint probe left D: the one-dimensional
+    degree of a map nonvanishing on the boundary is then +-1.  Anything
+    else is inconclusive (certified=False) — not a proof of
+    nonexistence.  ``escaped_probes`` counts the endpoint probes whose
+    iterates left D.
     """
     if prob.n != 1:
         raise NotImplementedError("existence certification is scalar-only (n = 1)")
@@ -339,7 +340,7 @@ def existence_check_scalar(prob: Problem, m: int) -> ExistenceVerdict:
     d_lo, d_hi = float(d_lo[0]), float(d_hi[0])
     cleared = (abs(d_lo) > tube, abs(d_hi) > tube)
     sign_change = (d_lo < 0.0 < d_hi) or (d_hi < 0.0 < d_lo)
-    certified = cleared[0] and cleared[1] and sign_change
+    certified = cleared[0] and cleared[1] and sign_change and escaped == 0
     return ExistenceVerdict(
         certified=certified,
         endpoint_deltas=(d_lo, d_hi),

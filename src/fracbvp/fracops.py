@@ -16,11 +16,13 @@ the singular kernel is integrated in closed form against the hat-function
 basis, so the scheme degenerates to the classical trapezoidal rule at
 p = 1 and loses no accuracy to the singularity itself.
 
-The running integral is a convolution with fixed weights: direct below
-``_FFT_MIN_N`` nodes, from there on an O(N log N) FFT against the cached
-weight spectrum (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput.
-6, 1985), which moves results by ~1e-15 relative.  The integral up to T
-alone is an O(N) dot product with the reversed weights.
+``ProductTrapezoid`` is the package's one integral operator (weights,
+nodes, (t/T)^p, Gamma(p)).  Its running integral is a convolution with
+fixed weights: direct below ``_FFT_MIN_N`` nodes, from there on an
+O(N log N) FFT against the cached weight spectrum (Hairer, Lubich &
+Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985), which moves results by
+~1e-15 relative.  The integral up to T alone is an O(N) dot product
+with the reversed weights.
 """
 
 from __future__ import annotations
@@ -65,23 +67,16 @@ def gamma(x: float) -> float:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid t_j = j*T/(N-1), j = 0..N-1 on [0, T].
-
-    ``t0`` is kept as an explicit field for clarity but the scheme is
-    formulated on intervals starting at zero, so it must be 0.
-    """
+    """Uniform grid t_j = j*T/(N-1), j = 0..N-1 on [0, T]."""
 
     N: int
     T: float = 1.0
-    t0: float = 0.0
 
     def __post_init__(self) -> None:
         if self.N < 3:
             raise ValueError(f"Grid: need at least 3 nodes, got N={self.N}")
         if not (math.isfinite(self.T) and self.T > 0.0):
             raise ValueError(f"Grid: horizon must be positive and finite, got T={self.T!r}")
-        if self.t0 != 0.0:
-            raise ValueError("Grid: the scheme is formulated on [0, T]; t0 must be 0")
 
     @property
     def h(self) -> float:
@@ -119,9 +114,6 @@ class GridFunction:
     def n_components(self) -> int:
         return self.values.shape[0]
 
-    def component(self, i: int) -> np.ndarray:
-        return self.values[i]
-
     def sup(self) -> np.ndarray:
         """Componentwise sup norm over the nodes."""
         return np.max(np.abs(self.values), axis=1)
@@ -149,6 +141,10 @@ class ProductTrapezoid:
     direct below ``_FFT_MIN_N`` nodes, by FFT with the weight spectrum
     cached here at and above it.  ``endpoint`` takes only the integral up
     to T, as an O(N) dot product with the reversed weights.
+
+    Moments are raw (no 1/Gamma(p)); ``gamma_p`` = Gamma(p), the
+    read-only ``nodes`` and ``ratio`` = (t/T)^p complete the
+    boundary-corrected operator I^p g - (t/T)^p I^p g(T).
     """
 
     def __init__(self, grid: Grid, p: float) -> None:
@@ -156,6 +152,11 @@ class ProductTrapezoid:
             raise ValueError(f"ProductTrapezoid: kernel order must be positive, got p={p!r}")
         self.grid = grid
         self.p = p
+        self.gamma_p = gamma(p)
+        self.nodes = grid.nodes
+        self.ratio = (self.nodes / grid.T) ** p
+        self.nodes.flags.writeable = False
+        self.ratio.flags.writeable = False
         N = grid.N
         ell = np.arange(N, dtype=float)
         lp = ell**p
@@ -254,7 +255,7 @@ def frac_integral(g: GridFunction, p: float, t_index: int | None = None) -> np.n
     """
     _require_order(p)
     quad = ProductTrapezoid(g.grid, p)
-    vals = quad.running(g.values) / gamma(p)
+    vals = quad.running(g.values) / quad.gamma_p
     if t_index is None:
         return vals
     if not (-g.grid.N <= t_index < g.grid.N):
@@ -305,7 +306,7 @@ def _caputo_plain(values: np.ndarray, grid: Grid, p: float) -> np.ndarray:
     if p == 2.0:
         return d
     quad = ProductTrapezoid(grid, 2.0 - p)
-    return quad.running(d) / gamma(2.0 - p)
+    return quad.running(d) / quad.gamma_p
 
 
 def alpha1(t, a: float, b: float, p: float):
@@ -349,14 +350,12 @@ def envelope_sequence(grid: Grid, p: float, m: int) -> list[np.ndarray]:
     if m < 1:
         raise ValueError(f"envelope_sequence: m must be >= 1, got {m}")
     quad = ProductTrapezoid(grid, p)
-    gp = gamma(p)
-    ratio = (grid.nodes / grid.T) ** p
     seq: list[np.ndarray] = []
     a = np.ones(grid.N)
     for _ in range(m):
         conv = quad.running(a)
         cum = quad.anchored_running(a)
         full = cum[-1]
-        a = (conv - ratio * cum + ratio * (full - cum)) / gp
+        a = (conv - quad.ratio * cum + quad.ratio * (full - cum)) / quad.gamma_p
         seq.append(a)
     return seq

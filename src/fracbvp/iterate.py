@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fracops import Grid, GridFunction, ProductTrapezoid, gamma, kernel_constant
+from .fracops import Grid, GridFunction, ProductTrapezoid, kernel_constant
 from .problem import ParameterPoint, Problem
 
 __all__ = [
@@ -42,35 +42,20 @@ _log = logging.getLogger(__name__)
 _DOMAIN_SLACK = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class _Operator:
-    """The boundary-corrected I^p of one problem on one grid.
-
-    ``nodes`` and ``ratio`` = (t/T)^p are read-only: every iterate and
-    every Delta_m probe of the problem shares them.
-    """
-
-    quad: ProductTrapezoid
-    nodes: np.ndarray
-    ratio: np.ndarray
-    gamma_p: float
-
-
-# Problem -> {Grid: _Operator}.  The keys are weak, so an operator lives
-# exactly as long as the problem that built it.
+# Problem -> {Grid: ProductTrapezoid}.  The keys are weak, so an
+# operator lives exactly as long as the problem that built it.
 _OPERATORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _operator(prob: Problem, grid: Grid) -> _Operator:
-    """The cached operator of ``prob`` on ``grid``, built on first use."""
+def _operator(prob: Problem, grid: Grid) -> ProductTrapezoid:
+    """The cached integral operator of ``prob`` on ``grid``, built on first use.
+
+    Every iterate and every Delta_m probe of the problem shares it.
+    """
     ops = _OPERATORS.setdefault(prob, {})
     op = ops.get(grid)
     if op is None:
-        nodes = grid.nodes
-        ratio = (nodes / prob.T) ** prob.p
-        nodes.flags.writeable = False
-        ratio.flags.writeable = False
-        op = ops[grid] = _Operator(ProductTrapezoid(grid, prob.p), nodes, ratio, gamma(prob.p))
+        op = ops[grid] = ProductTrapezoid(grid, prob.p)
     return op
 
 
@@ -119,7 +104,7 @@ def _check_domain(
         escapes.append(record)
 
 
-def _interpolant(prob: Problem, op: _Operator, chi: np.ndarray, ip=None) -> GridFunction:
+def _interpolant(prob: Problem, op: ProductTrapezoid, chi: np.ndarray, ip=None) -> GridFunction:
     """u_0 at chi, plus the corrected integral term ip - (t/T)^p ip(T) when given."""
     coeff = prob.alpha2 - prob.alpha1 - chi * prob.T
     vals = (
@@ -131,7 +116,7 @@ def _interpolant(prob: Problem, op: _Operator, chi: np.ndarray, ip=None) -> Grid
         vals = vals + ip - ip[:, -1][:, np.newaxis] * op.ratio[np.newaxis, :]
     vals[:, 0] = prob.alpha1
     vals[:, -1] = prob.alpha2
-    return GridFunction(op.quad.grid, vals)
+    return GridFunction(op.grid, vals)
 
 
 def u0(prob: Problem, chi1) -> GridFunction:
@@ -156,7 +141,7 @@ def iterate_step(
     _check_domain(prob, prev, op.nodes, escapes)
     chi = np.atleast_1d(np.asarray(chi1, dtype=float))
     fvals = prob.rhs(op.nodes, prev.values)
-    ip = op.quad.running(fvals) / op.gamma_p
+    ip = op.running(fvals) / op.gamma_p
     return _interpolant(prob, op, chi, ip)
 
 
@@ -190,8 +175,8 @@ def run_iteration(
     wanted, e.g. for determining-function probes — the loop still stops
     early on a bitwise fixed point, which changes nothing downstream).
     Non-convergence at m_max is reported via ``converged=False``, not an
-    exception; domain excursions under the 'warn' policy are returned in
-    ``escapes`` and not logged.
+    exception.  Every iterate, u_m included, is checked against D;
+    excursions under the 'warn' policy are returned in ``escapes``.
     """
     if m_max < 0:
         raise ValueError(f"m_max must be >= 0, got {m_max}")
@@ -223,6 +208,7 @@ def run_iteration(
         if np.all(diff <= tol_vec):
             converged = True
             break
+    _check_domain(prob, current, _operator(prob, current.grid).nodes, escapes)
     point = ParameterPoint(chi, prob.omega.contains(chi))
     return ApproxSolution(
         chi1=point,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import fracbvp
-from fracbvp.cli import main
+from fracbvp.cli import _write_csv, main
 
 GYRE_ROOTS = [-320.68685748392215, -332.0604225604555, -332.30179286902836]
 
@@ -336,10 +336,10 @@ def test_exclude_gyre_thirteen(tmp_path, capsys):
     assert summary["existence"]["sign_change"] is True
     assert summary["existence"]["tube"] == pytest.approx(8.242068542826146, rel=1e-12)
     assert summary["escaped_probes"] == 13
-    assert summary["worst_excess"] == pytest.approx(98.39083208732839, rel=1e-12)
+    assert summary["worst_excess"] == pytest.approx(99.44538549274552, rel=1e-12)
     assert summary["conditional_on_domain"] is True
     assert summary["existence"]["escaped_probes"] == 2
-    assert summary["existence"]["worst_excess"] == pytest.approx(98.46387524629428, rel=1e-12)
+    assert summary["existence"]["worst_excess"] == pytest.approx(99.51849650410465, rel=1e-12)
     assert summary["existence"]["conditional_on_domain"] is True
 
 
@@ -364,7 +364,11 @@ def test_exclude_marks_a_certificate_whose_probes_left_d(tmp_path, capsys):
         ["exclude", "--builtin", "acc-gyre", "--out", str(tmp_path), "--m", "3", "--subdiv", "1"]
     ) == 0
     out = capsys.readouterr().out
-    assert "existence certificate: yes (conditional on domain: 2 probes left D)" in out
+    assert "existence certificate: inconclusive (sign test passes, but 2 probes left D)" in out
+    summary = json.loads((tmp_path / "exclusion.json").read_text(encoding="utf-8"))
+    assert summary["existence"]["certified"] is False
+    assert summary["existence"]["sign_change"] is True
+    assert summary["existence"]["conditional_on_domain"] is True
 
 
 def test_exclude_single_box(tmp_path):
@@ -394,7 +398,7 @@ def test_verify_reads_solve_outputs(tmp_path, capsys):
     assert main(["verify", "--builtin", "acc-gyre", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "sup interior residual at m=2" in out
-    assert "note: 2 domain excursion(s) recorded (policy=warn)" in out
+    assert "note: 3 domain excursion(s) recorded (policy=warn)" in out
 
     data = json.loads((tmp_path / "verify.json").read_text(encoding="utf-8"))
     assert data["m"] == 2
@@ -409,6 +413,21 @@ def test_verify_reads_solve_outputs(tmp_path, capsys):
     assert len(rows) == 401
     header, _ = _read_csv(tmp_path / "residuals.csv")
     assert header == ["t", "residual"]
+
+
+@pytest.mark.parametrize(
+    "builtin, escapes, worst",
+    [("acc-gyre", 3, 99.41640324513766), ("zero-rhs", 0, 0.0)],
+)
+def test_solve_and_verify_record_the_domain_escapes(tmp_path, builtin, escapes, worst):
+    # both files describe the final run at chi1*, u_0 .. u_2
+    assert main(["solve", "--builtin", builtin, "--out", str(tmp_path), "--m", "2"]) == 0
+    assert main(["verify", "--builtin", builtin, "--out", str(tmp_path)]) == 0
+    for name in ("determining.json", "verify.json"):
+        data = json.loads((tmp_path / name).read_text(encoding="utf-8"))
+        assert data["domain_escapes"] == escapes
+        assert data["worst_excess"] == pytest.approx(worst, rel=1e-12)
+        assert data["conditional_on_domain"] is (escapes > 0)
 
 
 def test_solve_and_verify_on_the_fft_grid(tmp_path):
@@ -457,3 +476,31 @@ def test_verify_depth_override(tmp_path):
     data = json.loads((tmp_path / "verify.json").read_text(encoding="utf-8"))
     assert data["m"] == 0
     assert data["sup_residual"][0] > 100.0  # u0 alone is far from solving
+
+
+# --- CSV writer ---------------------------------------------------------------
+
+
+def test_write_csv_rows_round_trip_at_17_digits(tmp_path):
+    table = np.array(
+        [[-0.0, 5e-324, 1.7976931348623157e308], [0.1, 1.0, 1e16], [1 / 3, -2.5, 123456789.0]]
+    )
+    _write_csv(tmp_path / "t.csv", "a,b,c", table)
+    want = "a,b,c\n" + "".join(
+        ",".join(format(float(v), ".17g") for v in row) + "\n" for row in table
+    )
+    assert (tmp_path / "t.csv").read_bytes() == want.encode()
+    _write_csv(tmp_path / "l.csv", "a,b,c", [list(row) for row in table])
+    assert (tmp_path / "l.csv").read_bytes() == want.encode()
+
+
+def test_write_csv_named_rows(tmp_path):
+    pairs = [("beta_1", 0.1), ("Q_11", -0.0), ("R", 5e-324)]
+    _write_csv(tmp_path / "q.csv", "quantity,value", np.array(pairs, dtype=object), fmt="%s,%.17g")
+    want = "quantity,value\n" + "".join(f"{k},{format(v, '.17g')}\n" for k, v in pairs)
+    assert (tmp_path / "q.csv").read_bytes() == want.encode()
+
+
+def test_write_csv_empty_table_is_the_header_alone(tmp_path):
+    _write_csv(tmp_path / "e.csv", "k,chi1,residual", [])
+    assert (tmp_path / "e.csv").read_bytes() == b"k,chi1,residual\n"

@@ -1,5 +1,6 @@
 """Determining function: probes, root search, exclusion, existence."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from fracbvp.determine import (
     solve_determining,
 )
 from fracbvp.fracops import ProductTrapezoid
-from fracbvp.iterate import run_iteration
+from fracbvp.iterate import DomainEscapeError, run_iteration
 from fracbvp.problem import Box, Problem, builtin_problem
 from fracbvp import exprlang
 
@@ -113,8 +114,15 @@ def test_delta_at_collects_the_probe_escapes(gyre):
     escapes = []
     value = delta_at(gyre, -325.0, 2, escapes)
     approx = run_iteration(gyre, -325.0, m_max=2, tol=0.0)
-    assert escapes == approx.escapes and len(escapes) == 2
+    assert escapes == approx.escapes and len(escapes) == 3
     assert value[0] == delta_at(gyre, -325.0, 2)[0]
+
+
+def test_delta_at_checks_the_probed_iterate_under_strict_policy(gyre):
+    # at m = 0 the probe evaluates f along u_0 alone, which leaves D
+    strict = dataclasses.replace(gyre, domain_policy="strict")
+    with pytest.raises(DomainEscapeError, match="leaves D"):
+        delta_at(strict, -325.0, 0)
 
 
 # --- scalar root search -----------------------------------------------------
@@ -224,7 +232,7 @@ def test_exclusion_gyre_thirteen_boxes(gyre):
     assert len(res.survivors) == 8
     # every probe's iterates leave D, so the verdicts are conditional
     assert res.escaped_probes == 13
-    assert res.worst_excess == pytest.approx(98.39083208732839, rel=1e-12)
+    assert res.worst_excess == pytest.approx(99.44538549274552, rel=1e-12)
     # the deep root -332.30... sits in the leftmost surviving box
     assert res.survivors[0].contains(np.array([-332.30179286902836]))
     # verdicts carry the actual filter inputs
@@ -233,6 +241,13 @@ def test_exclusion_gyre_thirteen_boxes(gyre):
         assert v.center[0] == pytest.approx(
             0.5 * (v.box.lo[0] + v.box.hi[0]), rel=1e-15
         )
+
+
+def test_exclusion_at_depth_zero_counts_the_escaped_probes(gyre):
+    # Delta_0 evaluates f along u_0, which leaves D at every box center
+    res = exclusion_sweep(gyre, 0, 13)
+    assert res.escaped_probes == 13
+    assert res.worst_excess == pytest.approx(48.964197622890524, rel=1e-12)
 
 
 def test_exclusion_single_box_keeps_everything(gyre):
@@ -289,7 +304,18 @@ def test_existence_gyre_inconclusive(gyre):
     assert verdict.endpoint_deltas[0] == pytest.approx(0.8930596668404291, rel=1e-12)
     assert verdict.endpoint_deltas[1] == pytest.approx(-15.7349224231873, rel=1e-12)
     assert verdict.escaped_probes == 2
-    assert verdict.worst_excess == pytest.approx(98.46387524629428, rel=1e-12)
+    assert verdict.worst_excess == pytest.approx(99.51849650410465, rel=1e-12)
+
+
+def test_existence_is_not_certified_on_escaped_probes(gyre):
+    # at m = 3 both endpoint values clear the tube with a sign change,
+    # but the iterates behind them leave D
+    verdict = existence_check_scalar(gyre, 3)
+    assert verdict.cleared == (True, True)
+    assert verdict.sign_change is True
+    assert verdict.escaped_probes == 2
+    assert verdict.certified is False
+    assert bool(verdict) is False
 
 
 def test_existence_certified_on_zero_rhs(zero_rhs):

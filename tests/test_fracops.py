@@ -63,8 +63,6 @@ def test_grid_validation():
         Grid(2, 1.0)
     with pytest.raises(ValueError):
         Grid(11, -1.0)
-    with pytest.raises(ValueError):
-        Grid(11, 1.0, t0=0.5)
 
 
 def test_gridfunction_promotes_and_validates():
@@ -237,10 +235,18 @@ def test_frac_integral_of_one_on_the_fft_path():
 
 def test_cached_weight_arrays_are_read_only():
     quad = ProductTrapezoid(Grid(_FFT_MIN_N, 1.0), 1.5)
-    with pytest.raises(ValueError):
-        quad._wrev[0] = 1.0
-    with pytest.raises(ValueError):
-        quad._spectrum[0] = 1.0
+    for arr in (quad._wrev, quad._spectrum, quad.nodes, quad.ratio):
+        with pytest.raises(ValueError):
+            arr[1] = 1.0
+
+
+@pytest.mark.parametrize("N, T, p", [(51, 1.0, 1.5), (401, 2.5, 1.3), (1024, 0.7, 0.5)])
+def test_operator_constants_are_the_closed_forms(N, T, p):
+    grid = Grid(N, T)
+    quad = ProductTrapezoid(grid, p)
+    assert np.array_equal(quad.nodes, grid.nodes)
+    assert np.array_equal(quad.ratio, (grid.nodes / T) ** p)
+    assert quad.gamma_p == gamma(p)
 
 
 # --- Caputo derivative ---------------------------------------------------

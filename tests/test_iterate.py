@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_scalar_problem, zero_rhs_problem
+from fracbvp.fracops import ProductTrapezoid
 from fracbvp.iterate import (
     DomainEscapeError,
     _operator,
@@ -87,8 +88,10 @@ def test_iterate_step_keeps_boundary_values(gyre):
 
 def test_operator_is_built_once_per_problem(gyre):
     op = _operator(gyre, gyre.grid)
+    assert isinstance(op, ProductTrapezoid)
+    assert (op.p, op.grid) == (gyre.p, gyre.grid)
     assert _operator(gyre, gyre.grid) is op
-    assert u0(gyre, CHI_FIRST).grid is op.quad.grid
+    assert u0(gyre, CHI_FIRST).grid is op.grid
     other = dataclasses.replace(gyre, N=201)
     assert _operator(other, other.grid) is not op
     assert _operator(other, other.grid).nodes.shape == (201,)
@@ -124,7 +127,7 @@ def test_strict_policy_raises_with_location(zero_rhs):
 
 def test_warn_policy_records_escapes(gyre):
     sol = run_iteration(gyre, CHI_THIRD, m_max=4, tol=0.0)
-    assert len(sol.escapes) == 4  # every iterate dips below lo(D) = 1
+    assert len(sol.escapes) == 5  # every iterate dips below lo(D) = 1
     worst = max(e.excess for e in sol.escapes)
     assert worst == pytest.approx(99.41640324513766, rel=1e-10)
     for e in sol.escapes:
@@ -138,7 +141,7 @@ def test_run_iteration_returns_escapes_without_warning(gyre, caplog):
     with caplog.at_level(logging.WARNING, logger="fracbvp.iterate"):
         sol = run_iteration(gyre, CHI_THIRD, m_max=3, tol=0.0)
     assert not any(r.levelno >= logging.WARNING for r in caplog.records)
-    assert len(sol.escapes) == 3
+    assert len(sol.escapes) == 4  # u_0 .. u_3, the final iterate included
 
 
 def test_standalone_step_warns_per_call(gyre, caplog):
