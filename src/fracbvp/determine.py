@@ -8,24 +8,24 @@ when the determining function vanishes:
 
 Every probe of Delta_m re-runs the iteration from u_0 at the probed
 chi1 (no warm starts — probes stay independent) with the problem's
-cached integral operator.  For scalar problems the root search is a
-bracket scan plus Brent; for systems a damped Newton with
-forward-difference Jacobian.  The exclusion sweep applies the
-necessary-condition filter: a parameter box can be discarded once
-|Delta_m| at its center exceeds what the Lipschitz coefficient over the
-box plus the iteration tube can explain.
+cached integral operator; a stack of chi1 is probed as one batch.  For
+scalar problems the root search is a bracket scan plus Brent; for
+systems a damped Newton with forward-difference Jacobian.  The
+exclusion sweep applies the necessary-condition filter: a parameter box
+can be discarded once |Delta_m| at its center exceeds what the
+Lipschitz coefficient over the box plus the iteration tube can explain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .conditions import ConditionsReport, _resolvent, check_conditions, delta_gap_bound
-from .fracops import GridFunction, gamma
-from .iterate import ApproxSolution, DomainEscape, _operator, run_iteration
+from .fracops import gamma
+from .iterate import ApproxSolution, DomainEscape, _operator, _rhs, run_iteration
 from .problem import Box, Problem
 
 __all__ = [
@@ -74,49 +74,46 @@ class DeterminingResult:
     solver_trace: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
 
-def _delta_value(prob: Problem, chi1: np.ndarray, u: GridFunction) -> np.ndarray:
-    op = _operator(prob, u.grid)
-    fvals = prob.rhs(op.nodes, u.values)
-    raw_T = op.endpoint(fvals)  # int_0^T (T-s)^(p-1) f ds, no 1/Gamma
-    gp1 = gamma(prob.p + 1.0)
-    return gp1 / prob.T**prob.p * (prob.alpha2 - prob.alpha1 - chi1 * prob.T) - (
-        prob.p / prob.T**prob.p
-    ) * raw_T
+# Cap on the u values (rows * n * N) of one batched run.  A run keeps every
+# iterate, so one unchunked 2000-row sweep at N = 401 added 34 MB of peak
+# RSS; 2**16 values are 163 rows at N = 401 and 10 at N = 6401.
+_BATCH_VALUES = 2**16
 
 
 def delta_m(prob: Problem, approx: ApproxSolution) -> np.ndarray:
-    """Determining-function value at the approximation's parameter."""
-    return _delta_value(prob, approx.chi1.chi1, approx.final)
+    """Determining-function value at the approximation's parameter(s)."""
+    u = approx.final
+    op = _operator(prob, u.grid)
+    fvals = _rhs(prob, op, u.values)
+    # int_0^T (T-s)^(p-1) f ds, no 1/Gamma
+    raw_T = op.endpoint(fvals.reshape(-1, op.grid.N)).reshape(fvals.shape[:-1])
+    gp1 = gamma(prob.p + 1.0)
+    return gp1 / prob.T**prob.p * (prob.alpha2 - prob.alpha1 - approx.chi1.chi1 * prob.T) - (
+        prob.p / prob.T**prob.p
+    ) * raw_T
 
 
 def delta_at(
     prob: Problem, chi1, m: int, escapes: list[DomainEscape] | None = None
 ) -> np.ndarray:
-    """Delta_m at an arbitrary chi1: runs the iteration, then evaluates.
+    """Delta_m at chi1 (scalar or (n,) -> (n,); a (B, n) stack -> (B, n)).
 
-    The probe's domain escapes are appended to ``escapes`` when given.
+    Runs the iteration, then evaluates; a stack runs in batches of at most
+    ``_BATCH_VALUES`` values, each row bit-identical to a one-row probe.
+    Domain escapes go to ``escapes`` when given, ``probe`` = stack row.
     """
-    chi = np.atleast_1d(np.asarray(chi1, dtype=float))
-    approx = run_iteration(prob, chi, m_max=m, tol=0.0)
-    if escapes is not None:
-        escapes.extend(approx.escapes)
-    return _delta_value(prob, chi, approx.final)
-
-
-def _probe_points(prob: Problem, points, m: int) -> tuple[list[np.ndarray], int, float]:
-    """Delta_m at each point, one probe after another.
-
-    Also returns how many probes had an iterate leave D and the worst
-    excess over D among them (0.0 when none did).
-    """
-    escapes: list[DomainEscape] = []
-    deltas: list[np.ndarray] = []
-    escaped = 0
-    for chi in points:
-        before = len(escapes)
-        deltas.append(delta_at(prob, chi, m, escapes))
-        escaped += len(escapes) > before
-    return deltas, escaped, max((e.excess for e in escapes), default=0.0)
+    stack = np.atleast_2d(np.asarray(chi1, dtype=float))
+    if stack.ndim != 2 or stack.shape[1] != prob.n:
+        raise ValueError(f"chi1 must have shape (n,) or (B, n) with n={prob.n}, got {np.shape(chi1)}")
+    rows = max(1, _BATCH_VALUES // (prob.n * prob.N))
+    deltas = []
+    for start in range(0, len(stack), rows):
+        approx = run_iteration(prob, stack[start : start + rows], m_max=m, tol=0.0)
+        if escapes is not None:
+            escapes.extend(replace(e, probe=e.probe + start) for e in approx.escapes)
+        deltas.append(delta_m(prob, approx))
+    out = np.concatenate(deltas)
+    return out if np.ndim(chi1) == 2 else out[0]
 
 
 def solve_determining(
@@ -136,7 +133,7 @@ def solve_determining(
 
     def probe(chi: np.ndarray) -> np.ndarray:
         val = delta_at(prob, chi, m)
-        trace.append((chi.copy(), val.copy()))
+        trace.extend(zip(np.atleast_2d(chi).copy(), np.atleast_2d(val).copy()))
         return val
 
     if prob.n == 1:
@@ -153,7 +150,7 @@ def solve_determining(
 def _solve_scalar(prob: Problem, probe, config: SolverConfig) -> np.ndarray:
     lo, hi = float(prob.omega.lo[0]), float(prob.omega.hi[0])
     xs = np.linspace(lo, hi, config.scan_points)
-    vals = np.array([probe(np.array([x]))[0] for x in xs])
+    vals = probe(xs[:, np.newaxis])[:, 0]
     bracket = None
     for i in range(len(xs) - 1):
         if vals[i] == 0.0:
@@ -183,12 +180,11 @@ def _solve_newton(prob: Problem, probe, config: SolverConfig, trace: list) -> np
         for _ in range(config.newton_max_iter):
             if np.max(np.abs(fx)) <= config.residual_tol:
                 return x
-            J = np.empty((n, n))
-            for j in range(n):
-                step = config.newton_fd_step * max(1.0, abs(x[j]))
-                xj = x.copy()
-                xj[j] += step
-                J[:, j] = (probe(xj) - fx) / step
+            # row j steps x_j; x + diag(steps) would turn -0.0 into +0.0
+            steps = config.newton_fd_step * np.maximum(1.0, np.abs(x))
+            columns = np.tile(x, (n, 1))
+            columns[np.diag_indices(n)] += steps
+            J = ((probe(columns) - fx) / steps[:, np.newaxis]).T
             try:
                 s = np.linalg.solve(J, -fx)
             except np.linalg.LinAlgError:
@@ -212,7 +208,7 @@ def _solve_newton(prob: Problem, probe, config: SolverConfig, trace: list) -> np
             axes = [np.linspace(prob.omega.lo[j], prob.omega.hi[j], 5) for j in range(n)]
             mesh = np.meshgrid(*axes, indexing="ij")
             points = np.stack([mm.ravel() for mm in mesh], axis=1)
-            scores = [np.max(np.abs(probe(pt))) for pt in points]
+            scores = np.max(np.abs(probe(points)), axis=1)
             starts.append(points[int(np.argmin(scores))])
     raise NonConvergenceError(
         f"Newton stalled at residual {np.max(np.abs(fx)):.6g} "
@@ -265,7 +261,7 @@ def exclusion_sweep(prob: Problem, m: int, n_subdiv: int) -> ExclusionResult:
     the true root must satisfy, so discarded boxes are certified
     root-free (up to the quality of M and K) — provided the probe
     iterates stayed in D; ``escaped_probes`` counts the ones that did not.
-    Boxes are probed one after another, in box order.
+    All box centers are probed by one stacked ``delta_at`` call.
     """
     if n_subdiv < 1:
         raise ValueError(f"n_subdiv must be >= 1, got {n_subdiv}")
@@ -275,32 +271,26 @@ def exclusion_sweep(prob: Problem, m: int, n_subdiv: int) -> ExclusionResult:
     n = prob.n
     edges = [np.linspace(prob.omega.lo[j], prob.omega.hi[j], n_subdiv + 1) for j in range(n)]
     index_grid = np.indices((n_subdiv,) * n).reshape(n, -1).T
-    boxes = [
-        Box(
-            np.array([edges[j][idx[j]] for j in range(n)]),
-            np.array([edges[j][idx[j] + 1] for j in range(n)]),
-        )
-        for idx in index_grid
-    ]
-    centers = [b.center for b in boxes]
-    deltas, escaped, worst = _probe_points(prob, centers, m)
+    lo = np.stack([edges[j][index_grid[:, j]] for j in range(n)], axis=1)
+    hi = np.stack([edges[j][index_grid[:, j] + 1] for j in range(n)], axis=1)
+    boxes = [Box(a, b) for a, b in zip(lo, hi)]
+    centers = 0.5 * (lo + hi)
+    escapes: list[DomainEscape] = []
+    deltas = delta_at(prob, centers, m, escapes)
     subsets: list[BoxVerdict] = []
-    survivors: list[Box] = []
     for box, center, delta in zip(boxes, centers, deltas):
         rhs = coeff @ (0.5 * box.width) + tail
         keep = bool(np.all(np.abs(delta) <= rhs))
         subsets.append(BoxVerdict(box=box, center=center, delta=delta, rhs=rhs, keep=keep))
-        if keep:
-            survivors.append(box)
     return ExclusionResult(
         subsets=subsets,
-        survivors=survivors,
+        survivors=[v.box for v in subsets if v.keep],
         coefficient=coeff,
         tail=tail,
         m=m,
         n_subdiv=n_subdiv,
-        escaped_probes=escaped,
-        worst_excess=worst,
+        escaped_probes=len({e.probe for e in escapes}),
+        worst_excess=max((e.excess for e in escapes), default=0.0),
     )
 
 
@@ -336,8 +326,10 @@ def existence_check_scalar(prob: Problem, m: int) -> ExistenceVerdict:
         raise NotImplementedError("existence certification is scalar-only (n = 1)")
     report = check_conditions(prob)
     tube = float(delta_gap_bound(report, prob.M, m)[0])
-    (d_lo, d_hi), escaped, worst = _probe_points(prob, [prob.omega.lo, prob.omega.hi], m)
-    d_lo, d_hi = float(d_lo[0]), float(d_hi[0])
+    escapes: list[DomainEscape] = []
+    ends = np.stack([prob.omega.lo, prob.omega.hi])
+    d_lo, d_hi = delta_at(prob, ends, m, escapes)[:, 0].tolist()
+    escaped = len({e.probe for e in escapes})
     cleared = (abs(d_lo) > tube, abs(d_hi) > tube)
     sign_change = (d_lo < 0.0 < d_hi) or (d_hi < 0.0 < d_lo)
     certified = cleared[0] and cleared[1] and sign_change and escaped == 0
@@ -348,5 +340,5 @@ def existence_check_scalar(prob: Problem, m: int) -> ExistenceVerdict:
         cleared=cleared,
         sign_change=sign_change,
         escaped_probes=escaped,
-        worst_excess=worst,
+        worst_excess=max((e.excess for e in escapes), default=0.0),
     )

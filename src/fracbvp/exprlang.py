@@ -326,9 +326,9 @@ def evaluate(exprs: tuple[Expr, ...], t, u) -> np.ndarray:
     """Evaluate component expressions at (t, u).
 
     ``t`` may be a scalar or an array of times; ``u`` is a sequence of
-    component values (scalars or arrays matching t).  Returns an array of
-    shape (len(exprs),) or (len(exprs), len(t)).  Any non-finite
-    component raises ExprEvalError with the inputs attached.
+    component values (scalars or arrays broadcasting with t).  Returns an
+    array of shape (len(exprs),) + that shape.  A non-finite component
+    raises ExprEvalError with the t and u of the first such point.
     """
     t_arr = np.asarray(t, dtype=float)
     u_arr = np.asarray(u, dtype=float)
@@ -343,12 +343,9 @@ def evaluate(exprs: tuple[Expr, ...], t, u) -> np.ndarray:
     out = np.array(rows, dtype=float)
     if not np.all(np.isfinite(out)):
         where = np.argwhere(~np.isfinite(out))[0]
-        if out.ndim == 1:
-            bad_t, bad_u = t, u
-        else:
-            j = where[1]
-            bad_t = float(t_arr.reshape(-1)[j]) if t_arr.ndim else float(t_arr)
-            bad_u = u_arr[:, j] if u_arr.ndim == 2 else u_arr
+        point = tuple(where[1:])
+        bad_t = float(np.broadcast_to(t_arr, shape)[point])
+        bad_u = np.array([np.broadcast_to(c, shape)[point] for c in u_arr])
         raise ExprEvalError(f"component {where[0] + 1} evaluated non-finite", bad_t, bad_u)
     return out
 

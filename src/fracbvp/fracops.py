@@ -92,7 +92,7 @@ class GridFunction:
     """Vector-valued function sampled on a grid, linear between nodes.
 
     ``values`` has shape (n_components, grid.N); a 1-D array is promoted
-    to a single component.
+    to a single component.  A batch of B has shape (B, n_components, grid.N).
     """
 
     grid: Grid
@@ -102,9 +102,9 @@ class GridFunction:
         v = np.asarray(self.values, dtype=float)
         if v.ndim == 1:
             v = v[np.newaxis, :]
-        if v.ndim != 2 or v.shape[1] != self.grid.N:
+        if v.ndim not in (2, 3) or v.shape[-1] != self.grid.N:
             raise ValueError(
-                f"GridFunction: values must have shape (n, {self.grid.N}), got {np.shape(self.values)}"
+                f"GridFunction: values must have shape ([B,] n, {self.grid.N}), got {np.shape(self.values)}"
             )
         if not np.all(np.isfinite(v)):
             raise ValueError("GridFunction: values must be finite")
@@ -112,11 +112,11 @@ class GridFunction:
 
     @property
     def n_components(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-2]
 
     def sup(self) -> np.ndarray:
         """Componentwise sup norm over the nodes."""
-        return np.max(np.abs(self.values), axis=1)
+        return np.max(np.abs(self.values), axis=-1)
 
     def __call__(self, t):
         """Piecewise-linear evaluation between nodes."""

@@ -14,7 +14,8 @@ Both endpoint values are pinned to alpha1/alpha2 exactly, so every
 iterate satisfies the Dirichlet data to roundoff by construction.  The
 sup-differences between consecutive iterates contract at the rate of
 the condition matrix Q, which run_iteration records next to the
-corresponding a-priori bounds.
+corresponding a-priori bounds.  A (B, n) stack of slopes runs B
+sequences at once, values (B, n, N), each row bit-identical to its own run.
 """
 
 from __future__ import annotations
@@ -71,37 +72,37 @@ class DomainEscape:
     component: int  # 1-based, matching u1..un naming
     value: float
     excess: float
+    probe: int = 0  # row of the chi1 stack that left D (0 for one chi1)
 
 
 def _check_domain(
     prob: Problem, u: GridFunction, nodes: np.ndarray, escapes: list[DomainEscape] | None
 ) -> None:
-    v = u.values
-    lo = prob.domain.lo[:, np.newaxis]
-    hi = prob.domain.hi[:, np.newaxis]
-    excess = np.maximum(lo - v, v - hi)
-    worst = float(np.max(excess))
-    if worst <= _DOMAIN_SLACK:
-        return
-    i, j = np.unravel_index(int(np.argmax(excess)), excess.shape)
-    t_bad = float(nodes[j])
-    record = DomainEscape(t=t_bad, component=i + 1, value=float(v[i, j]), excess=worst)
-    if prob.domain_policy == "strict":
-        raise DomainEscapeError(
-            f"iterate leaves D by {worst:.6g} at t={t_bad:.6g} (component {i + 1}); "
-            "the convergence theory assumes iterates stay in D"
+    """Records each batch row whose iterate leaves D, at its worst node."""
+    N = u.grid.N
+    v = u.values.reshape(-1, u.n_components * N)
+    excess = np.maximum(np.repeat(prob.domain.lo, N) - v, v - np.repeat(prob.domain.hi, N))
+    worst = np.max(excess, axis=1)
+    for b in np.flatnonzero(worst > _DOMAIN_SLACK):
+        k = int(np.argmax(excess[b]))
+        i, j = divmod(k, N)
+        record = DomainEscape(float(nodes[j]), i + 1, float(v[b, k]), float(worst[b]), int(b))
+        if prob.domain_policy == "strict":
+            raise DomainEscapeError(
+                f"iterate leaves D by {record.excess:.6g} at t={record.t:.6g} (component {i + 1}); "
+                "the convergence theory assumes iterates stay in D"
+            )
+        # One visible line for standalone calls; collected runs return their
+        # escapes as data instead of a line per step.
+        log = _log.warning if escapes is None else _log.debug
+        log(
+            "iterate leaves D by %.3g at t=%.6g (component %d); continuing (domain_policy=warn)",
+            record.excess,
+            record.t,
+            i + 1,
         )
-    # One visible line for standalone calls; collected runs return their
-    # escapes as data instead of a line per step.
-    log = _log.warning if escapes is None else _log.debug
-    log(
-        "iterate leaves D by %.3g at t=%.6g (component %d); continuing (domain_policy=warn)",
-        worst,
-        t_bad,
-        i + 1,
-    )
-    if escapes is not None:
-        escapes.append(record)
+        if escapes is not None:
+            escapes.append(record)
 
 
 def _interpolant(prob: Problem, op: ProductTrapezoid, chi: np.ndarray, ip=None) -> GridFunction:
@@ -109,14 +110,20 @@ def _interpolant(prob: Problem, op: ProductTrapezoid, chi: np.ndarray, ip=None) 
     coeff = prob.alpha2 - prob.alpha1 - chi * prob.T
     vals = (
         prob.alpha1[:, np.newaxis]
-        + chi[:, np.newaxis] * op.nodes[np.newaxis, :]
-        + coeff[:, np.newaxis] * op.ratio[np.newaxis, :]
+        + chi[..., np.newaxis] * op.nodes
+        + coeff[..., np.newaxis] * op.ratio
     )
     if ip is not None:
-        vals = vals + ip - ip[:, -1][:, np.newaxis] * op.ratio[np.newaxis, :]
-    vals[:, 0] = prob.alpha1
-    vals[:, -1] = prob.alpha2
+        vals = vals + ip - ip[..., -1:] * op.ratio
+    vals[..., 0] = prob.alpha1
+    vals[..., -1] = prob.alpha2
     return GridFunction(op.grid, vals)
+
+
+def _rhs(prob: Problem, op: ProductTrapezoid, values: np.ndarray) -> np.ndarray:
+    """f along (n, N) or (B, n, N) values; exprlang wants components first."""
+    f = prob.rhs(op.nodes, np.moveaxis(values, -2, 0))
+    return np.moveaxis(f, 0, -2)
 
 
 def u0(prob: Problem, chi1) -> GridFunction:
@@ -140,14 +147,14 @@ def iterate_step(
     op = _operator(prob, prev.grid)
     _check_domain(prob, prev, op.nodes, escapes)
     chi = np.atleast_1d(np.asarray(chi1, dtype=float))
-    fvals = prob.rhs(op.nodes, prev.values)
-    ip = op.running(fvals) / op.gamma_p
+    fvals = _rhs(prob, op, prev.values)
+    ip = op.running(fvals.reshape(-1, op.grid.N)).reshape(fvals.shape) / op.gamma_p
     return _interpolant(prob, op, chi, ip)
 
 
 @dataclass
 class ApproxSolution:
-    """The iterate trace at one parameter value, with diagnostics."""
+    """The iterate trace at one parameter value (or a stack), with diagnostics."""
 
     chi1: ParameterPoint
     iterates: list[GridFunction]
@@ -176,7 +183,8 @@ def run_iteration(
     early on a bitwise fixed point, which changes nothing downstream).
     Non-convergence at m_max is reported via ``converged=False``, not an
     exception.  Every iterate, u_m included, is checked against D;
-    excursions under the 'warn' policy are returned in ``escapes``.
+    excursions under the 'warn' policy are returned in ``escapes``.  A
+    (B, n) stack of slopes stops early only when every row meets ``tol``.
     """
     if m_max < 0:
         raise ValueError(f"m_max must be >= 0, got {m_max}")
@@ -199,7 +207,7 @@ def run_iteration(
     converged = False
     for k in range(1, m_max + 1):
         nxt = iterate_step(prob, current, chi, escapes=escapes)
-        diff = np.max(np.abs(nxt.values - current.values), axis=1)
+        diff = np.max(np.abs(nxt.values - current.values), axis=-1)
         sup_diffs.append(diff)
         if have_bounds:
             bounds_used.append(np.linalg.matrix_power(Q, k - 1) @ beta)

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from conftest import random_scalar_problem, zero_rhs_problem
 from fracbvp.conditions import check_conditions, delta_gap_bound
 from fracbvp.determine import (
+    _BATCH_VALUES,
     NoRootBracketError,
     NonConvergenceError,
     SolverConfig,
@@ -42,6 +43,26 @@ def _two_component(omega_lo=(-1.0, -1.0), omega_hi=(3.0, 3.0)):
         M=np.array([0.0, 0.0]),
         K=np.zeros((2, 2)),
         N=51,
+    )
+
+
+def _coupled(N=201):
+    # n = 2, nonlinear and coupled; D is tight enough that some probes leave it
+    source = "sin(u2) + t; 0.5*cos(u1)*u2 - u1"
+    return Problem(
+        p=1.5,
+        T=1.0,
+        alpha1=np.array([0.0, 0.5]),
+        alpha2=np.array([1.0, -0.5]),
+        domain=Box(np.array([-1.2, -1.2]), np.array([1.2, 1.2])),
+        f=exprlang.parse(source, 2, {}),
+        f_source=source,
+        constants={},
+        omega=Box(np.array([-8.0, -8.0]), np.array([8.0, 8.0])),
+        M=np.array([2.0, 2.0]),
+        K=np.array([[0.0, 1.0], [1.0, 0.5]]),
+        N=N,
+        domain_policy="warn",
     )
 
 
@@ -102,12 +123,19 @@ def test_delta_at_runs_one_convolution_per_step(gyre, monkeypatch, m):
     running = ProductTrapezoid.running
 
     def counted(self, values):
-        calls.append(1)
+        calls.append(len(values))
         return running(self, values)
 
     monkeypatch.setattr(ProductTrapezoid, "running", counted)
     delta_at(gyre, -325.0, m)
     assert len(calls) == m
+    # a stack of B probes convolves ceil(B / rows) chunks per step, each
+    # of at most rows * n rows (163 probes at N = 401)
+    rows = _BATCH_VALUES // (gyre.n * gyre.N)
+    calls.clear()
+    delta_at(gyre, np.linspace(-334.0, -318.0, 2 * rows + 1)[:, np.newaxis], m)
+    assert len(calls) == 3 * m
+    assert all(size <= rows * gyre.n for size in calls)
 
 
 def test_delta_at_collects_the_probe_escapes(gyre):
@@ -123,6 +151,58 @@ def test_delta_at_checks_the_probed_iterate_under_strict_policy(gyre):
     strict = dataclasses.replace(gyre, domain_policy="strict")
     with pytest.raises(DomainEscapeError, match="leaves D"):
         delta_at(strict, -325.0, 0)
+
+
+def test_strict_policy_stack_raises(gyre):
+    strict = dataclasses.replace(gyre, domain_policy="strict")
+    with pytest.raises(DomainEscapeError, match="leaves D"):
+        delta_at(strict, np.array([[-330.0], [-325.0], [-320.0]]), 2)
+
+
+def test_delta_at_rejects_a_chi1_of_the_wrong_shape(gyre):
+    # a flat list of slopes for n = 1 is not a stack; (B, 1) is
+    with pytest.raises(ValueError, match="chi1 must have shape"):
+        delta_at(gyre, [-330.0, -325.0], 2)
+    with pytest.raises(ValueError, match="chi1 must have shape"):
+        delta_at(gyre, np.zeros((2, 1, 1)), 2)
+
+
+def _stack_case(name, gyre):
+    """A problem and rows + 1 probe points, one per row of a (B, n) stack."""
+    if name == "scalar-direct":
+        prob = random_scalar_problem(np.random.default_rng(3))
+    elif name == "coupled":
+        prob = _coupled()
+    else:  # the gyre at a grid on the FFT path
+        prob = dataclasses.replace(gyre, N=int(name.split("-")[1]))
+    rows = max(1, _BATCH_VALUES // (prob.n * prob.N))
+    rng = np.random.default_rng(5)
+    return prob, rows, rng.uniform(prob.omega.lo, prob.omega.hi, size=(rows + 1, prob.n))
+
+
+@pytest.mark.parametrize("name", ["scalar-direct", "gyre-1024", "gyre-6401", "coupled"])
+def test_stacked_probes_are_bit_identical_to_one_row_probes(gyre, name):
+    prob, rows, points = _stack_case(name, gyre)
+    single = []
+    for b, chi in enumerate(points):
+        escapes = []
+        value = delta_at(prob, chi, 2, escapes)
+        assert value.shape == (prob.n,)
+        assert all(e.probe == 0 for e in escapes)
+        single.append((value, [dataclasses.replace(e, probe=b) for e in escapes]))
+    for B in sorted({1, 2, rows - 1, rows, rows + 1}):
+        escapes = []
+        stacked = delta_at(prob, points[:B], 2, escapes)
+        assert stacked.shape == (B, prob.n)
+        for b in range(B):
+            assert np.array_equal(stacked[b], single[b][0])
+            assert [e for e in escapes if e.probe == b] == single[b][1]
+        assert len(escapes) == sum(len(s[1]) for s in single[:B])
+    escaped = sum(bool(s[1]) for s in single)
+    if name == "coupled":
+        assert 0 < escaped < rows + 1
+    elif name != "scalar-direct":
+        assert escaped == rows + 1
 
 
 # --- scalar root search -----------------------------------------------------
@@ -141,7 +221,9 @@ def test_root_trace_pins(gyre, m, root):
     assert res.chi1_star[0] == pytest.approx(root, rel=1e-12)
     assert res.residual[0] <= 1e-8
     assert res.iterations_used == m
-    assert len(res.solver_trace) >= 2
+    # 16 scan probes plus Brent's, one trace entry of shape (1,) each
+    assert len(res.solver_trace) == 20
+    assert all(chi.shape == val.shape == (1,) for chi, val in res.solver_trace)
 
 
 def test_zero_rhs_root_is_exact(zero_rhs):
@@ -248,6 +330,14 @@ def test_exclusion_at_depth_zero_counts_the_escaped_probes(gyre):
     res = exclusion_sweep(gyre, 0, 13)
     assert res.escaped_probes == 13
     assert res.worst_excess == pytest.approx(48.964197622890524, rel=1e-12)
+
+
+def test_exclusion_sweep_over_many_chunks(gyre):
+    # 2000 centers at N = 401 are probed in 13 chunks of at most 163 rows
+    res = exclusion_sweep(gyre, 2, 2000)
+    assert res.escaped_probes == 2000
+    assert res.worst_excess == pytest.approx(99.51802128253081, rel=1e-12)
+    assert len(res.survivors) == 1099
 
 
 def test_exclusion_single_box_keeps_everything(gyre):

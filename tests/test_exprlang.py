@@ -151,6 +151,25 @@ def test_eval_error_on_log_of_negative():
         evaluate(exprs, 0.0, [-1.0])
 
 
+_T5 = np.linspace(0.0, 1.0, 5)
+
+
+@pytest.mark.parametrize(
+    "t, u, want_t",
+    [
+        (0.5, [-1.0], 0.5),  # scalar t and components
+        (_T5, [-1.0], 0.0),  # scalar components along array t
+        (_T5, np.where(np.arange(5) == 4, -1.0, 1.0)[np.newaxis], 1.0),  # (n, N)
+        (_T5, np.where(np.arange(15) == 14, -1.0, 1.0).reshape(1, 3, 5), 1.0),  # (n, B, N)
+    ],
+)
+def test_eval_error_reports_the_offending_point(t, u, want_t):
+    with pytest.raises(ExprEvalError) as err:
+        evaluate(parse("log(u1)", 1, {}), t, u)
+    assert err.value.t == want_t
+    assert list(err.value.u) == [-1.0]
+
+
 def test_scalar_evaluation_returns_vector():
     out = evaluate(parse("t + u1", 1, {}), 1.5, [2.0])
     assert out.shape == (1,)
