@@ -8,7 +8,9 @@ Equivalent to the four CLI calls
     fracbvp exclude --builtin acc-gyre --out OUT --m 2 --subdiv 13
     fracbvp verify  --builtin acc-gyre --out OUT
 
-executed in process, stopping at the first nonzero exit code.  The output
+executed in process, stopping at the first nonzero exit code.  ``--grid-n N``
+is passed to all four stages (from 1024 nodes on, the running integral
+goes through the FFT path).  The output
 directory then holds conditions.{json,csv}, chi_trace.csv, iterates.csv,
 sup_diffs.csv, determining.json, boxes.csv, exclusion.json, figure.csv,
 residuals.csv, verify.json and a manifest.json per stage (last one wins).
@@ -26,9 +28,12 @@ def main() -> int:
     ap.add_argument("--out", default="pipeline_out", help="output directory")
     ap.add_argument("--m", type=int, default=2, help="iteration depth for solve/exclude")
     ap.add_argument("--subdiv", type=int, default=13, help="exclusion subdivisions")
+    ap.add_argument("--grid-n", type=int, default=None, help="override the grid node count")
     args = ap.parse_args()
 
     base = ["--builtin", args.builtin, "--out", args.out]
+    if args.grid_n is not None:
+        base += ["--grid-n", str(args.grid_n)]
     stages = [
         ["check", *base],
         ["solve", *base, "--m", str(args.m)],

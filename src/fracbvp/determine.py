@@ -9,8 +9,11 @@ when the determining function vanishes:
 Every probe of Delta_m re-runs the iteration from u_0 at the probed
 chi1 (no warm starts — probes stay independent) with the problem's
 cached integral operator; a stack of chi1 is probed as one batch.  For
-scalar problems the root search is a bracket scan plus Brent; for
-systems a damped Newton with forward-difference Jacobian.  The
+scalar problems the root search is a bracket scan plus Brent's method
+(Brent, *Algorithms for Minimization without Derivatives*, 1973);
+``_brent`` is a line-for-line port of SciPy's ``brentq`` (same
+tolerances, same iterates), so no probe path imports SciPy.  For
+systems it is a damped Newton with forward-difference Jacobian.  The
 exclusion sweep applies the necessary-condition filter: a parameter box
 can be discarded once |Delta_m| at its center exceeds what the
 Lipschitz coefficient over the box plus the iteration tube can explain.
@@ -18,10 +21,10 @@ Lipschitz coefficient over the box plus the iteration tube can explain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .conditions import ConditionsReport, _resolvent, check_conditions, delta_gap_bound
 from .fracops import gamma
@@ -49,7 +52,7 @@ class NoRootBracketError(RuntimeError):
 
 
 class NonConvergenceError(RuntimeError):
-    """Newton failed to reach the residual tolerance; carries the trace."""
+    """Newton or Brent failed to reach its tolerance; carries the trace."""
 
     def __init__(self, message: str, trace: list) -> None:
         super().__init__(message)
@@ -110,7 +113,10 @@ def delta_at(
     for start in range(0, len(stack), rows):
         approx = run_iteration(prob, stack[start : start + rows], m_max=m, tol=0.0)
         if escapes is not None:
-            escapes.extend(replace(e, probe=e.probe + start) for e in approx.escapes)
+            escapes.extend(
+                DomainEscape(e.t, e.component, e.value, e.excess, e.probe + start)
+                for e in approx.escapes
+            )
         deltas.append(delta_m(prob, approx))
     out = np.concatenate(deltas)
     return out if np.ndim(chi1) == 2 else out[0]
@@ -137,7 +143,7 @@ def solve_determining(
         return val
 
     if prob.n == 1:
-        root = _solve_scalar(prob, probe, config)
+        root = _solve_scalar(prob, probe, config, trace)
     else:
         root = _solve_newton(prob, probe, config, trace)
     # a fresh probe at the root, kept out of the solver trace
@@ -147,7 +153,7 @@ def solve_determining(
     )
 
 
-def _solve_scalar(prob: Problem, probe, config: SolverConfig) -> np.ndarray:
+def _solve_scalar(prob: Problem, probe, config: SolverConfig, trace: list) -> np.ndarray:
     lo, hi = float(prob.omega.lo[0]), float(prob.omega.hi[0])
     xs = np.linspace(lo, hi, config.scan_points)
     vals = probe(xs[:, np.newaxis])[:, 0]
@@ -165,10 +171,70 @@ def _solve_scalar(prob: Problem, probe, config: SolverConfig) -> np.ndarray:
             f"no sign change of Delta_m over Omega=[{lo}, {hi}]: "
             f"endpoint values {vals[0]:.6g} and {vals[-1]:.6g}"
         )
-    root = brentq(
-        lambda x: probe(np.array([x]))[0], bracket[0], bracket[1], xtol=config.xtol
-    )
+    try:
+        root = _brent(lambda x: probe(np.array([x]))[0], bracket[0], bracket[1], config.xtol)
+    except NonConvergenceError as exc:
+        raise NonConvergenceError(str(exc), trace) from None
     return np.array([root])
+
+
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
+_BRENT_MAXITER = 100
+
+
+def _brent(f, xa: float, xb: float, xtol: float) -> float:
+    """Root of f in [xa, xb] by Brent's method; SciPy's brentq.c, step for step.
+
+    Same arithmetic, rtol = 4 eps and 100 iterations as SciPy's
+    ``optimize.brentq(f, xa, xb, xtol=xtol)``, so it evaluates f at the
+    same points and returns the same root.
+    """
+    if not xtol > 0.0:
+        raise ValueError(f"xtol must be positive, got {xtol!r}")
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+    raise NonConvergenceError(
+        f"Brent did not converge in {_BRENT_MAXITER} iterations; last point {xcur!r}", []
+    )
 
 
 def _solve_newton(prob: Problem, probe, config: SolverConfig, trace: list) -> np.ndarray:

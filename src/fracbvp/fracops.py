@@ -19,10 +19,10 @@ p = 1 and loses no accuracy to the singularity itself.
 ``ProductTrapezoid`` is the package's one integral operator (weights,
 nodes, (t/T)^p, Gamma(p)).  Its running integral is a convolution with
 fixed weights: direct below ``_FFT_MIN_N`` nodes, from there on an
-O(N log N) FFT against the cached weight spectrum (Hairer, Lubich &
-Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985), which moves results by
-~1e-15 relative.  The integral up to T alone is an O(N) dot product
-with the reversed weights.
+O(N log N) ``numpy.fft`` real FFT against the cached weight spectrum
+(Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985), which
+moves results by ~1e-15 relative.  The integral up to T alone is an
+O(N) dot product with the reversed weights.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 __all__ = [
     "Grid",
@@ -50,6 +49,20 @@ __all__ = [
 # convolution of one row cost the same near N = 500 (single thread);
 # 1024 keeps every grid of up to 801 nodes bit-for-bit on the direct path.
 _FFT_MIN_N = 1024
+
+
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a padded length pocketfft transforms fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # smallest p35 * 2^k >= n
+            best = min(best, p35 << ((n - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def gamma(x: float) -> float:
@@ -186,8 +199,8 @@ class ProductTrapezoid:
         self._wrev.flags.writeable = False
         self._spectrum = None
         if N >= _FFT_MIN_N:
-            self._fft_len = scipy.fft.next_fast_len(2 * N - 1, real=True)
-            self._spectrum = scipy.fft.rfft(w, self._fft_len)
+            self._fft_len = _fast_len(2 * N - 1)
+            self._spectrum = np.fft.rfft(w, self._fft_len)
             self._spectrum.flags.writeable = False
 
     def running(self, values: np.ndarray) -> np.ndarray:
@@ -204,8 +217,8 @@ class ProductTrapezoid:
             for i, row in enumerate(rows):
                 out[i] = np.convolve(row, self._w)[:N]
         else:
-            spec = scipy.fft.rfft(rows, self._fft_len, axis=-1) * self._spectrum
-            out = scipy.fft.irfft(spec, self._fft_len, axis=-1)[:, :N]
+            spec = np.fft.rfft(rows, self._fft_len, axis=-1) * self._spectrum
+            out = np.fft.irfft(spec, self._fft_len, axis=-1)[:, :N]
         out -= self._corr * rows[:, :1]
         out[:, 0] = 0.0
         return out[0] if single else out

@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from conftest import random_scalar_problem, zero_rhs_problem
 from fracbvp.conditions import check_conditions, delta_gap_bound
+from fracbvp import determine
 from fracbvp.determine import (
     _BATCH_VALUES,
+    _brent,
     NoRootBracketError,
     NonConvergenceError,
     SolverConfig,
@@ -271,6 +274,110 @@ def test_zero_rhs_family_roots(seed):
     prob, chi_star = zero_rhs_problem(rng)
     res = solve_determining(prob, 1)
     assert res.chi1_star[0] == pytest.approx(chi_star, rel=1e-9, abs=1e-9)
+
+
+# --- Brent port against scipy.optimize.brentq --------------------------------
+
+
+def _recorded(fn, points):
+    def f(x):
+        points.append(x)
+        return fn(x)
+
+    return f
+
+
+def _test_function(kind, r, a, b, c):
+    """A function with a simple root at r and no other in the bracket used below."""
+    if kind == "poly":
+        return lambda x: a * (x - r) * ((x - b) ** 2 + c + (x - r) ** 2)
+    if kind == "sin":
+        return lambda x: math.sin(a * (x - r))
+    if kind == "exp":
+        return lambda x: math.exp(a * (x - r)) - 1.0
+    return lambda x: math.atan(a * 10.0 ** (4.0 * c) * (x - r))  # steep atan
+
+
+@given(
+    kind=st.sampled_from(["poly", "sin", "exp", "atan"]),
+    r=st.floats(-3.0, 3.0),
+    left=st.floats(1e-3, 3.0),
+    right=st.floats(1e-3, 3.0),
+    a=st.floats(0.1, 1.0),
+    b=st.floats(-2.0, 2.0),
+    c=st.floats(0.05, 1.5),
+    flip=st.booleans(),
+    swap=st.booleans(),
+    xtol=st.sampled_from([1e-12, 1e-14, 1e-6]),
+)
+@settings(max_examples=300)
+def test_brent_is_scipy_brentq_step_for_step(kind, r, left, right, a, b, c, flip, swap, xtol):
+    # |a (x - r)| <= 1.5 keeps sin to its one root inside the bracket
+    a = (-1.0 if flip else 1.0) * 1.5 * a / max(left, right)
+    fn = _test_function(kind, r, a, b, c)
+    xa, xb = r - left, r + right
+    if swap:
+        xa, xb = xb, xa
+    assert fn(xa) * fn(xb) < 0.0
+    want_points, got_points = [], []
+    want = brentq(_recorded(fn, want_points), xa, xb, xtol=xtol)
+    got = _brent(_recorded(fn, got_points), xa, xb, xtol)
+    assert got == want
+    assert got_points == want_points
+
+
+@pytest.mark.parametrize("fn, root", [(lambda x: x, 0.0), (lambda x: x - 1.0, 1.0)])
+def test_brent_returns_an_endpoint_where_f_is_zero(fn, root):
+    want_points, got_points = [], []
+    assert brentq(_recorded(fn, want_points), 0.0, 1.0) == root
+    assert _brent(_recorded(fn, got_points), 0.0, 1.0, 2e-12) == root
+    assert got_points == want_points == [0.0, 1.0]
+
+
+def test_brent_raises_at_the_iteration_cap():
+    # a jump at 1e-300 with the smallest xtol needs ~1000 bisections
+    def step(x):
+        return -1.0 if x < 1e-300 else 1.0
+
+    want_points, got_points = [], []
+    _, info = brentq(
+        _recorded(step, want_points), -1.0, 2.0, xtol=5e-324, full_output=True, disp=False
+    )
+    assert not info.converged and info.iterations == 100
+    with pytest.raises(NonConvergenceError, match="100 iterations"):
+        _brent(_recorded(step, got_points), -1.0, 2.0, 5e-324)
+    assert got_points == want_points
+    assert len(got_points) == 102
+
+
+def test_brent_rejects_a_bracket_without_sign_change():
+    with pytest.raises(ValueError, match="different signs"):
+        _brent(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+    with pytest.raises(ValueError, match="xtol"):
+        _brent(lambda x: x, -1.0, 1.0, 0.0)
+
+
+def test_gyre_root_is_scipy_brentq_bit_for_bit(gyre):
+    res = solve_determining(gyre, 2)
+    scan = res.solver_trace[:16]
+    i = next(k for k in range(15) if scan[k][1][0] * scan[k + 1][1][0] < 0.0)
+    points = []
+    root = brentq(
+        _recorded(lambda x: delta_at(gyre, [x], 2)[0], points),
+        scan[i][0][0],
+        scan[i + 1][0][0],
+        xtol=SolverConfig().xtol,
+    )
+    assert res.chi1_star[0] == root
+    assert [chi[0] for chi, _ in res.solver_trace[16:]] == points
+
+
+def test_brent_nonconvergence_carries_the_solver_trace(gyre, monkeypatch):
+    monkeypatch.setattr(determine, "_BRENT_MAXITER", 1)
+    with pytest.raises(NonConvergenceError, match="Brent") as exc_info:
+        solve_determining(gyre, 0)
+    # 16 scan probes, both bracket ends again, one Brent step
+    assert len(exc_info.value.trace) == 19
 
 
 # --- Newton path (n = 2) -----------------------------------------------------

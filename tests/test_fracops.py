@@ -8,11 +8,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fracbvp.fracops import (
     _FFT_MIN_N,
+    _fast_len,
     Grid,
     GridFunction,
     ProductTrapezoid,
@@ -211,6 +213,25 @@ def test_running_by_fft_matches_direct_convolution(N, p):
         assert np.max(np.abs(g - r)) <= 1e-13 * np.max(np.abs(r))
     single = quad.running(rows[0])
     assert np.max(np.abs(single - ref[0])) <= 1e-13 * np.max(np.abs(ref[0]))
+
+
+def test_fast_len_is_scipy_next_fast_len():
+    ns = list(range(1, 20001)) + [2 * N - 1 for N in (1024, 1601, 6401, 25601)]
+    assert [_fast_len(n) for n in ns] == [scipy.fft.next_fast_len(n, real=True) for n in ns]
+
+
+@pytest.mark.parametrize("N", [_FFT_MIN_N, 6401])
+@pytest.mark.parametrize("B", [1, 3, 10])
+def test_fft_path_is_the_scipy_fft_formula_bit_for_bit(N, B):
+    quad = ProductTrapezoid(Grid(N, 1.0), 1.5)
+    L = scipy.fft.next_fast_len(2 * N - 1, real=True)
+    assert np.array_equal(quad._spectrum, scipy.fft.rfft(quad._w, L))
+    rows = np.random.default_rng(B).normal(size=(B, N))
+    spec = scipy.fft.rfft(rows, L, axis=-1) * scipy.fft.rfft(quad._w, L)
+    want = scipy.fft.irfft(spec, L, axis=-1)[:, :N]
+    want -= quad._corr * rows[:, :1]
+    want[:, 0] = 0.0
+    assert np.array_equal(quad.running(rows), want)
 
 
 @pytest.mark.parametrize("N", [51, 401, 6401])
