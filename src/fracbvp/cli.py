@@ -62,10 +62,28 @@ class RunManifest:
         path.write_text(json.dumps(dataclasses.asdict(self), indent=2) + "\n", encoding="utf-8")
 
 
+_BLOCK_VALUES = 2**16
+
+
 def _write_csv(path: Path, header: str, rows, fmt: str = "%.17g") -> None:
-    """Header line, then one line per row; floats round-trip at 17 digits."""
+    """Header line, then one line per row; floats round-trip at 17 digits.
+
+    The bytes are ``np.savetxt``'s (one ``fmt`` per column, or ``fmt`` as
+    the whole row when it has several fields; a 1-D table is one column),
+    but each block of at most ``_BLOCK_VALUES`` values is formatted by one
+    ``%`` over Python floats instead of one per row.
+    """
+    table = np.asarray(rows)
+    if table.ndim == 1:
+        table = table.reshape(-1, 1)
+    ncols = table.shape[1]
+    line = (",".join([fmt] * ncols) if fmt.count("%") == 1 else fmt) + "\n"
+    block = max(1, _BLOCK_VALUES // ncols)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        np.savetxt(fh, rows, fmt=fmt, delimiter=",", header=header, comments="")
+        fh.write(header + "\n")
+        for start in range(0, len(table), block):
+            part = table[start : start + block]
+            fh.write((line * len(part)) % tuple(part.ravel().tolist()))
 
 
 def _suffixed(base: str, n: int) -> list[str]:

@@ -109,7 +109,7 @@ def delta_at(
     if stack.ndim != 2 or stack.shape[1] != prob.n:
         raise ValueError(f"chi1 must have shape (n,) or (B, n) with n={prob.n}, got {np.shape(chi1)}")
     rows = max(1, _BATCH_VALUES // (prob.n * prob.N))
-    deltas = []
+    deltas = [np.empty((0, prob.n))]
     for start in range(0, len(stack), rows):
         approx = run_iteration(prob, stack[start : start + rows], m_max=m, tol=0.0)
         if escapes is not None:

@@ -132,10 +132,11 @@ class GridFunction:
         return np.max(np.abs(self.values), axis=-1)
 
     def __call__(self, t):
-        """Piecewise-linear evaluation between nodes."""
+        """Piecewise-linear evaluation between nodes, shape values.shape[:-1] + shape(t)."""
         t = np.asarray(t, dtype=float)
-        out = np.stack([np.interp(t, self.grid.nodes, row) for row in self.values])
-        return out
+        rows = self.values.reshape(-1, self.grid.N)
+        out = np.stack([np.interp(t, self.grid.nodes, row) for row in rows])
+        return out.reshape(self.values.shape[:-1] + t.shape)
 
 
 class ProductTrapezoid:

@@ -83,10 +83,13 @@ def _check_domain(
     v = u.values.reshape(-1, u.n_components * N)
     excess = np.maximum(np.repeat(prob.domain.lo, N) - v, v - np.repeat(prob.domain.hi, N))
     worst = np.max(excess, axis=1)
-    for b in np.flatnonzero(worst > _DOMAIN_SLACK):
-        k = int(np.argmax(excess[b]))
-        i, j = divmod(k, N)
-        record = DomainEscape(float(nodes[j]), i + 1, float(v[b, k]), float(worst[b]), int(b))
+    rows = np.flatnonzero(worst > _DOMAIN_SLACK)
+    cols = np.argmax(excess[rows], axis=1)
+    found = zip(rows.tolist(), cols.tolist(), nodes[cols % N].tolist(), v[rows, cols].tolist(),
+                worst[rows].tolist())
+    for b, k, t, value, worst_b in found:
+        i = k // N
+        record = DomainEscape(t, i + 1, value, worst_b, b)
         if prob.domain_policy == "strict":
             raise DomainEscapeError(
                 f"iterate leaves D by {record.excess:.6g} at t={record.t:.6g} (component {i + 1}); "

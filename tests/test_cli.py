@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import fracbvp
-from fracbvp.cli import _write_csv, main
+from fracbvp.cli import _BLOCK_VALUES, _write_csv, main
 
 GYRE_ROOTS = [-320.68685748392215, -332.0604225604555, -332.30179286902836]
 
@@ -504,3 +504,59 @@ def test_write_csv_named_rows(tmp_path):
 def test_write_csv_empty_table_is_the_header_alone(tmp_path):
     _write_csv(tmp_path / "e.csv", "k,chi1,residual", [])
     assert (tmp_path / "e.csv").read_bytes() == b"k,chi1,residual\n"
+
+
+def _savetxt_bytes(path, header, rows, fmt="%.17g"):
+    """The reference writer: ``np.savetxt``'s bytes for the same table."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        np.savetxt(fh, rows, fmt=fmt, delimiter=",", header=header, comments="")
+    return path.read_bytes()
+
+
+def _spread_table(rows, cols, seed=0):
+    """Values over many decades; special values first, and -inf last of all."""
+    rng = np.random.default_rng(seed)
+    table = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-300, 300, (rows, cols))
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 1 / 3]
+    flat = table.reshape(-1)
+    flat[: len(special)] = special
+    flat[-1] = -np.inf
+    return table
+
+
+_EDGE = np.array([[-0.0, 5e-324, 1.7976931348623157e308], [0.1, 1.0, 1e16], [1 / 3, -2.5, 123456789.0]])
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        _EDGE,
+        np.array([[np.nan, np.inf, -np.inf], [-np.nan, 1.0, -1e-300]]),
+        np.array([[0.5], [-0.0], [np.inf]]),
+        np.array([2.5, np.nan, -1e300]),
+        [list(row) for row in _EDGE],
+        [],
+        _spread_table(_BLOCK_VALUES - 1, 1),
+        _spread_table(_BLOCK_VALUES, 1),
+        _spread_table(_BLOCK_VALUES + 1, 1),
+        _spread_table(_BLOCK_VALUES // 4, 4),
+        _spread_table(_BLOCK_VALUES // 4 + 1, 4),
+        _spread_table(2 * (_BLOCK_VALUES // 3) + 1, 3),
+    ],
+    ids=["edge", "nan-inf", "one-column", "one-d", "list-of-lists", "empty",
+         "block-minus-1", "block", "block-plus-1", "block-4-cols", "block-4-cols-plus-row",
+         "three-blocks-3-cols"],
+)
+def test_write_csv_is_savetxt_byte_for_byte(tmp_path, rows):
+    header = ",".join(f"c{j}" for j in range(np.shape(rows)[-1] if np.ndim(rows) == 2 else 1))
+    _write_csv(tmp_path / "t.csv", header, rows)
+    assert (tmp_path / "t.csv").read_bytes() == _savetxt_bytes(tmp_path / "ref.csv", header, rows)
+
+
+def test_write_csv_named_rows_are_savetxt_byte_for_byte(tmp_path):
+    table = [("beta_1", 158.82009645226074), ("beta_over_m", np.float64(0.18814)),
+             ("Q_11", -0.0), ("dbeta_ok", float(True)), ("R", np.nan), ("x", -np.inf)]
+    rows = np.array(table, dtype=object)
+    _write_csv(tmp_path / "q.csv", "quantity,value", rows, fmt="%s,%.17g")
+    want = _savetxt_bytes(tmp_path / "ref.csv", "quantity,value", rows, fmt="%s,%.17g")
+    assert (tmp_path / "q.csv").read_bytes() == want

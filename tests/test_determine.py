@@ -170,6 +170,13 @@ def test_delta_at_rejects_a_chi1_of_the_wrong_shape(gyre):
         delta_at(gyre, np.zeros((2, 1, 1)), 2)
 
 
+def test_delta_at_of_an_empty_stack_is_empty(gyre):
+    escapes = []
+    out = delta_at(gyre, np.empty((0, 1)), 2, escapes)
+    assert out.shape == (0, 1) and out.dtype == float and escapes == []
+    assert delta_at(_coupled(), np.empty((0, 2)), 1).shape == (0, 2)
+
+
 def _stack_case(name, gyre):
     """A problem and rows + 1 probe points, one per row of a (B, n) stack."""
     if name == "scalar-direct":

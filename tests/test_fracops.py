@@ -85,6 +85,26 @@ def test_gridfunction_linear_interpolation():
     assert gf.sup()[0] == pytest.approx(2.0)
 
 
+def test_gridfunction_call_keeps_the_leading_axes():
+    g = Grid(11, 2.0)
+    rng = np.random.default_rng(4)
+    stack = rng.standard_normal((3, 2, g.N))
+    t = np.array([[0.0, 0.37], [1.55, 2.0]])
+    one = GridFunction(g, stack[0])
+    # (n, N): one interpolation per component, as before
+    want = np.stack([np.interp(t, g.nodes, row) for row in stack[0]])
+    assert np.array_equal(one(t), want)
+    assert one(0.37).shape == (2,)
+    assert np.array_equal(one(0.37), want[:, 0, 1])
+    # (B, n, N): row b matches a call on that row alone
+    batch = GridFunction(g, stack)
+    assert batch(t).shape == (3, 2, 2, 2)
+    assert batch(0.37).shape == (3, 2)
+    for b in range(3):
+        assert np.array_equal(batch(t)[b], GridFunction(g, stack[b])(t))
+        assert np.array_equal(batch(0.37)[b], GridFunction(g, stack[b])(0.37))
+
+
 # --- fractional integral -------------------------------------------------
 
 def test_frac_integral_of_one():

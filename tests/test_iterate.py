@@ -10,15 +10,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_scalar_problem, zero_rhs_problem
-from fracbvp.fracops import ProductTrapezoid
+from fracbvp import exprlang
+from fracbvp.fracops import GridFunction, ProductTrapezoid
 from fracbvp.iterate import (
+    DomainEscape,
     DomainEscapeError,
+    _check_domain,
     _operator,
     iterate_step,
     run_iteration,
     u0,
 )
-from fracbvp.problem import builtin_problem
+from fracbvp.problem import Box, Problem, builtin_problem
 
 # Two roots for the steep-forcing builtin: the depth-2 root that
 # solve_determining picks with the default scan, and the shallowest
@@ -150,6 +153,34 @@ def test_standalone_step_warns_per_call(gyre, caplog):
         iterate_step(gyre, prev, CHI_THIRD)
         iterate_step(gyre, prev, CHI_THIRD)
     assert sum(r.levelno == logging.WARNING for r in caplog.records) == 2
+
+
+def test_stacked_domain_check_records_each_row_at_its_worst_node():
+    lo, hi = np.array([-1.0, -2.0]), np.array([1.0, 2.0])
+    prob = Problem(
+        p=1.5, T=1.0, alpha1=np.zeros(2), alpha2=np.zeros(2), domain=Box(lo, hi),
+        f=exprlang.parse("0; 0", 2, {}), f_source="0; 0", constants={},
+        omega=Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
+        M=np.zeros(2), K=np.zeros((2, 2)), N=21, domain_policy="warn",
+    )
+    N, nodes = prob.N, prob.grid.nodes
+    values = np.random.default_rng(8).uniform(-2.5, 2.5, (9, 2, N))
+    values[[0, 4]] = 0.0  # rows inside D
+    values[5, 1, 3] = values[5, 1, 7] = 9.0  # a tie in component 2: the first node wins
+    want = []  # the worst node of each row on its own
+    for b, row in enumerate(values.reshape(9, -1)):
+        excess = np.maximum(np.repeat(lo, N) - row, row - np.repeat(hi, N))
+        k = int(np.argmax(excess))
+        if excess[k] > 1e-9:
+            want.append(DomainEscape(float(nodes[k % N]), k // N + 1, float(row[k]), float(excess[k]), b))
+    got = []
+    _check_domain(prob, GridFunction(prob.grid, values), nodes, got)
+    assert got == want and len(got) == 7
+    assert (got[3].probe, got[3].component, got[3].t, got[3].excess) == (5, 2, nodes[3], 7.0)
+    first = want[0]
+    strict = dataclasses.replace(prob, domain_policy="strict")
+    with pytest.raises(DomainEscapeError, match=f"leaves D by {first.excess:.6g} at t={first.t:.6g} "):
+        _check_domain(strict, GridFunction(prob.grid, values), nodes, None)
 
 
 # --- full runs -------------------------------------------------------------
