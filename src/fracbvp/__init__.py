@@ -27,7 +27,6 @@ from .conditions import (
     spectral_radius,
 )
 from .determine import (
-    BoxVerdict,
     DeterminingResult,
     ExclusionResult,
     ExistenceVerdict,
@@ -73,7 +72,6 @@ __all__ = [
     "BUILTIN_PROBLEMS",
     "BoundUndefinedError",
     "Box",
-    "BoxVerdict",
     "ConditionsReport",
     "DeterminingResult",
     "DomainEscape",

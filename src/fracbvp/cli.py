@@ -31,7 +31,7 @@ from .determine import (
     solve_determining,
 )
 from .exprlang import ExprEvalError, ExprSyntaxError
-from .iterate import DomainEscapeError, run_iteration
+from .iterate import DomainEscapeError, _escape_stats, run_iteration
 from .problem import BUILTIN_PROBLEMS, Problem, ProblemError, builtin_problem, load_problem, resolve_bounds
 from .verify import emit_figure_data, residuals
 
@@ -93,6 +93,11 @@ def _suffixed(base: str, n: int) -> list[str]:
 def _load(args) -> tuple[Problem, str]:
     if bool(args.config) == bool(args.builtin):
         raise ProblemError("exactly one of --config PATH or --builtin NAME is required")
+    # every stage loads first, so these are rejected before any output
+    if getattr(args, "m", None) is not None and args.m < 0:
+        raise ProblemError(f"--m must be >= 0, got {args.m}")
+    if getattr(args, "subdiv", 1) < 1:
+        raise ProblemError(f"--subdiv must be >= 1, got {args.subdiv}")
     if args.builtin:
         prob = builtin_problem(args.builtin, resolve=False)
         source = f"builtin:{args.builtin}"
@@ -148,7 +153,7 @@ def _escape_summary(approx) -> dict:
     """Domain-escape fields of the iteration run a JSON file describes."""
     return {
         "domain_escapes": len(approx.escapes),
-        "worst_excess": max((e.excess for e in approx.escapes), default=0.0),
+        "worst_excess": _escape_stats(approx.escapes)[1],
         "conditional_on_domain": bool(approx.escapes),
     }
 
@@ -257,17 +262,16 @@ def cmd_exclude(args) -> int:
         ["index", *_suffixed("lo", n), *_suffixed("hi", n), *_suffixed("center", n),
          *_suffixed("abs_delta", n), *_suffixed("rhs", n), "keep"]
     )
-    rows = [
-        [float(i), *v.box.lo, *v.box.hi, *v.center, *np.abs(v.delta), *v.rhs, float(v.keep)]
-        for i, v in enumerate(result.subsets)
-    ]
-    _write_csv(out / "boxes.csv", header, rows)
+    lo, hi = result.subsets[:, 0], result.subsets[:, 1]
+    table = np.column_stack([np.arange(len(lo)), lo, hi, 0.5 * (lo + hi), np.abs(result.delta),
+                             result.rhs, result.keep])
+    _write_csv(out / "boxes.csv", header, table)
     summary = {
         "m": args.m,
         "subdiv": args.subdiv,
         "boxes": len(result.subsets),
         "kept": len(result.survivors),
-        "survivors": [[b.lo.tolist(), b.hi.tolist()] for b in result.survivors],
+        "survivors": result.survivors.tolist(),
         "coefficient": result.coefficient.tolist(),
         "tail": result.tail.tolist(),
         **_domain_summary(result),

@@ -212,6 +212,8 @@ def delta_gap_bound(report: ConditionsReport, M, m: int) -> np.ndarray:
     |Delta - Delta_m| <= Q^m M (I-Q)^(-1), componentwise; this is the
     tube the existence check and the exclusion sweep both use.
     """
+    if m < 0:
+        raise ValueError(f"iteration depth m must be >= 0, got {m}")
     M = np.atleast_1d(np.asarray(M, dtype=float))
     inv = _resolvent(report)
     Qm = np.linalg.matrix_power(report.Q, m)

@@ -28,11 +28,10 @@ import numpy as np
 
 from .conditions import ConditionsReport, _resolvent, check_conditions, delta_gap_bound
 from .fracops import gamma
-from .iterate import ApproxSolution, DomainEscape, _operator, _rhs, run_iteration
-from .problem import Box, Problem
+from .iterate import ApproxSolution, DomainEscape, _escape_stats, _operator, _rhs, run_iteration
+from .problem import Problem
 
 __all__ = [
-    "BoxVerdict",
     "DeterminingResult",
     "ExclusionResult",
     "ExistenceVerdict",
@@ -285,25 +284,22 @@ def _solve_newton(prob: Problem, probe, config: SolverConfig, trace: list) -> np
 
 # --- Necessity-based exclusion over a subdivided Omega -----------------
 
-@dataclass(frozen=True, eq=False)
-class BoxVerdict:
-    box: Box
-    center: np.ndarray
-    delta: np.ndarray
-    rhs: np.ndarray
-    keep: bool
-
-
 @dataclass
 class ExclusionResult:
-    subsets: list[BoxVerdict]
-    survivors: list[Box]
+    subsets: np.ndarray          # (B, 2, n): [lo, hi] of each box
+    delta: np.ndarray            # (B, n): Delta_m at the box centers
+    rhs: np.ndarray              # (B, n): coefficient @ halfwidth + tail
+    keep: np.ndarray             # (B,) bool: |delta| <= rhs componentwise
     coefficient: np.ndarray
     tail: np.ndarray
     m: int
     n_subdiv: int
     escaped_probes: int
     worst_excess: float
+
+    @property
+    def survivors(self) -> np.ndarray:
+        return self.subsets[self.keep]
 
 
 def _exclusion_coefficient(report: ConditionsReport) -> np.ndarray:
@@ -329,34 +325,32 @@ def exclusion_sweep(prob: Problem, m: int, n_subdiv: int) -> ExclusionResult:
     iterates stayed in D; ``escaped_probes`` counts the ones that did not.
     All box centers are probed by one stacked ``delta_at`` call.
     """
+    if m < 0:
+        raise ValueError(f"iteration budget m must be >= 0, got {m}")
     if n_subdiv < 1:
         raise ValueError(f"n_subdiv must be >= 1, got {n_subdiv}")
     report = check_conditions(prob)
     tail = delta_gap_bound(report, prob.M, m)
     coeff = _exclusion_coefficient(report)
-    n = prob.n
-    edges = [np.linspace(prob.omega.lo[j], prob.omega.hi[j], n_subdiv + 1) for j in range(n)]
-    index_grid = np.indices((n_subdiv,) * n).reshape(n, -1).T
-    lo = np.stack([edges[j][index_grid[:, j]] for j in range(n)], axis=1)
-    hi = np.stack([edges[j][index_grid[:, j] + 1] for j in range(n)], axis=1)
-    boxes = [Box(a, b) for a, b in zip(lo, hi)]
-    centers = 0.5 * (lo + hi)
+    edges = [np.linspace(a, b, n_subdiv + 1) for a, b in zip(prob.omega.lo, prob.omega.hi)]
+    lo = np.stack(np.meshgrid(*[e[:-1] for e in edges], indexing="ij"), -1).reshape(-1, prob.n)
+    hi = np.stack(np.meshgrid(*[e[1:] for e in edges], indexing="ij"), -1).reshape(-1, prob.n)
     escapes: list[DomainEscape] = []
-    deltas = delta_at(prob, centers, m, escapes)
-    subsets: list[BoxVerdict] = []
-    for box, center, delta in zip(boxes, centers, deltas):
-        rhs = coeff @ (0.5 * box.width) + tail
-        keep = bool(np.all(np.abs(delta) <= rhs))
-        subsets.append(BoxVerdict(box=box, center=center, delta=delta, rhs=rhs, keep=keep))
+    delta = delta_at(prob, 0.5 * (lo + hi), m, escapes)
+    # per box coeff @ halfwidth; a stack of (n, 1) products keeps its bits
+    rhs = np.matmul(coeff, (0.5 * (hi - lo))[..., np.newaxis])[..., 0] + tail
+    escaped, worst = _escape_stats(escapes)
     return ExclusionResult(
-        subsets=subsets,
-        survivors=[v.box for v in subsets if v.keep],
+        subsets=np.stack([lo, hi], axis=1),
+        delta=delta,
+        rhs=rhs,
+        keep=np.all(np.abs(delta) <= rhs, axis=1),
         coefficient=coeff,
         tail=tail,
         m=m,
         n_subdiv=n_subdiv,
-        escaped_probes=len({e.probe for e in escapes}),
-        worst_excess=max((e.excess for e in escapes), default=0.0),
+        escaped_probes=escaped,
+        worst_excess=worst,
     )
 
 
@@ -388,6 +382,8 @@ def existence_check_scalar(prob: Problem, m: int) -> ExistenceVerdict:
     nonexistence.  ``escaped_probes`` counts the endpoint probes whose
     iterates left D.
     """
+    if m < 0:
+        raise ValueError(f"iteration budget m must be >= 0, got {m}")
     if prob.n != 1:
         raise NotImplementedError("existence certification is scalar-only (n = 1)")
     report = check_conditions(prob)
@@ -395,7 +391,7 @@ def existence_check_scalar(prob: Problem, m: int) -> ExistenceVerdict:
     escapes: list[DomainEscape] = []
     ends = np.stack([prob.omega.lo, prob.omega.hi])
     d_lo, d_hi = delta_at(prob, ends, m, escapes)[:, 0].tolist()
-    escaped = len({e.probe for e in escapes})
+    escaped, worst = _escape_stats(escapes)
     cleared = (abs(d_lo) > tube, abs(d_hi) > tube)
     sign_change = (d_lo < 0.0 < d_hi) or (d_hi < 0.0 < d_lo)
     certified = cleared[0] and cleared[1] and sign_change and escaped == 0
@@ -406,5 +402,5 @@ def existence_check_scalar(prob: Problem, m: int) -> ExistenceVerdict:
         cleared=cleared,
         sign_change=sign_change,
         escaped_probes=escaped,
-        worst_excess=max((e.excess for e in escapes), default=0.0),
+        worst_excess=worst,
     )

@@ -75,6 +75,11 @@ class DomainEscape:
     probe: int = 0  # row of the chi1 stack that left D (0 for one chi1)
 
 
+def _escape_stats(escapes: list[DomainEscape]) -> tuple[int, float]:
+    """(number of distinct probes that left D, worst excess) of escape records."""
+    return len({e.probe for e in escapes}), max((e.excess for e in escapes), default=0.0)
+
+
 def _check_domain(
     prob: Problem, u: GridFunction, nodes: np.ndarray, escapes: list[DomainEscape] | None
 ) -> None:
@@ -88,24 +93,18 @@ def _check_domain(
     found = zip(rows.tolist(), cols.tolist(), nodes[cols % N].tolist(), v[rows, cols].tolist(),
                 worst[rows].tolist())
     for b, k, t, value, worst_b in found:
-        i = k // N
-        record = DomainEscape(t, i + 1, value, worst_b, b)
+        record = DomainEscape(t, k // N + 1, value, worst_b, b)
         if prob.domain_policy == "strict":
             raise DomainEscapeError(
-                f"iterate leaves D by {record.excess:.6g} at t={record.t:.6g} (component {i + 1}); "
-                "the convergence theory assumes iterates stay in D"
+                f"iterate leaves D by {record.excess:.6g} at t={record.t:.6g} "
+                f"(component {record.component}); the convergence theory assumes iterates stay in D"
             )
-        # One visible line for standalone calls; collected runs return their
-        # escapes as data instead of a line per step.
-        log = _log.warning if escapes is None else _log.debug
-        log(
-            "iterate leaves D by %.3g at t=%.6g (component %d); continuing (domain_policy=warn)",
-            record.excess,
-            record.t,
-            i + 1,
-        )
+        # collected runs return their escapes as data, standalone calls warn
         if escapes is not None:
             escapes.append(record)
+        else:
+            _log.warning("iterate leaves D by %.3g at t=%.6g (component %d); continuing "
+                         "(domain_policy=warn)", record.excess, record.t, record.component)
 
 
 def _interpolant(prob: Problem, op: ProductTrapezoid, chi: np.ndarray, ip=None) -> GridFunction:

@@ -204,11 +204,11 @@ def test_criterion_08_exclusion_soundness():
         prob, chi_star = zero_rhs_problem(rng, N=41)
         n_subdiv = int(rng.integers(2, 33))
         res = exclusion_sweep(prob, 1, n_subdiv)
-        for v in res.subsets:
-            if v.box.lo[0] <= chi_star <= v.box.hi[0] and not v.keep:
+        for (lo, hi), keep in zip(res.subsets[:, :, 0], res.keep):
+            if lo <= chi_star <= hi and not keep:
                 root_box_exclusions += 1
-        width = float(res.subsets[0].box.width[0])
-        max_delta = max(abs(float(v.delta[0])) for v in res.subsets)
+        width = float(res.subsets[0, 1, 0] - res.subsets[0, 0, 0])
+        max_delta = max(abs(float(d)) for d in res.delta[:, 0])
         if width < max_delta / float(res.coefficient[0, 0]):
             teeth_expected += 1
             if len(res.survivors) < len(res.subsets):

@@ -8,6 +8,9 @@ import pytest
 
 import fracbvp
 from fracbvp.cli import _BLOCK_VALUES, _write_csv, main
+from fracbvp.conditions import check_conditions, delta_gap_bound
+from fracbvp.determine import _exclusion_coefficient, delta_at, existence_check_scalar
+from fracbvp.problem import Box, builtin_problem, load_problem
 
 GYRE_ROOTS = [-320.68685748392215, -332.0604225604555, -332.30179286902836]
 
@@ -89,6 +92,42 @@ COUPLED_CFG = textwrap.dedent(
 )
 
 
+# The coupled system of the benchmark at its nominal coefficients; the
+# supplied bounds skip the sampling of M and K.
+COUPLED_BOUNDS_CFG = textwrap.dedent(
+    """
+    [problem]
+    p = 1.5
+    T = 1
+    alpha1 = 0 0
+    alpha2 = 0.5 -0.5
+    N = 201
+    domain_policy = warn
+
+    [domain]
+    lo = -3 -3
+    hi = 3 3
+
+    [rhs]
+    expr = a*u1 + b*sin(u2) + c*exp(-t); d*cos(u1) - e*u2 + g*t^2
+    a = 0.5
+    b = 0.3
+    c = 0.4
+    d = 0.3
+    e = 0.5
+    g = 0.2
+
+    [omega_box]
+    lo = -4 -4
+    hi = 4 4
+
+    [bounds]
+    M = 2.2 2.0
+    K = 0.5 0.3 0.3 0.5
+    """
+)
+
+
 def _read_csv(path):
     lines = path.read_text(encoding="utf-8").strip().split("\n")
     header = lines[0].split(",")
@@ -136,6 +175,24 @@ def test_malformed_config_is_config_error(tmp_path, capsys):
 def test_missing_config_file(tmp_path, capsys):
     missing = tmp_path / "absent.ini"
     assert main(["check", "--config", str(missing), "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--m", "-1"], "--m must be >= 0, got -1"),
+        (["exclude", "--subdiv", "0"], "--subdiv must be >= 1, got 0"),
+        (["exclude", "--m", "-1"], "--m must be >= 0, got -1"),
+        (["verify", "--recompute", "--m", "-1"], "--m must be >= 0, got -1"),
+    ],
+    ids=["solve-m", "exclude-subdiv", "exclude-m", "verify-recompute-m"],
+)
+@pytest.mark.parametrize("builtin", ["acc-gyre", "zero-rhs"])
+def test_negative_depth_and_empty_subdivision_are_config_errors(tmp_path, capsys, argv, message, builtin):
+    out = tmp_path / "out"
+    assert main([*argv, "--builtin", builtin, "--out", str(out)]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- check --------------------------------------------------------------------
@@ -341,6 +398,71 @@ def test_exclude_gyre_thirteen(tmp_path, capsys):
     assert summary["existence"]["escaped_probes"] == 2
     assert summary["existence"]["worst_excess"] == pytest.approx(99.51849650410465, rel=1e-12)
     assert summary["existence"]["conditional_on_domain"] is True
+
+
+def _per_box_exclusion(prob, m, n_subdiv, path):
+    """boxes.csv (by np.savetxt) and exclusion.json of a sweep, one box at a time."""
+    report = check_conditions(prob)
+    coeff = _exclusion_coefficient(report)
+    tail = delta_gap_bound(report, prob.M, m)
+    n = prob.n
+    edges = [np.linspace(prob.omega.lo[j], prob.omega.hi[j], n_subdiv + 1) for j in range(n)]
+    boxes = [
+        Box([edges[j][i[j]] for j in range(n)], [edges[j][i[j] + 1] for j in range(n)])
+        for i in np.ndindex(*(n_subdiv,) * n)
+    ]
+    escapes = []
+    deltas = delta_at(prob, np.array([box.center for box in boxes]), m, escapes)
+    rows, survivors = [], []
+    for i, (box, delta) in enumerate(zip(boxes, deltas)):
+        rhs = coeff @ (0.5 * box.width) + tail
+        keep = bool(np.all(np.abs(delta) <= rhs))
+        rows.append([float(i), *box.lo, *box.hi, *box.center, *np.abs(delta), *rhs, float(keep)])
+        if keep:
+            survivors.append([box.lo.tolist(), box.hi.tolist()])
+    names = ["lo", "hi", "center", "abs_delta", "rhs"]
+    header = ",".join(
+        ["index", *(c if n == 1 else f"{c}_c{j + 1}" for c in names for j in range(n)), "keep"]
+    )
+    csv = _savetxt_bytes(path, header, rows)
+    summary = {
+        "m": m, "subdiv": n_subdiv, "boxes": len(boxes), "kept": len(survivors),
+        "survivors": survivors, "coefficient": coeff.tolist(), "tail": tail.tolist(),
+        "escaped_probes": len({e.probe for e in escapes}),
+        "worst_excess": max((e.excess for e in escapes), default=0.0),
+        "conditional_on_domain": bool(escapes),
+    }
+    if n == 1:
+        verdict = existence_check_scalar(prob, m)
+        summary["existence"] = {
+            "certified": verdict.certified,
+            "endpoint_deltas": list(verdict.endpoint_deltas),
+            "tube": verdict.tube,
+            "sign_change": verdict.sign_change,
+            "escaped_probes": verdict.escaped_probes,
+            "worst_excess": verdict.worst_excess,
+            "conditional_on_domain": verdict.escaped_probes > 0,
+        }
+    return csv, (json.dumps(summary, indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "source, n_subdiv",
+    [("acc-gyre", 13), ("acc-gyre", 2000), ("coupled", 12)],
+    ids=["gyre-13", "gyre-2000-in-13-chunks", "coupled-bounds-12"],
+)
+def test_exclude_outputs_match_the_per_box_reference(tmp_path, source, n_subdiv):
+    if source == "coupled":
+        cfg = tmp_path / "coupled.ini"
+        cfg.write_text(COUPLED_BOUNDS_CFG, encoding="utf-8")
+        prob, args = load_problem(cfg), ["--config", str(cfg)]
+    else:
+        prob, args = builtin_problem(source), ["--builtin", source]
+    out = tmp_path / "out"
+    assert main(["exclude", *args, "--out", str(out), "--m", "2", "--subdiv", str(n_subdiv)]) == 0
+    csv, summary = _per_box_exclusion(prob, 2, n_subdiv, tmp_path / "ref.csv")
+    assert (out / "boxes.csv").read_bytes() == csv
+    assert (out / "exclusion.json").read_bytes() == summary
 
 
 def test_exclude_zero_rhs_certifies(tmp_path, capsys):

@@ -251,6 +251,15 @@ def test_bounds_undefined_when_radius_exceeds_one():
 # --- a-priori and gap bounds --------------------------------------------
 
 
+def test_bounds_reject_a_negative_depth():
+    # Q^(-1) would give a tube of 9913.2 on the gyre, ten times the m = 0 one
+    for bound in (delta_gap_bound, apriori_error):
+        with pytest.raises(ValueError, match="m must be >= 0"):
+            bound(REPORT, REPORT.M, -1)
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        combined_error_bound(REPORT, REPORT.M, -1, 0.1)
+
+
 def test_apriori_error_pin():
     got = apriori_error(REPORT, 1.0, 2)
     assert got.shape == (1,)

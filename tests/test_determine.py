@@ -423,20 +423,24 @@ def test_exclusion_coefficient_and_tail_pins(gyre):
 
 def test_exclusion_gyre_thirteen_boxes(gyre):
     res = exclusion_sweep(gyre, 2, 13)
-    keeps = [v.keep for v in res.subsets]
+    assert res.subsets.shape == (13, 2, 1)
+    assert res.delta.shape == res.rhs.shape == (13, 1)
+    assert res.keep.shape == (13,) and res.keep.dtype == bool
+    assert res.survivors.shape == (8, 2, 1)
+    keeps = res.keep.tolist()
     assert keeps == [True] * 8 + [False] * 5
     assert len(res.survivors) == 8
     # every probe's iterates leave D, so the verdicts are conditional
     assert res.escaped_probes == 13
     assert res.worst_excess == pytest.approx(99.44538549274552, rel=1e-12)
     # the deep root -332.30... sits in the leftmost surviving box
-    assert res.survivors[0].contains(np.array([-332.30179286902836]))
-    # verdicts carry the actual filter inputs
-    for v in res.subsets:
-        assert v.keep == bool(np.abs(v.delta[0]) <= v.rhs[0])
-        assert v.center[0] == pytest.approx(
-            0.5 * (v.box.lo[0] + v.box.hi[0]), rel=1e-15
-        )
+    lo, hi = res.survivors[0]
+    assert np.all(lo <= -332.30179286902836) and np.all(-332.30179286902836 <= hi)
+    # verdicts carry the actual filter inputs: Delta_2 at each box center
+    for keep, delta, rhs in zip(res.keep, res.delta, res.rhs):
+        assert bool(keep) == bool(np.abs(delta[0]) <= rhs[0])
+    centers = 0.5 * (res.subsets[:, 0] + res.subsets[:, 1])
+    assert np.array_equal(res.delta, delta_at(gyre, centers, 2))
 
 
 def test_exclusion_at_depth_zero_counts_the_escaped_probes(gyre):
@@ -458,9 +462,9 @@ def test_exclusion_single_box_keeps_everything(gyre):
     res = exclusion_sweep(gyre, 2, 1)
     assert res.n_subdiv == 1
     assert len(res.subsets) == 1
-    assert res.subsets[0].keep is True
-    assert res.survivors[0].lo[0] == gyre.omega.lo[0]
-    assert res.survivors[0].hi[0] == gyre.omega.hi[0]
+    assert bool(res.keep[0]) is True
+    assert res.survivors[0, 0, 0] == gyre.omega.lo[0]
+    assert res.survivors[0, 1, 0] == gyre.omega.hi[0]
 
 
 def test_exclusion_rejects_bad_subdivision(gyre):
@@ -476,12 +480,20 @@ def test_exclusion_zero_rhs_is_exact(zero_rhs):
         res = exclusion_sweep(zero_rhs, 2, n_subdiv)
         assert res.tail[0] == 0.0
         assert (res.escaped_probes, res.worst_excess) == (0, 0.0)
-        for v in res.subsets:
-            halfwidth = 0.5 * v.box.width[0]
-            dist = abs(v.center[0] - 1.0)
+        for (lo, hi), keep in zip(res.subsets[:, :, 0], res.keep):
+            halfwidth = 0.5 * (hi - lo)
+            dist = abs(0.5 * (lo + hi) - 1.0)
             if abs(dist - halfwidth) > 1e-9:  # root not exactly on an edge
-                assert v.keep == bool(dist < halfwidth)
+                assert bool(keep) == bool(dist < halfwidth)
         assert 1 <= len(res.survivors) <= 2
+
+
+def test_sweep_and_existence_check_the_depth_first(gyre):
+    # the depth is checked before the subdivision and before the n = 1 rule
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        exclusion_sweep(gyre, -1, 0)
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        existence_check_scalar(_two_component(), -1)
 
 
 @given(st.integers(0, 10**6))
@@ -490,9 +502,9 @@ def test_exclusion_never_discards_the_root_box(seed):
     rng = np.random.default_rng(seed)
     prob, chi_star = zero_rhs_problem(rng)
     res = exclusion_sweep(prob, 1, 7)
-    for v in res.subsets:
-        if v.box.lo[0] <= chi_star <= v.box.hi[0]:
-            assert v.keep is True
+    for (lo, hi), keep in zip(res.subsets[:, :, 0], res.keep):
+        if lo <= chi_star <= hi:
+            assert bool(keep) is True
 
 
 # --- existence certification -------------------------------------------------

@@ -16,6 +16,7 @@ from fracbvp.iterate import (
     DomainEscape,
     DomainEscapeError,
     _check_domain,
+    _escape_stats,
     _operator,
     iterate_step,
     run_iteration,
@@ -145,6 +146,20 @@ def test_run_iteration_returns_escapes_without_warning(gyre, caplog):
         sol = run_iteration(gyre, CHI_THIRD, m_max=3, tol=0.0)
     assert not any(r.levelno >= logging.WARNING for r in caplog.records)
     assert len(sol.escapes) == 4  # u_0 .. u_3, the final iterate included
+
+
+def test_collected_runs_log_nothing_even_at_debug(gyre, caplog):
+    with caplog.at_level(logging.DEBUG, logger="fracbvp.iterate"):
+        sol = run_iteration(gyre, [[CHI_THIRD], [CHI_FIRST]], m_max=2, tol=0.0)
+    assert caplog.records == []
+    assert len(sol.escapes) == 6
+
+
+def test_escape_stats_count_probes_and_take_the_worst_excess():
+    assert _escape_stats([]) == (0, 0.0)
+    records = [DomainEscape(0.5, 1, 3.0, 1.0, 0), DomainEscape(0.2, 1, 4.5, 2.5, 0),
+               DomainEscape(0.7, 2, -3.0, 1.5, 4)]
+    assert _escape_stats(records) == (2, 2.5)
 
 
 def test_standalone_step_warns_per_call(gyre, caplog):
