@@ -98,6 +98,8 @@ def _load(args) -> tuple[Problem, str]:
         raise ProblemError(f"--m must be >= 0, got {args.m}")
     if getattr(args, "subdiv", 1) < 1:
         raise ProblemError(f"--subdiv must be >= 1, got {args.subdiv}")
+    if args.seed < 0:
+        raise ProblemError(f"--seed must be >= 0, got {args.seed}")
     if args.builtin:
         prob = builtin_problem(args.builtin, resolve=False)
         source = f"builtin:{args.builtin}"
@@ -318,7 +320,7 @@ def cmd_verify(args) -> int:
     _manifest(args, "verify", source, prob, m=m).write(out)
     approx = run_iteration(prob, chi, m_max=m, tol=0.0)
     report = residuals(prob, approx, include_delta=not args.no_delta)
-    header, table = emit_figure_data(prob, approx)
+    header, table = emit_figure_data(prob, approx, report)
     _write_csv(out / "figure.csv", header, table)
     res_header = ",".join(["t", *_suffixed("residual", prob.n)])
     _write_csv(

@@ -326,18 +326,18 @@ def evaluate(exprs: tuple[Expr, ...], t, u) -> np.ndarray:
     """Evaluate component expressions at (t, u).
 
     ``t`` may be a scalar or an array of times; ``u`` is a sequence of
-    component values (scalars or arrays broadcasting with t).  Returns an
-    array of shape (len(exprs),) + that shape.  A non-finite component
+    component values (scalars or arrays; an (n, ...) array is the sequence
+    of its rows) that broadcast with t and with each other, so t and the
+    components may be the sparse axes of a mesh.  Returns an array of
+    shape (len(exprs),) + the broadcast shape.  A non-finite component
     raises ExprEvalError with the t and u of the first such point.
     """
     t_arr = np.asarray(t, dtype=float)
-    u_arr = np.asarray(u, dtype=float)
-    if u_arr.ndim == 0:
-        u_arr = u_arr[np.newaxis]
-    shape = np.broadcast_shapes(t_arr.shape, u_arr.shape[1:] or t_arr.shape)
+    comps = [np.asarray(c, dtype=float) for c in (u if np.iterable(u) else [u])]
+    shape = np.broadcast_shapes(t_arr.shape, *(c.shape for c in comps))
     with np.errstate(all="ignore"):
         rows = [
-            np.broadcast_to(np.asarray(_eval_node(e, t_arr, u_arr), dtype=float), shape)
+            np.broadcast_to(np.asarray(_eval_node(e, t_arr, comps), dtype=float), shape)
             for e in exprs
         ]
     out = np.array(rows, dtype=float)
@@ -345,7 +345,7 @@ def evaluate(exprs: tuple[Expr, ...], t, u) -> np.ndarray:
         where = np.argwhere(~np.isfinite(out))[0]
         point = tuple(where[1:])
         bad_t = float(np.broadcast_to(t_arr, shape)[point])
-        bad_u = np.array([np.broadcast_to(c, shape)[point] for c in u_arr])
+        bad_u = np.array([np.broadcast_to(c, shape)[point] for c in comps])
         raise ExprEvalError(f"component {where[0] + 1} evaluated non-finite", bad_t, bad_u)
     return out
 

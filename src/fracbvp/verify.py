@@ -36,6 +36,8 @@ class ResidualReport:
     boundary_residuals: tuple[np.ndarray, np.ndarray]
     includes_delta_offset: bool
     delta: np.ndarray
+    caputo: np.ndarray  # cD^p of the final iterate, (n, N)
+    rhs: np.ndarray  # f(t, u_m) of the final iterate, (n, N)
 
     def to_dict(self) -> dict:
         return {
@@ -55,11 +57,11 @@ def residuals(prob: Problem, approx: ApproxSolution, include_delta: bool = True)
     grid = u.grid
     if grid.N < 5:
         raise ValueError("residuals: need at least 5 nodes for the Caputo stencil")
-    cap = caputo_derivative(u, prob.p)
+    cap = caputo_derivative(u, prob.p).values
     fvals = prob.rhs(grid.nodes, u.values)
     delta = delta_m(prob, approx)
     offset = delta[:, np.newaxis] if include_delta else 0.0
-    res = np.abs(cap.values - fvals - offset)
+    res = np.abs(cap - fvals - offset)
     sup_interior = np.max(res[:, 2 : grid.N - 2], axis=1)
     return ResidualReport(
         residual_grid=GridFunction(grid, res),
@@ -70,21 +72,24 @@ def residuals(prob: Problem, approx: ApproxSolution, include_delta: bool = True)
         ),
         includes_delta_offset=include_delta,
         delta=delta,
+        caputo=cap,
+        rhs=fvals,
     )
 
 
-def emit_figure_data(prob: Problem, approx: ApproxSolution) -> tuple[str, np.ndarray]:
+def emit_figure_data(
+    prob: Problem, approx: ApproxSolution, report: ResidualReport | None = None
+) -> tuple[str, np.ndarray]:
     """Table behind the standard four plots: iterates, rhs, derivative.
 
     Returns (header, rows).  For scalar problems the header is exactly
     ``t,u_0,...,u_m,f,caputo``; for systems each u/f/caputo column gains
     a ``_cJ`` component suffix.  ``f`` and ``caputo`` refer to the final
-    iterate.
+    iterate, as held by ``report``: the ``residuals`` of the same
+    ``approx``, computed here when not given.
     """
-    u = approx.final
-    grid = u.grid
-    cap = caputo_derivative(u, prob.p)
-    fvals = prob.rhs(grid.nodes, u.values)
+    report = residuals(prob, approx) if report is None else report
+    grid = approx.final.grid
     cols = [grid.nodes]
     names = ["t"]
     for k, it in enumerate(approx.iterates):
@@ -92,9 +97,9 @@ def emit_figure_data(prob: Problem, approx: ApproxSolution) -> tuple[str, np.nda
             cols.append(it.values[j])
             names.append(f"u_{k}" if prob.n == 1 else f"u_{k}_c{j + 1}")
     for j in range(prob.n):
-        cols.append(fvals[j])
+        cols.append(report.rhs[j])
         names.append("f" if prob.n == 1 else f"f_c{j + 1}")
     for j in range(prob.n):
-        cols.append(cap.values[j])
+        cols.append(report.caputo[j])
         names.append("caputo" if prob.n == 1 else f"caputo_c{j + 1}")
     return ",".join(names), np.column_stack(cols)

@@ -10,6 +10,7 @@ import fracbvp
 from fracbvp.cli import _BLOCK_VALUES, _write_csv, main
 from fracbvp.conditions import check_conditions, delta_gap_bound
 from fracbvp.determine import _exclusion_coefficient, delta_at, existence_check_scalar
+from fracbvp.fracops import caputo_derivative
 from fracbvp.problem import Box, builtin_problem, load_problem
 
 GYRE_ROOTS = [-320.68685748392215, -332.0604225604555, -332.30179286902836]
@@ -192,6 +193,45 @@ def test_negative_depth_and_empty_subdivision_are_config_errors(tmp_path, capsys
     out = tmp_path / "out"
     assert main([*argv, "--builtin", builtin, "--out", str(out)]) == 1
     assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+THREE_CFG = textwrap.dedent(
+    """
+    [problem]
+    p = 1.5
+    T = 1
+    alpha1 = 0 0 0
+    alpha2 = 1 1 1
+    N = 51
+
+    [domain]
+    lo = -2 -2 -2
+    hi = 2 2 2
+
+    [rhs]
+    expr = 0.1*u1; 0.1*u2; 0.1*u3
+
+    [omega_box]
+    lo = -3 -3 -3
+    hi = 3 3 3
+    """
+)
+
+
+@pytest.mark.parametrize("stage", [["check"], ["solve"], ["exclude"], ["verify", "--recompute"]])
+@pytest.mark.parametrize("source", ["acc-gyre", "n3-config"])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, stage, source):
+    # for n >= 3 the seed drives the Latin-hypercube sampling of M and K
+    if source == "n3-config":
+        cfg = tmp_path / "three.ini"
+        cfg.write_text(THREE_CFG, encoding="utf-8")
+        argv = ["--config", str(cfg)]
+    else:
+        argv = ["--builtin", source]
+    out = tmp_path / "out"
+    assert main([*stage, *argv, "--seed", "-1", "--out", str(out)]) == 1
+    assert "config error: --seed must be >= 0, got -1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -535,6 +575,21 @@ def test_verify_reads_solve_outputs(tmp_path, capsys):
     assert len(rows) == 401
     header, _ = _read_csv(tmp_path / "residuals.csv")
     assert header == ["t", "residual"]
+
+
+def test_verify_computes_the_caputo_derivative_and_f_once(tmp_path, monkeypatch):
+    from fracbvp import verify
+
+    assert main(["solve", "--builtin", "acc-gyre", "--out", str(tmp_path)]) == 0
+    calls = []
+
+    def counted(u, p):
+        calls.append(p)
+        return caputo_derivative(u, p)
+
+    monkeypatch.setattr(verify, "caputo_derivative", counted)
+    assert main(["verify", "--builtin", "acc-gyre", "--out", str(tmp_path)]) == 0
+    assert calls == [1.5]
 
 
 @pytest.mark.parametrize(

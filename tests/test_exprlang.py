@@ -170,6 +170,28 @@ def test_eval_error_reports_the_offending_point(t, u, want_t):
     assert list(err.value.u) == [-1.0]
 
 
+def test_broadcast_components_equal_the_dense_arrays():
+    exprs = parse("t * u1 + sin(u2) - exp(-t) * u1 / u2; 2", 2, {})
+    t, u1, u2 = np.meshgrid(np.linspace(0, 1, 4), np.linspace(-1, 2, 5), np.linspace(1, 3, 6),
+                            indexing="ij", sparse=True)
+    sparse = evaluate(exprs, t, [u1, u2])
+    full = [np.broadcast_to(a, (4, 5, 6)).ravel() for a in (t, u1, u2)]
+    dense = evaluate(exprs, full[0], np.stack(full[1:]))
+    assert sparse.shape == (2, 4, 5, 6)
+    assert np.array_equal(sparse.reshape(2, -1), dense)
+
+
+def test_eval_error_on_broadcast_axes_reports_the_offending_point():
+    t = np.linspace(0.0, 1.0, 3)[:, np.newaxis, np.newaxis]
+    u1 = np.array([1.0, 0.0, 2.0])[np.newaxis, :, np.newaxis]
+    u2 = np.array([5.0, 6.0])[np.newaxis, np.newaxis, :]
+    with pytest.raises(ExprEvalError) as err:
+        evaluate(parse("u2; log(u1) + t", 2, {}), t, [u1, u2])
+    assert "component 2" in str(err.value)
+    assert err.value.t == 0.0
+    assert list(err.value.u) == [0.0, 5.0]
+
+
 def test_scalar_evaluation_returns_vector():
     out = evaluate(parse("t + u1", 1, {}), 1.5, [2.0])
     assert out.shape == (1,)

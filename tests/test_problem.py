@@ -17,6 +17,7 @@ from fracbvp.problem import (
     problem_from_config,
     resolve_bounds,
 )
+from fracbvp.problem import _sample_points
 from fracbvp import exprlang
 
 MINIMAL = textwrap.dedent(
@@ -160,6 +161,101 @@ def test_estimate_bounds_sample_budget_validated():
 def test_estimate_bounds_deterministic_given_seed():
     prob = _problem(f=exprlang.parse("sin(3*t)*u1", 1, {}), f_source="sin(3*t)*u1")
     assert estimate_bounds(prob, seed=5)[0] == estimate_bounds(prob, seed=5)[0]
+
+
+COUPLED_NO_BOUNDS = textwrap.dedent(
+    """
+    [problem]
+    p = 1.5
+    T = 1
+    alpha1 = 0 0
+    alpha2 = 0.5 -0.5
+    domain_policy = warn
+
+    [domain]
+    lo = -3 -3
+    hi = 3 3
+
+    [rhs]
+    expr = a*u1 + b*sin(u2) + c*exp(-t); d*cos(u1) - e*u2 + g*t^2
+    a = 0.5
+    b = 0.3
+    c = 0.4
+    d = 0.3
+    e = 0.5
+    g = 0.2
+
+    [omega_box]
+    lo = -4 -4
+    hi = 4 4
+    """
+)
+
+
+def _dense_bounds(prob, samples=None):
+    """M and K on the dense, ravelled n <= 2 mesh: the oracle of the broadcast axes."""
+    n = prob.n
+    per_axis = 200 if samples is None else max(8, int(round(samples ** (1.0 / (n + 1)))))
+    axes = [np.linspace(0.0, prob.T, per_axis)]
+    axes += [np.linspace(prob.domain.lo[i], prob.domain.hi[i], per_axis) for i in range(n)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    t = mesh[0].ravel()
+    u = np.stack([m.ravel() for m in mesh[1:]])
+    M = np.max(np.abs(prob.rhs(t, u)), axis=1)
+    K = np.zeros((n, n))
+    for j in range(n):
+        h = prob.domain.width[j] * 2.0**-10
+        up = u.copy()
+        dn = u.copy()
+        up[j] = np.minimum(u[j] + h, prob.domain.hi[j])
+        dn[j] = np.maximum(u[j] - h, prob.domain.lo[j])
+        diff = prob.rhs(t, up) - prob.rhs(t, dn)
+        K[:, j] = np.max(np.abs(diff) / (up[j] - dn[j]), axis=1)
+    return M, K
+
+
+def _scalar(source):
+    return _problem(f=exprlang.parse(source, 1, {}), f_source=source)
+
+
+@pytest.mark.parametrize(
+    "make, samples",
+    [
+        (lambda: builtin_problem("acc-gyre", resolve=False), None),
+        (lambda: builtin_problem("zero-rhs", resolve=False), None),
+        (lambda: _scalar("cos(u1)"), None),
+        (lambda: _scalar("sin(3*t)*u1"), None),
+        (lambda: _scalar("2"), None),
+        (lambda: problem_from_config(COUPLED_NO_BOUNDS), 1000),
+    ],
+    ids=["acc-gyre", "zero-rhs", "cos-u1", "sin-3t-u1", "constant", "coupled-n2"],
+)
+def test_estimate_bounds_on_broadcast_axes_matches_the_dense_mesh(make, samples):
+    # every mesh point sees the same floating-point operations, so == holds
+    prob = make()
+    M, K = estimate_bounds(prob, samples=samples)
+    M_dense, K_dense = _dense_bounds(prob, samples)
+    assert M.shape == M_dense.shape and K.shape == K_dense.shape
+    assert np.array_equal(M, M_dense)
+    assert np.array_equal(K, K_dense)
+
+
+@pytest.mark.parametrize("n, samples, per_axis", [(1, None, 200), (2, None, 200), (2, 1000, 10)])
+def test_sample_mesh_is_kept_as_its_axes(n, samples, per_axis):
+    prob = builtin_problem("acc-gyre", resolve=False) if n == 1 else problem_from_config(COUPLED_NO_BOUNDS)
+    t, u = _sample_points(prob, samples, 0)
+    assert len(u) == n
+    # the arrays hold the axis values alone, not the (n + 1)-fold product
+    assert t.size + sum(c.size for c in u) == (n + 1) * per_axis
+    assert np.broadcast_shapes(t.shape, *(c.shape for c in u)) == (per_axis,) * (n + 1)
+
+
+def test_estimate_bounds_names_the_first_non_finite_mesh_point():
+    # the same point as on the dense mesh: t = 0 and the first u = -2 < 0
+    with pytest.raises(exprlang.ExprEvalError) as err:
+        estimate_bounds(_scalar("log(u1)"))
+    assert err.value.t == 0.0
+    assert list(err.value.u) == [-2.0]
 
 
 def test_resolve_bounds_fills_only_missing():

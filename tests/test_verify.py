@@ -177,6 +177,17 @@ def test_figure_columns_match_iterates(gyre):
     assert np.array_equal(rows[:, 4], fcol)
 
 
+@pytest.mark.parametrize("include_delta", [True, False])
+def test_figure_from_the_residual_report_is_the_same_table(gyre, include_delta):
+    sol = _gyre_run(gyre, 2)
+    report = residuals(gyre, sol, include_delta=include_delta)
+    hdr, rows = emit_figure_data(gyre, sol)
+    hdr_shared, rows_shared = emit_figure_data(gyre, sol, report)
+    assert hdr_shared == hdr
+    assert rows_shared.shape == rows.shape
+    assert np.array_equal(rows_shared, rows)
+
+
 def test_figure_iterate_gap_pin(gyre):
     sol = _gyre_run(gyre, 2)
     _, rows = emit_figure_data(gyre, sol)
