@@ -37,6 +37,7 @@ from .determine import (
     delta_m,
     exclusion_sweep,
     existence_check_scalar,
+    solve_depths,
     solve_determining,
 )
 from .exprlang import ExprEvalError, ExprSyntaxError, evaluate, parse, pretty, pretty_source
@@ -118,6 +119,7 @@ __all__ = [
     "residuals",
     "resolve_bounds",
     "run_iteration",
+    "solve_depths",
     "solve_determining",
     "radius_bound",
     "spectral_radius",

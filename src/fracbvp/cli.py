@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -28,6 +29,7 @@ from .determine import (
     SolverConfig,
     exclusion_sweep,
     existence_check_scalar,
+    solve_depths,
     solve_determining,
 )
 from .exprlang import ExprEvalError, ExprSyntaxError
@@ -100,6 +102,9 @@ def _load(args) -> tuple[Problem, str]:
         raise ProblemError(f"--subdiv must be >= 1, got {args.subdiv}")
     if args.seed < 0:
         raise ProblemError(f"--seed must be >= 0, got {args.seed}")
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        raise ProblemError(f"--tol must be a finite number >= 0, got {tol}")
     if args.builtin:
         prob = builtin_problem(args.builtin, resolve=False)
         source = f"builtin:{args.builtin}"
@@ -204,16 +209,14 @@ def cmd_solve(args) -> int:
     trace_rows = []
     roots = []
     failure: Exception | None = None
-    for k in range(args.m + 1):
-        try:
-            res = solve_determining(prob, k, solver)
-        except (NoRootBracketError, NonConvergenceError) as exc:
-            failure = exc
-            break
-        roots.append(res)
-        trace_rows.append([float(k), *res.chi1_star, *res.residual])
-        chi_txt = ", ".join(f"{c:.17g}" for c in res.chi1_star)
-        print(f"m={k}: chi1 = [{chi_txt}]  |Delta_m| = {np.max(res.residual):.3g}")
+    try:
+        for k, res in enumerate(solve_depths(prob, args.m, solver)):
+            roots.append(res)
+            trace_rows.append([float(k), *res.chi1_star, *res.residual])
+            chi_txt = ", ".join(f"{c:.17g}" for c in res.chi1_star)
+            print(f"m={k}: chi1 = [{chi_txt}]  |Delta_m| = {np.max(res.residual):.3g}")
+    except (NoRootBracketError, NonConvergenceError) as exc:
+        failure = exc
     header = ",".join(["k", *_suffixed("chi1", n), *_suffixed("residual", n)])
     _write_csv(out / "chi_trace.csv", header, trace_rows)
     if failure is not None:

@@ -8,12 +8,15 @@ when the determining function vanishes:
 
 Every probe of Delta_m re-runs the iteration from u_0 at the probed
 chi1 (no warm starts — probes stay independent) with the problem's
-cached integral operator; a stack of chi1 is probed as one batch.  For
-scalar problems the root search is a bracket scan plus Brent's method
-(Brent, *Algorithms for Minimization without Derivatives*, 1973);
-``_brent`` is a line-for-line port of SciPy's ``brentq`` (same
-tolerances, same iterates), so no probe path imports SciPy.  For
-systems it is a damped Newton with forward-difference Jacobian.  The
+cached integral operator; a stack of chi1 is probed as one batch, and
+one depth-m run gives Delta_0..Delta_m from its iterates.  For scalar
+problems the root search is a bracket scan plus Brent's method (Brent,
+*Algorithms for Minimization without Derivatives*, 1973), which starts
+from the scan's values at the bracket ends; ``_brent`` is a
+line-for-line port of SciPy's ``brentq`` (same tolerances, same
+iterates), so no probe path imports SciPy.  ``solve_depths`` solves
+every depth 0..m from one shared scan.  For systems it is a damped
+Newton with forward-difference Jacobian.  The
 exclusion sweep applies the necessary-condition filter: a parameter box
 can be discarded once |Delta_m| at its center exceeds what the
 Lipschitz coefficient over the box plus the iteration tube can explain.
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conditions import ConditionsReport, _resolvent, check_conditions, delta_gap_bound
-from .fracops import gamma
+from .fracops import ProductTrapezoid, gamma
 from .iterate import ApproxSolution, DomainEscape, _escape_stats, _operator, _rhs, run_iteration
 from .problem import Problem
 
@@ -42,6 +45,7 @@ __all__ = [
     "delta_m",
     "exclusion_sweep",
     "existence_check_scalar",
+    "solve_depths",
     "solve_determining",
 ]
 
@@ -82,33 +86,50 @@ class DeterminingResult:
 _BATCH_VALUES = 2**16
 
 
-def delta_m(prob: Problem, approx: ApproxSolution) -> np.ndarray:
-    """Determining-function value at the approximation's parameter(s)."""
-    u = approx.final
-    op = _operator(prob, u.grid)
-    fvals = _rhs(prob, op, u.values)
+def _delta(prob: Problem, op: ProductTrapezoid, chi: np.ndarray, fvals: np.ndarray) -> np.ndarray:
+    """Delta at slope(s) chi from f along the iterate, (..., n, N) -> (..., n)."""
     # int_0^T (T-s)^(p-1) f ds, no 1/Gamma
     raw_T = op.endpoint(fvals.reshape(-1, op.grid.N)).reshape(fvals.shape[:-1])
     gp1 = gamma(prob.p + 1.0)
-    return gp1 / prob.T**prob.p * (prob.alpha2 - prob.alpha1 - approx.chi1.chi1 * prob.T) - (
+    return gp1 / prob.T**prob.p * (prob.alpha2 - prob.alpha1 - chi * prob.T) - (
         prob.p / prob.T**prob.p
     ) * raw_T
 
 
+def delta_m(prob: Problem, approx: ApproxSolution, k: int | None = None) -> np.ndarray:
+    """Determining-function value at the approximation's parameter(s).
+
+    Taken along the final iterate, or along u_k when ``k`` is given; a run
+    that stopped early at a bitwise fixed point stands in with its final
+    iterate for every deeper k, as a run of depth k would.
+    """
+    u = approx.final if k is None else approx.iterates[min(k, approx.m)]
+    op = _operator(prob, u.grid)
+    return _delta(prob, op, approx.chi1.chi1, _rhs(prob, op, u.values))
+
+
 def delta_at(
-    prob: Problem, chi1, m: int, escapes: list[DomainEscape] | None = None
+    prob: Problem,
+    chi1,
+    m: int,
+    escapes: list[DomainEscape] | None = None,
+    every_depth: bool = False,
 ) -> np.ndarray:
     """Delta_m at chi1 (scalar or (n,) -> (n,); a (B, n) stack -> (B, n)).
 
     Runs the iteration, then evaluates; a stack runs in batches of at most
     ``_BATCH_VALUES`` values, each row bit-identical to a one-row probe.
-    Domain escapes go to ``escapes`` when given, ``probe`` = stack row.
+    With ``every_depth`` the result gains a first axis of length m + 1:
+    Delta_k for k = 0..m, each read off the same depth-m run and equal to
+    ``delta_at(prob, chi1, k)`` bit for bit.  Domain escapes go to
+    ``escapes`` when given, ``probe`` = stack row.
     """
     stack = np.atleast_2d(np.asarray(chi1, dtype=float))
     if stack.ndim != 2 or stack.shape[1] != prob.n:
         raise ValueError(f"chi1 must have shape (n,) or (B, n) with n={prob.n}, got {np.shape(chi1)}")
+    depths = range(m + 1) if every_depth else [m]
     rows = max(1, _BATCH_VALUES // (prob.n * prob.N))
-    deltas = [np.empty((0, prob.n))]
+    deltas = [np.empty((len(depths), 0, prob.n))]
     for start in range(0, len(stack), rows):
         approx = run_iteration(prob, stack[start : start + rows], m_max=m, tol=0.0)
         if escapes is not None:
@@ -116,9 +137,11 @@ def delta_at(
                 DomainEscape(e.t, e.component, e.value, e.excess, e.probe + start)
                 for e in approx.escapes
             )
-        deltas.append(delta_m(prob, approx))
-    out = np.concatenate(deltas)
-    return out if np.ndim(chi1) == 2 else out[0]
+        deltas.append(np.stack([delta_m(prob, approx, k) for k in depths]))
+    out = np.concatenate(deltas, axis=1)
+    if np.ndim(chi1) != 2:
+        out = out[:, 0]
+    return out if every_depth else out[0]
 
 
 def solve_determining(
@@ -130,38 +153,66 @@ def solve_determining(
     sign change and polish with Brent.  n > 1: damped Newton from the
     box center with a forward-difference Jacobian, falling back to a
     coarse-grid restart once before giving up.  Raises
-    NoRootBracketError / NonConvergenceError respectively.
+    NoRootBracketError / NonConvergenceError respectively.  The
+    residual is |Delta_m| as the solver last evaluated it at the root.
     """
+    return _solve(prob, m, config)
+
+
+def solve_depths(prob: Problem, m: int, config: SolverConfig = SolverConfig()):
+    """Yield ``solve_determining(prob, k, config)`` for k = 0, 1, ..., m.
+
+    Each result equals the standalone one field for field, but for n = 1
+    one batched depth-m scan gives the scan values of every depth.  A
+    depth that fails raises as ``solve_determining`` does, and no deeper
+    depth is solved.
+    """
+    if m < 0:
+        raise ValueError(f"iteration budget m must be >= 0, got {m}")
+    scan = delta_at(prob, _scan_points(prob, config), m, every_depth=True) if prob.n == 1 else None
+    for k in range(m + 1):
+        yield _solve(prob, k, config, None if scan is None else scan[k])
+
+
+def _scan_points(prob: Problem, config: SolverConfig) -> np.ndarray:
+    return np.linspace(prob.omega.lo[0], prob.omega.hi[0], config.scan_points)[:, np.newaxis]
+
+
+def _solve(prob: Problem, m: int, config: SolverConfig, scan=None) -> DeterminingResult:
+    """The root search at depth m; ``scan`` holds the n = 1 scan's values when known."""
     if m < 0:
         raise ValueError(f"iteration budget m must be >= 0, got {m}")
     trace: list[tuple[np.ndarray, np.ndarray]] = []
 
-    def probe(chi: np.ndarray) -> np.ndarray:
-        val = delta_at(prob, chi, m)
+    def probe(chi: np.ndarray, val: np.ndarray | None = None) -> np.ndarray:
+        """Delta_m at chi, probed unless already known; the trace gets every pair."""
+        if val is None:
+            val = delta_at(prob, chi, m)
         trace.extend(zip(np.atleast_2d(chi).copy(), np.atleast_2d(val).copy()))
         return val
 
     if prob.n == 1:
-        root = _solve_scalar(prob, probe, config, trace)
+        root = _solve_scalar(prob, probe, config, trace, scan)
     else:
         root = _solve_newton(prob, probe, config, trace)
-    # a fresh probe at the root, kept out of the solver trace
-    residual = np.abs(delta_at(prob, root, m))
+    # every probe is deterministic, so the trace's value at the root is its residual
+    residual = np.abs(next(val for chi, val in reversed(trace) if np.array_equal(chi, root)))
     return DeterminingResult(
         chi1_star=root, residual=residual, iterations_used=m, solver_trace=trace
     )
 
 
-def _solve_scalar(prob: Problem, probe, config: SolverConfig, trace: list) -> np.ndarray:
+def _solve_scalar(prob: Problem, probe, config: SolverConfig, trace: list, scan) -> np.ndarray:
     lo, hi = float(prob.omega.lo[0]), float(prob.omega.hi[0])
-    xs = np.linspace(lo, hi, config.scan_points)
-    vals = probe(xs[:, np.newaxis])[:, 0]
+    scan_xs = _scan_points(prob, config)
+    scan = probe(scan_xs, scan)
+    xs, vals = scan_xs[:, 0], scan[:, 0]
     bracket = None
     for i in range(len(xs) - 1):
         if vals[i] == 0.0:
             return np.array([xs[i]])
         if vals[i] * vals[i + 1] < 0.0:
-            bracket = (xs[i], xs[i + 1])
+            bracket = i
             break
     if vals[-1] == 0.0:
         return np.array([xs[-1]])
@@ -170,8 +221,11 @@ def _solve_scalar(prob: Problem, probe, config: SolverConfig, trace: list) -> np
             f"no sign change of Delta_m over Omega=[{lo}, {hi}]: "
             f"endpoint values {vals[0]:.6g} and {vals[-1]:.6g}"
         )
+    # Brent opens with both bracket ends; it consumes the scan's values there
+    ends = slice(bracket, bracket + 2)
+    probe(scan_xs[ends], scan[ends])
     try:
-        root = _brent(lambda x: probe(np.array([x]))[0], bracket[0], bracket[1], config.xtol)
+        root = _brent(lambda x: probe(np.array([x]))[0], *xs[ends], config.xtol, *vals[ends])
     except NonConvergenceError as exc:
         raise NonConvergenceError(str(exc), trace) from None
     return np.array([root])
@@ -181,18 +235,20 @@ _BRENT_RTOL = 4.0 * np.finfo(float).eps
 _BRENT_MAXITER = 100
 
 
-def _brent(f, xa: float, xb: float, xtol: float) -> float:
+def _brent(f, xa: float, xb: float, xtol: float, fa=None, fb=None) -> float:
     """Root of f in [xa, xb] by Brent's method; SciPy's brentq.c, step for step.
 
     Same arithmetic, rtol = 4 eps and 100 iterations as SciPy's
     ``optimize.brentq(f, xa, xb, xtol=xtol)``, so it evaluates f at the
-    same points and returns the same root.
+    same points and returns the same root.  ``fa`` and ``fb``, when given,
+    are f(xa) and f(xb), which are then not evaluated again.
     """
     if not xtol > 0.0:
         raise ValueError(f"xtol must be positive, got {xtol!r}")
     xpre, xcur = float(xa), float(xb)
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = float(f(xpre)), float(f(xcur))
+    fpre = float(f(xpre) if fa is None else fa)
+    fcur = float(f(xcur) if fb is None else fb)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:

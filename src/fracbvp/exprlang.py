@@ -32,6 +32,7 @@ import numpy as np
 
 __all__ = [
     "BinOp",
+    "Bound",
     "Call",
     "Comp",
     "ConstRef",
@@ -40,6 +41,7 @@ __all__ = [
     "Neg",
     "Num",
     "TimeVar",
+    "bind",
     "evaluate",
     "parse",
     "pretty",
@@ -108,7 +110,12 @@ class Call:
     args: tuple["Expr", ...]
 
 
-Expr = Num | TimeVar | Comp | ConstRef | Neg | BinOp | Call
+@dataclass(frozen=True, eq=False)
+class Bound:
+    value: object  # a u-free subtree's value at fixed times (see ``bind``)
+
+
+Expr = Num | TimeVar | Comp | ConstRef | Neg | BinOp | Call | Bound
 
 
 # --- Tokenizer -------------------------------------------------------
@@ -290,7 +297,7 @@ def parse(source: str, n: int, constants: dict[str, float] | None = None) -> tup
 # --- Evaluation ------------------------------------------------------
 
 def _eval_node(node: Expr, t, u):
-    if isinstance(node, Num):
+    if isinstance(node, (Num, Bound)):
         return node.value
     if isinstance(node, TimeVar):
         return t
@@ -348,6 +355,39 @@ def evaluate(exprs: tuple[Expr, ...], t, u) -> np.ndarray:
         bad_u = np.array([np.broadcast_to(c, shape)[point] for c in comps])
         raise ExprEvalError(f"component {where[0] + 1} evaluated non-finite", bad_t, bad_u)
     return out
+
+
+def _bind(node: Expr, t: np.ndarray) -> tuple[Expr, bool]:
+    """(node with its largest u-free operator subtrees bound at t, whether it reads u)."""
+    if isinstance(node, Neg):
+        parts, rebuild = [node.operand], Neg
+    elif isinstance(node, BinOp):
+        parts, rebuild = [node.left, node.right], lambda a, b: BinOp(node.op, a, b)
+    elif isinstance(node, Call):
+        parts, rebuild = list(node.args), lambda *args: Call(node.fn, args)
+    else:
+        return node, isinstance(node, Comp)
+    bound = [_bind(part, t) for part in parts]
+    if any(reads for _, reads in bound):
+        return rebuild(*(part for part, _ in bound)), True
+    value = _eval_node(node, t, ())
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    return Bound(value), False
+
+
+def bind(exprs: tuple[Expr, ...], t) -> tuple[Expr, ...]:
+    """The component trees with every operator subtree free of u evaluated at ``t``.
+
+    Each such subtree becomes a ``Bound`` holding its value (read-only
+    when an array), so ``evaluate(bind(exprs, t), t, u)`` skips the t-only
+    work, yet every value still comes from the same IEEE operations on the
+    same arrays: the result, and any ExprEvalError, is that of
+    ``evaluate(exprs, t, u)`` bit for bit.
+    """
+    t_arr = np.asarray(t, dtype=float)
+    with np.errstate(all="ignore"):
+        return tuple(_bind(e, t_arr)[0] for e in exprs)
 
 
 # --- Pretty-printer --------------------------------------------------

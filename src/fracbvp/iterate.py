@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import exprlang
 from .fracops import Grid, GridFunction, ProductTrapezoid, kernel_constant
 from .problem import ParameterPoint, Problem
 
@@ -43,21 +44,29 @@ _log = logging.getLogger(__name__)
 _DOMAIN_SLACK = 1e-9
 
 
-# Problem -> {Grid: ProductTrapezoid}.  The keys are weak, so an
-# operator lives exactly as long as the problem that built it.
+# Problem -> {Grid: (ProductTrapezoid, f bound on the grid's nodes)}.  The
+# keys are weak, so an operator lives exactly as long as the problem that
+# built it.
 _OPERATORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _operator(prob: Problem, grid: Grid) -> ProductTrapezoid:
-    """The cached integral operator of ``prob`` on ``grid``, built on first use.
+def _cached(prob: Problem, grid: Grid) -> tuple[ProductTrapezoid, tuple]:
+    """The integral operator of ``prob`` on ``grid`` and f with its t-only
+    subtrees evaluated on the nodes (``exprlang.bind``), built on first use.
 
-    Every iterate and every Delta_m probe of the problem shares it.
+    Every iterate and every Delta_m probe of the problem shares them.
     """
     ops = _OPERATORS.setdefault(prob, {})
-    op = ops.get(grid)
-    if op is None:
-        op = ops[grid] = ProductTrapezoid(grid, prob.p)
-    return op
+    entry = ops.get(grid)
+    if entry is None:
+        op = ProductTrapezoid(grid, prob.p)
+        entry = ops[grid] = (op, exprlang.bind(prob.f, op.nodes))
+    return entry
+
+
+def _operator(prob: Problem, grid: Grid) -> ProductTrapezoid:
+    """The cached integral operator of ``prob`` on ``grid``."""
+    return _cached(prob, grid)[0]
 
 
 class DomainEscapeError(RuntimeError):
@@ -123,8 +132,9 @@ def _interpolant(prob: Problem, op: ProductTrapezoid, chi: np.ndarray, ip=None) 
 
 
 def _rhs(prob: Problem, op: ProductTrapezoid, values: np.ndarray) -> np.ndarray:
-    """f along (n, N) or (B, n, N) values; exprlang wants components first."""
-    f = prob.rhs(op.nodes, np.moveaxis(values, -2, 0))
+    """f along (n, N) or (B, n, N) values on the operator's grid, the bits of
+    ``prob.rhs``; exprlang wants components first."""
+    f = exprlang.evaluate(_cached(prob, op.grid)[1], op.nodes, np.moveaxis(values, -2, 0))
     return np.moveaxis(f, 0, -2)
 
 

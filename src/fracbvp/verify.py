@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .determine import delta_m
+from .determine import _delta
 from .fracops import GridFunction, caputo_derivative
-from .iterate import ApproxSolution
+from .iterate import ApproxSolution, _operator, _rhs
 from .problem import Problem
 
 __all__ = ["ResidualReport", "emit_figure_data", "residuals"]
@@ -58,8 +58,10 @@ def residuals(prob: Problem, approx: ApproxSolution, include_delta: bool = True)
     if grid.N < 5:
         raise ValueError("residuals: need at least 5 nodes for the Caputo stencil")
     cap = caputo_derivative(u, prob.p).values
-    fvals = prob.rhs(grid.nodes, u.values)
-    delta = delta_m(prob, approx)
+    op = _operator(prob, grid)
+    fvals = _rhs(prob, op, u.values)
+    # Delta_m from the same f values, as delta_m(prob, approx) would evaluate them
+    delta = _delta(prob, op, approx.chi1.chi1, fvals)
     offset = delta[:, np.newaxis] if include_delta else 0.0
     res = np.abs(cap - fvals - offset)
     sup_interior = np.max(res[:, 2 : grid.N - 2], axis=1)

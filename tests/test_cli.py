@@ -235,6 +235,15 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, stage, source):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_tol_must_be_a_finite_non_negative_number(tmp_path, capsys, tol):
+    # -1 and nan never stop the final run; inf stops it after one step
+    out = tmp_path / "out"
+    assert main(["solve", "--builtin", "acc-gyre", "--tol", tol, "--out", str(out)]) == 1
+    assert f"config error: --tol must be a finite number >= 0, got {float(tol)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- check --------------------------------------------------------------------
 
 
@@ -331,6 +340,68 @@ def test_solve_gyre_trace_pins(tmp_path, capsys):
     assert det["chi1_star"][0] == pytest.approx(GYRE_ROOTS[2], rel=1e-13)
     assert det["probes"] >= 2
     assert det["domain_escapes"] > 0
+
+
+def test_solve_runs_one_scan_for_every_depth(tmp_path, monkeypatch):
+    from fracbvp import cli, determine
+
+    rows = []
+    run = cli.run_iteration
+
+    def counted(prob, chi1, *args, **kwargs):
+        rows.append(len(np.atleast_2d(chi1)))
+        return run(prob, chi1, *args, **kwargs)
+
+    monkeypatch.setattr(determine, "run_iteration", counted)
+    monkeypatch.setattr(cli, "run_iteration", counted)
+    assert main(["solve", "--builtin", "acc-gyre", "--m", "2", "--out", str(tmp_path)]) == 0
+    # one 16-row scan for depths 0..2, two Brent points per depth, the final
+    # run at chi1*; three scans, four Brent points and a fresh residual
+    # probe per depth made 64 rows
+    assert rows == [16] + [1] * 6 + [1]
+
+
+# The depth-0 root exists, but every u_1 leaves D = [-1, 1].
+STRICT_ESCAPE_CFG = textwrap.dedent(
+    """
+    [problem]
+    p = 1.5
+    T = 1
+    alpha1 = 0
+    alpha2 = 0.1
+    N = 101
+
+    [domain]
+    lo = -1
+    hi = 1
+
+    [rhs]
+    expr = 40*(t - 0.5)
+
+    [omega_box]
+    lo = 3.0
+    hi = 3.2
+
+    [bounds]
+    M = 20
+    K = 0
+    """
+)
+
+
+def test_strict_domain_escape_in_the_shared_scan_is_a_numerical_failure(tmp_path, capsys):
+    cfg = tmp_path / "strict.ini"
+    cfg.write_text(STRICT_ESCAPE_CFG, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out), "--m", "2", "--force"]) == 3
+    captured = capsys.readouterr()
+    assert "numerical failure: iterate leaves D by" in captured.err
+    # the depth-2 scan leaves D before any depth is solved, so no depth line
+    # (the depth-0 root alone would be found: see --m 0) and no chi_trace.csv
+    assert "m=0:" not in captured.out
+    assert not (out / "chi_trace.csv").exists()
+    assert main(["solve", "--config", str(cfg), "--out", str(out), "--m", "0", "--force"]) == 0
+    assert "m=0: chi1 = [3.1090111122546999]" in capsys.readouterr().out
 
 
 def test_solve_zero_rhs_exact(tmp_path):
@@ -590,6 +661,25 @@ def test_verify_computes_the_caputo_derivative_and_f_once(tmp_path, monkeypatch)
     monkeypatch.setattr(verify, "caputo_derivative", counted)
     assert main(["verify", "--builtin", "acc-gyre", "--out", str(tmp_path)]) == 0
     assert calls == [1.5]
+
+
+def test_verify_evaluates_f_along_each_iterate_once(tmp_path, monkeypatch):
+    from fracbvp import exprlang
+
+    assert main(["solve", "--builtin", "acc-gyre", "--out", str(tmp_path)]) == 0
+    on_grid = []
+    evaluate = exprlang.evaluate
+
+    def counted(exprs, t, u):
+        if np.shape(t) == (401,):
+            on_grid.append(np.shape(u))
+        return evaluate(exprs, t, u)
+
+    monkeypatch.setattr(exprlang, "evaluate", counted)
+    assert main(["verify", "--builtin", "acc-gyre", "--out", str(tmp_path)]) == 0
+    # along u_0 and u_1 in the iteration, then along u_2 once for the
+    # residual's f and Delta_2
+    assert on_grid == [(1, 401)] * 3
 
 
 @pytest.mark.parametrize(

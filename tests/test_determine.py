@@ -22,6 +22,7 @@ from fracbvp.determine import (
     delta_m,
     exclusion_sweep,
     existence_check_scalar,
+    solve_depths,
     solve_determining,
 )
 from fracbvp.fracops import ProductTrapezoid
@@ -215,6 +216,22 @@ def test_stacked_probes_are_bit_identical_to_one_row_probes(gyre, name):
         assert escaped == rows + 1
 
 
+@pytest.mark.parametrize("name", ["scalar-direct", "gyre-1024", "gyre-6401", "coupled", "zero-rhs"])
+def test_every_depth_rows_are_the_probes_of_each_depth(gyre, zero_rhs, name):
+    # rows + 1 points cross a batch boundary; zero-rhs stops early at a fixed point
+    if name == "zero-rhs":
+        prob, points = zero_rhs, np.linspace(0.0, 2.0, 7)[:, np.newaxis]
+    else:
+        prob, _, points = _stack_case(name, gyre)
+    m = 3
+    every = delta_at(prob, points, m, every_depth=True)
+    one = delta_at(prob, points[0], m, every_depth=True)
+    assert every.shape == (m + 1, len(points), prob.n) and one.shape == (m + 1, prob.n)
+    for k in range(m + 1):
+        assert every[k].tobytes() == delta_at(prob, points, k).tobytes()
+        assert one[k].tobytes() == delta_at(prob, points[0], k).tobytes()
+
+
 # --- scalar root search -----------------------------------------------------
 
 
@@ -385,6 +402,70 @@ def test_brent_nonconvergence_carries_the_solver_trace(gyre, monkeypatch):
         solve_determining(gyre, 0)
     # 16 scan probes, both bracket ends again, one Brent step
     assert len(exc_info.value.trace) == 19
+
+
+def test_brent_given_the_end_values_skips_their_evaluation():
+    for fn, xa, xb in [(lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0), (math.sin, 3.5, 2.0)]:
+        want_points, got_points = [], []
+        want = brentq(_recorded(fn, want_points), xa, xb, xtol=1e-12)
+        got = _brent(_recorded(fn, got_points), xa, xb, 1e-12, fn(xa), fn(xb))
+        assert got == want
+        assert want_points[:2] == [xa, xb] and got_points == want_points[2:]
+
+
+def test_the_root_search_probes_each_value_once(gyre, monkeypatch):
+    rows = []
+
+    def counted(prob, chi, m, *args, **kwargs):
+        rows.append(len(np.atleast_2d(chi)))
+        return delta_at(prob, chi, m, *args, **kwargs)
+
+    monkeypatch.setattr(determine, "delta_at", counted)
+    res = solve_determining(gyre, 2)
+    # the 16-point scan, then Brent's two new points: the bracket ends and
+    # the residual at the root are values the solver already has
+    assert rows == [16, 1, 1]
+    assert len(res.solver_trace) == 20
+    assert res.residual.tobytes() == np.abs(delta_at(gyre, res.chi1_star, 2)).tobytes()
+    rows.clear()
+    # every depth: one scan of 16 rows in all, two Brent points per depth
+    assert len(list(solve_depths(gyre, 2))) == 3
+    assert rows == [16] + [1] * 6
+
+
+def _depth_case(name, gyre, zero_rhs):
+    if name == "gyre-401":
+        return gyre, 3
+    if name == "gyre-1024":
+        return dataclasses.replace(gyre, N=1024), 3
+    if name == "zero-rhs":
+        return zero_rhs, 3
+    return _two_component(), 2
+
+
+@pytest.mark.parametrize("name", ["gyre-401", "gyre-1024", "zero-rhs", "two-component"])
+def test_solve_depths_equal_the_standalone_solves(gyre, zero_rhs, name):
+    prob, m = _depth_case(name, gyre, zero_rhs)
+    shared = list(solve_depths(prob, m))
+    assert len(shared) == m + 1
+    for k, res in enumerate(shared):
+        alone = solve_determining(prob, k)
+        assert res.iterations_used == alone.iterations_used == k
+        assert res.chi1_star.tobytes() == alone.chi1_star.tobytes()
+        assert res.residual.tobytes() == alone.residual.tobytes()
+        assert res.residual.tobytes() == np.abs(delta_at(prob, res.chi1_star, k)).tobytes()
+        assert len(res.solver_trace) == len(alone.solver_trace)
+        for (chi, val), (chi_alone, val_alone) in zip(res.solver_trace, alone.solver_trace):
+            assert chi.tobytes() == chi_alone.tobytes() and val.tobytes() == val_alone.tobytes()
+
+
+def test_solve_depths_stops_at_the_first_failing_depth(zero_rhs):
+    # Omega entirely right of the root chi* = 1, at every depth
+    prob = dataclasses.replace(zero_rhs, omega=Box(np.array([2.0]), np.array([3.0])))
+    depths = solve_depths(prob, 2)
+    with pytest.raises(NoRootBracketError):
+        next(depths)
+    assert list(depths) == []
 
 
 # --- Newton path (n = 2) -----------------------------------------------------

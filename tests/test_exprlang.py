@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fracbvp.exprlang import (
     BinOp,
+    Bound,
     Call,
     Comp,
     ConstRef,
@@ -17,6 +18,7 @@ from fracbvp.exprlang import (
     Neg,
     Num,
     TimeVar,
+    bind,
     evaluate,
     parse,
     pretty,
@@ -260,3 +262,62 @@ def test_pretty_preserves_value(tree, t, u1):
             return  # non-finite for these inputs either way
     v2 = evaluate(parse(text, 1, {"w": 3.0}), t, [u1])
     assert v1[0] == pytest.approx(v2[0], rel=1e-12, abs=1e-12)
+
+
+# --- f with its t-only subtrees bound -----------------------------------------
+
+_T = np.linspace(0.0, 1.0, 401)
+_U = np.random.default_rng(7).uniform(0.5, 2.5, size=(3, 401))
+
+
+def _outcome(exprs, t, u):
+    """The array evaluate returns, or the (message, t, u) of its ExprEvalError."""
+    try:
+        return evaluate(exprs, t, u)
+    except ExprEvalError as exc:
+        return str(exc), exc.t, exc.u
+
+
+def _same_outcome(a, b):
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return a[:2] == b[:2] and np.array_equal(a[2], b[2])
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["2*3 - 1", "-2", "exp(t)/(1+t^2) - sin(3*t)", "u1*u1 - 2*u1", "-u1^0.5", GYRE_SOURCE,
+     "log(t)*u1", "log(t)", "u1/(t - 0.5)", "t; u1 + cos(t)*2"],
+)
+def test_bound_evaluation_is_bit_identical(source):
+    n = source.count(";") + 1
+    exprs = parse(source, n, {"omega": 4649.56})
+    bound = bind(exprs, _T)
+    for u in (_U[:n], _U[:, np.newaxis].repeat(n, axis=1).transpose(1, 0, 2), _U[0, :n, np.newaxis]):
+        # one iterate (n, N), a stack of three iterates, and one column per component
+        want = _outcome(exprs, _T, u)
+        assert _same_outcome(_outcome(bound, _T, u), want)
+    if source.startswith("log(t)"):
+        # non-finite at t = 0: the same error, with the same t and u
+        assert isinstance(want, tuple) and want[1] == 0.0
+
+
+def test_bind_keeps_only_the_subtrees_that_read_u():
+    (gyre,) = bind(parse(GYRE_SOURCE, 1, {"omega": 4649.56}), _T)
+    # f = a(t) * u1 - b(t): two arrays, bound read-only on the nodes
+    assert isinstance(gyre, BinOp) and gyre.op == "-"
+    assert isinstance(gyre.left, BinOp) and gyre.left.right == Comp(0)
+    for node in (gyre.left.left, gyre.right):
+        assert isinstance(node, Bound) and node.value.shape == _T.shape
+        assert not node.value.flags.writeable
+    # leaves stay as they are; a constant subtree binds to its scalar
+    assert bind(parse("t; u1; 2", 3, {}), _T) == (TimeVar(), Comp(0), Num(2.0))
+    (const,) = bind(parse("2*w", 1, {"w": 3.5}), _T)
+    assert isinstance(const, Bound) and const.value == 7.0
+
+
+@given(_tree(3), st.floats(-1.0, 2.0), st.floats(-2.0, 2.0))
+def test_bound_random_trees_are_bit_identical(tree, shift, u1):
+    t = _T + shift
+    u = [u1 + _T]
+    assert _same_outcome(_outcome(bind((tree,), t), t, u), _outcome((tree,), t, u))

@@ -16,8 +16,10 @@ from fracbvp.iterate import (
     DomainEscape,
     DomainEscapeError,
     _check_domain,
+    _cached,
     _escape_stats,
     _operator,
+    _rhs,
     iterate_step,
     run_iteration,
     u0,
@@ -107,6 +109,20 @@ def test_operator_arrays_are_read_only(gyre):
         op.nodes[1] = 0.5
     with pytest.raises(ValueError):
         op.ratio[1] = 0.5
+
+
+def test_f_is_bound_once_per_grid_next_to_the_operator(gyre):
+    op, f = _cached(gyre, gyre.grid)
+    assert op is _operator(gyre, gyre.grid)
+    assert _cached(gyre, gyre.grid)[1] is f
+    bound = [node.value for node in (f[0].left.left, f[0].right)]
+    assert all(isinstance(v, np.ndarray) and not v.flags.writeable for v in bound)
+    # f along one iterate and along a stack: the bits of the unbound f
+    stack = np.stack([u0(gyre, chi).values for chi in (-330.0, -325.0, -320.0)])
+    for values in (stack[0], stack):
+        want = np.moveaxis(gyre.rhs(op.nodes, np.moveaxis(values, -2, 0)), 0, -2)
+        got = _rhs(gyre, op, values)
+        assert got.shape == values.shape and got.tobytes() == want.tobytes()
 
 
 def test_operator_dies_with_its_problem(gyre):

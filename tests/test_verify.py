@@ -6,6 +6,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from fracbvp.determine import delta_m
 from fracbvp.iterate import run_iteration
 from fracbvp.problem import Box, Problem, builtin_problem, problem_from_config
 from fracbvp.verify import emit_figure_data, residuals
@@ -65,6 +66,15 @@ def test_residual_delta_vanishes_at_root(gyre):
     rep = residuals(gyre, _gyre_run(gyre, 2))
     assert abs(rep.delta[0]) <= 1e-9
     assert rep.includes_delta_offset is True
+
+
+@pytest.mark.parametrize("m, chi", [(0, -325.0), (2, CHI_ROOT)])
+def test_residual_delta_and_f_are_the_bits_of_delta_m_and_the_unbound_f(gyre, m, chi):
+    # one evaluation of f along u_m gives both the f column and Delta_m
+    sol = _gyre_run(gyre, m, chi)
+    rep = residuals(gyre, sol)
+    assert rep.delta.tobytes() == delta_m(gyre, sol).tobytes()
+    assert rep.rhs.tobytes() == gyre.rhs(sol.final.grid.nodes, sol.final.values).tobytes()
 
 
 def test_boundary_residuals_are_exact(gyre):
