@@ -96,9 +96,10 @@ def _check_domain(
     N = u.grid.N
     v = u.values.reshape(-1, u.n_components * N)
     excess = np.maximum(np.repeat(prob.domain.lo, N) - v, v - np.repeat(prob.domain.hi, N))
-    worst = np.max(excess, axis=1)
+    cols = np.argmax(excess, axis=1)
+    worst = excess[np.arange(len(v)), cols]
     rows = np.flatnonzero(worst > _DOMAIN_SLACK)
-    cols = np.argmax(excess[rows], axis=1)
+    cols = cols[rows]
     found = zip(rows.tolist(), cols.tolist(), nodes[cols % N].tolist(), v[rows, cols].tolist(),
                 worst[rows].tolist())
     for b, k, t, value, worst_b in found:
@@ -119,13 +120,12 @@ def _check_domain(
 def _interpolant(prob: Problem, op: ProductTrapezoid, chi: np.ndarray, ip=None) -> GridFunction:
     """u_0 at chi, plus the corrected integral term ip - (t/T)^p ip(T) when given."""
     coeff = prob.alpha2 - prob.alpha1 - chi * prob.T
-    vals = (
-        prob.alpha1[:, np.newaxis]
-        + chi[..., np.newaxis] * op.nodes
-        + coeff[..., np.newaxis] * op.ratio
-    )
+    vals = chi[..., np.newaxis] * op.nodes
+    vals += prob.alpha1[:, np.newaxis]
+    vals += coeff[..., np.newaxis] * op.ratio
     if ip is not None:
-        vals = vals + ip - ip[..., -1:] * op.ratio
+        vals += ip
+        vals -= ip[..., -1:] * op.ratio
     vals[..., 0] = prob.alpha1
     vals[..., -1] = prob.alpha2
     return GridFunction(op.grid, vals)

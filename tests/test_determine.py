@@ -539,6 +539,29 @@ def test_exclusion_sweep_over_many_chunks(gyre):
     assert len(res.survivors) == 1099
 
 
+def test_sweep_rows_on_the_chunk_edges_are_one_row_probes(gyre):
+    # 163-row chunks convolve as a ramp of dots, the 44-row tail (rows
+    # 1956-1999) and a one-row probe by np.convolve
+    res = exclusion_sweep(gyre, 2, 2000)
+    centers = 0.5 * (res.subsets[:, 0] + res.subsets[:, 1])
+    for b in (0, 162, 163, 1955, 1956, 1999):
+        assert res.delta[b].tobytes() == delta_at(gyre, centers[b], 2).tobytes()
+
+
+def test_sweep_convolves_only_its_tail_row_by_row(gyre, monkeypatch):
+    calls = []
+    convolve = np.convolve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return convolve(*args, **kwargs)
+
+    monkeypatch.setattr(np, "convolve", counted)
+    exclusion_sweep(gyre, 2, 2000)
+    # two steps of the 44-row tail; one call per row and step made 4000
+    assert len(calls) == 2 * 44
+
+
 def test_exclusion_single_box_keeps_everything(gyre):
     res = exclusion_sweep(gyre, 2, 1)
     assert res.n_subdiv == 1

@@ -219,6 +219,18 @@ def test_running_below_crossover_is_the_direct_formula(N, p):
     assert np.array_equal(quad.running(rows[1]), ref[1])
 
 
+@pytest.mark.parametrize("N", [51, 401, _FFT_MIN_N - 1])
+@pytest.mark.parametrize("p", [0.5, 1.5])
+@pytest.mark.parametrize("B", [1, 63, 64, 65, 163])
+def test_ramp_of_dots_is_the_direct_formula_bit_for_bit(N, p, B):
+    # from 64 rows on (_RAMP_MIN_ROWS) the stack convolves as one ramp of
+    # np.vecdot dots, whatever the memory layout of the rows
+    quad = ProductTrapezoid(Grid(N, 1.3), p)
+    big = np.random.default_rng(B).normal(size=(2 * B, N))
+    for rows in (big[:B], np.asfortranarray(big[:B]), big[::2]):
+        assert quad.running(rows).tobytes() == _direct_running(quad, rows).tobytes()
+
+
 @pytest.mark.parametrize("N", [_FFT_MIN_N, 6401])
 @pytest.mark.parametrize("p", [0.5, 1.3, 1.5, 2.0])
 def test_running_by_fft_matches_direct_convolution(N, p):
@@ -256,9 +268,10 @@ def test_fft_path_is_the_scipy_fft_formula_bit_for_bit(N, B):
 
 @pytest.mark.parametrize("N", [51, 401, 6401])
 def test_endpoint_is_the_last_running_entry(N):
+    # 163 rows run the direct path's vecdot ramp, 2 rows its np.convolve
     quad = ProductTrapezoid(Grid(N, 1.0), 1.5)
-    rows = np.random.default_rng(7).normal(size=(2, N))
-    for values in (rows[:1], rows, rows[0]):
+    rows = np.random.default_rng(7).normal(size=(163, N))
+    for values in (rows[:1], rows[:2], rows, rows[0]):
         want = quad.running(values)[..., -1]
         got = quad.endpoint(values)
         assert np.shape(got) == np.shape(want)
