@@ -160,7 +160,7 @@ def _escape_summary(approx) -> dict:
     """Domain-escape fields of the iteration run a JSON file describes."""
     return {
         "domain_escapes": len(approx.escapes),
-        "worst_excess": _escape_stats(approx.escapes)[1],
+        "worst_excess": _escape_stats([approx.escapes])[1],
         "conditional_on_domain": bool(approx.escapes),
     }
 

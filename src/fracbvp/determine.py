@@ -123,8 +123,9 @@ def delta_at(
     ``_BATCH_VALUES`` values, each row bit-identical to a one-row probe.
     With ``every_depth`` the result gains a first axis of length m + 1:
     Delta_k for k = 0..m, each read off the same depth-m run and equal to
-    ``delta_at(prob, chi1, k)`` bit for bit.  Domain escapes go to
-    ``escapes`` when given, ``probe`` = stack row.
+    ``delta_at(prob, chi1, k)`` bit for bit.  When ``escapes`` is given,
+    each batch appends the ``DomainEscape`` record of its run, with
+    ``probe`` the row in the whole stack.
     """
     stack = np.atleast_2d(np.asarray(chi1, dtype=float))
     if stack.ndim != 2 or stack.shape[1] != prob.n:
@@ -135,10 +136,8 @@ def delta_at(
     for start in range(0, len(stack), rows):
         approx = run_iteration(prob, stack[start : start + rows], m_max=m, tol=0.0)
         if escapes is not None:
-            escapes.extend(
-                DomainEscape(e.t, e.component, e.value, e.excess, e.probe + start)
-                for e in approx.escapes
-            )
+            approx.escapes.probe[...] += start
+            escapes.append(approx.escapes)
         deltas.append(np.stack([delta_m(prob, approx, k) for k in depths]))
     out = np.concatenate(deltas, axis=1)
     if np.ndim(chi1) != 2:

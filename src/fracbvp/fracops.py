@@ -224,18 +224,19 @@ class ProductTrapezoid:
             # output k of np.convolve(row, w) is one ddot of row[:k+1] and
             # wrev[N-1-k:], the call vecdot makes per row; contiguous rows keep its kernel
             rows = np.ascontiguousarray(rows)
-            ramp = np.empty((N, len(rows)))
+            out = np.empty((len(rows), N))
             for k in range(N):
-                np.vecdot(rows[:, : k + 1], self._wrev[N - 1 - k :], out=ramp[k])
-            out = ramp.T
-        elif self._spectrum is None:
-            out = np.empty_like(rows)
-            for i, row in enumerate(rows):
-                out[i] = np.convolve(row, self._w)[:N]
+                np.vecdot(rows[:, : k + 1], self._wrev[N - 1 - k :], out=out[:, k])
+            out -= self._corr * rows[:, :1]
         else:
-            spec = np.fft.rfft(rows, self._fft_len, axis=-1) * self._spectrum
-            out = np.fft.irfft(spec, self._fft_len, axis=-1)[:, :N]
-        out = out - self._corr * rows[:, :1]  # C-ordered, also from ramp.T
+            if self._spectrum is None:
+                out = np.empty_like(rows)
+                for i, row in enumerate(rows):
+                    out[i] = np.convolve(row, self._w)[:N]
+            else:
+                spec = np.fft.rfft(rows, self._fft_len, axis=-1) * self._spectrum
+                out = np.fft.irfft(spec, self._fft_len, axis=-1)[:, :N]
+            out = out - self._corr * rows[:, :1]
         out[:, 0] = 0.0
         return out[0] if single else out
 

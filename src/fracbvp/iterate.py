@@ -16,13 +16,16 @@ sup-differences between consecutive iterates contract at the rate of
 the condition matrix Q, which run_iteration records next to the
 corresponding a-priori bounds.  A (B, n) stack of slopes runs B
 sequences at once, values (B, n, N), each row bit-identical to its own run.
+A run builds u_0 once and checks every iterate against D; its domain
+escapes are one ``DomainEscape`` record of arrays, filled without a
+Python object per escaped row.
 """
 
 from __future__ import annotations
 
 import logging
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -73,26 +76,40 @@ class DomainEscapeError(RuntimeError):
     """An iterate left the domain box D beyond the numerical slack."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DomainEscape:
-    """Record of a domain excursion under the 'warn' policy."""
+    """Domain excursions under the 'warn' policy: one array entry per check and
+    row that left D, at its worst node, in check order; ``len()`` counts them."""
 
-    t: float
-    component: int  # 1-based, matching u1..un naming
-    value: float
-    excess: float
-    probe: int = 0  # row of the chi1 stack that left D (0 for one chi1)
+    probe: np.ndarray  # row of the chi1 stack that left D (0 for one chi1)
+    t: np.ndarray
+    component: np.ndarray  # 1-based, matching u1..un naming
+    value: np.ndarray
+    excess: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.probe)
 
 
-def _escape_stats(escapes: list[DomainEscape]) -> tuple[int, float]:
+def _concat_escapes(records: list[DomainEscape]) -> DomainEscape:
+    """One record of the entries of ``records``, in order."""
+    return DomainEscape(*(np.concatenate([getattr(r, f.name) for r in records])
+                          for f in fields(DomainEscape)))
+
+
+def _escape_stats(records: list[DomainEscape]) -> tuple[int, float]:
     """(number of distinct probes that left D, worst excess) of escape records."""
-    return len({e.probe for e in escapes}), max((e.excess for e in escapes), default=0.0)
+    if not any(records):
+        return 0, 0.0
+    probes = np.concatenate([r.probe for r in records])
+    return np.unique(probes).size, float(max(r.excess.max(initial=0.0) for r in records))
 
 
 def _check_domain(
     prob: Problem, u: GridFunction, nodes: np.ndarray, escapes: list[DomainEscape] | None
 ) -> None:
-    """Records each batch row whose iterate leaves D, at its worst node."""
+    """Records each batch row whose iterate leaves D, at its worst node, as
+    one record appended to ``escapes``; the 'strict' policy raises at the first."""
     N = u.grid.N
     v = u.values.reshape(-1, u.n_components * N)
     excess = np.maximum(np.repeat(prob.domain.lo, N) - v, v - np.repeat(prob.domain.hi, N))
@@ -100,35 +117,31 @@ def _check_domain(
     worst = excess[np.arange(len(v)), cols]
     rows = np.flatnonzero(worst > _DOMAIN_SLACK)
     cols = cols[rows]
-    found = zip(rows.tolist(), cols.tolist(), nodes[cols % N].tolist(), v[rows, cols].tolist(),
-                worst[rows].tolist())
-    for b, k, t, value, worst_b in found:
-        record = DomainEscape(t, k // N + 1, value, worst_b, b)
-        if prob.domain_policy == "strict":
-            raise DomainEscapeError(
-                f"iterate leaves D by {record.excess:.6g} at t={record.t:.6g} "
-                f"(component {record.component}); the convergence theory assumes iterates stay in D"
-            )
-        # collected runs return their escapes as data, standalone calls warn
-        if escapes is not None:
-            escapes.append(record)
-        else:
-            _log.warning("iterate leaves D by %.3g at t=%.6g (component %d); continuing "
-                         "(domain_policy=warn)", record.excess, record.t, record.component)
+    found = DomainEscape(rows, nodes[cols % N], cols // N + 1, v[rows, cols], worst[rows])
+    if prob.domain_policy == "strict" and len(found):
+        raise DomainEscapeError(
+            f"iterate leaves D by {found.excess[0]:.6g} at t={found.t[0]:.6g} "
+            f"(component {found.component[0]}); the convergence theory assumes iterates stay in D"
+        )
+    # collected runs return their escapes as data, standalone calls warn
+    if escapes is not None:
+        escapes.append(found)
+        return
+    for excess_b, t, component in zip(found.excess.tolist(), found.t.tolist(),
+                                      found.component.tolist()):
+        _log.warning("iterate leaves D by %.3g at t=%.6g (component %d); continuing "
+                     "(domain_policy=warn)", excess_b, t, component)
 
 
-def _interpolant(prob: Problem, op: ProductTrapezoid, chi: np.ndarray, ip=None) -> GridFunction:
-    """u_0 at chi, plus the corrected integral term ip - (t/T)^p ip(T) when given."""
+def _interpolant(prob: Problem, op: ProductTrapezoid, chi: np.ndarray) -> np.ndarray:
+    """Values of u_0 at chi on the operator's grid."""
     coeff = prob.alpha2 - prob.alpha1 - chi * prob.T
     vals = chi[..., np.newaxis] * op.nodes
     vals += prob.alpha1[:, np.newaxis]
     vals += coeff[..., np.newaxis] * op.ratio
-    if ip is not None:
-        vals += ip
-        vals -= ip[..., -1:] * op.ratio
     vals[..., 0] = prob.alpha1
     vals[..., -1] = prob.alpha2
-    return GridFunction(op.grid, vals)
+    return vals
 
 
 def _rhs(prob: Problem, op: ProductTrapezoid, values: np.ndarray) -> np.ndarray:
@@ -140,8 +153,8 @@ def _rhs(prob: Problem, op: ProductTrapezoid, values: np.ndarray) -> np.ndarray:
 
 def u0(prob: Problem, chi1) -> GridFunction:
     """Zeroth approximation: the (t/T)^p-corrected boundary interpolant."""
-    chi = np.atleast_1d(np.asarray(chi1, dtype=float))
-    return _interpolant(prob, _operator(prob, prob.grid), chi)
+    op = _operator(prob, prob.grid)
+    return GridFunction(op.grid, _interpolant(prob, op, np.atleast_1d(np.asarray(chi1, dtype=float))))
 
 
 def iterate_step(
@@ -149,19 +162,29 @@ def iterate_step(
     prev: GridFunction,
     chi1,
     escapes: list[DomainEscape] | None = None,
+    *,
+    u0_values: np.ndarray | None = None,
 ) -> GridFunction:
     """One application of the integral operator to the previous iterate.
 
     Checks that ``prev`` stays inside D first (hard error beyond 1e-9
-    under the 'strict' policy; logged and recorded under 'warn'), then
-    evaluates f along prev and assembles the corrected integral term.
+    under the 'strict' policy; logged, or appended to ``escapes`` when
+    given, under 'warn'), then evaluates f along prev and adds the
+    corrected integral term to u_0.  ``u0_values``, when given, are the
+    values of ``u0(prob, chi1)`` on prev's grid, which are then not rebuilt.
     """
     op = _operator(prob, prev.grid)
     _check_domain(prob, prev, op.nodes, escapes)
-    chi = np.atleast_1d(np.asarray(chi1, dtype=float))
+    if u0_values is None:
+        u0_values = _interpolant(prob, op, np.atleast_1d(np.asarray(chi1, dtype=float)))
     fvals = _rhs(prob, op, prev.values)
-    ip = op.running(fvals.reshape(-1, op.grid.N)).reshape(fvals.shape) / op.gamma_p
-    return _interpolant(prob, op, chi, ip)
+    ip = op.running(fvals.reshape(-1, op.grid.N)).reshape(fvals.shape)
+    ip /= op.gamma_p
+    vals = u0_values + ip
+    vals -= ip[..., -1:] * op.ratio
+    vals[..., 0] = prob.alpha1
+    vals[..., -1] = prob.alpha2
+    return GridFunction(op.grid, vals)
 
 
 @dataclass
@@ -174,7 +197,7 @@ class ApproxSolution:
     bounds_used: list[np.ndarray]
     converged: bool
     m: int
-    escapes: list[DomainEscape] = field(default_factory=list)
+    escapes: DomainEscape
 
     @property
     def final(self) -> GridFunction:
@@ -195,7 +218,9 @@ def run_iteration(
     early on a bitwise fixed point, which changes nothing downstream).
     Non-convergence at m_max is reported via ``converged=False``, not an
     exception.  Every iterate, u_m included, is checked against D;
-    excursions under the 'warn' policy are returned in ``escapes``.  A
+    excursions under the 'warn' policy are returned in ``escapes``, one
+    ``DomainEscape`` record for the whole run.  u_0 is built once and every
+    step adds its integral term to the same values.  A
     (B, n) stack of slopes stops early only when every row meets ``tol``.
     """
     if m_max < 0:
@@ -211,14 +236,14 @@ def run_iteration(
         Q = np.atleast_2d(prob.K) * kc
         beta = prob.M * kc
 
-    escapes: list[DomainEscape] = []
+    checks: list[DomainEscape] = []
     current = u0(prob, chi)
     iterates = [current]
     sup_diffs: list[np.ndarray] = []
     bounds_used: list[np.ndarray] = []
     converged = False
     for k in range(1, m_max + 1):
-        nxt = iterate_step(prob, current, chi, escapes=escapes)
+        nxt = iterate_step(prob, current, chi, escapes=checks, u0_values=iterates[0].values)
         diff = np.max(np.abs(nxt.values - current.values), axis=-1)
         sup_diffs.append(diff)
         if have_bounds:
@@ -228,7 +253,7 @@ def run_iteration(
         if np.all(diff <= tol_vec):
             converged = True
             break
-    _check_domain(prob, current, _operator(prob, current.grid).nodes, escapes)
+    _check_domain(prob, current, _operator(prob, current.grid).nodes, checks)
     point = ParameterPoint(chi, prob.omega.contains(chi))
     return ApproxSolution(
         chi1=point,
@@ -237,5 +262,5 @@ def run_iteration(
         bounds_used=bounds_used,
         converged=converged,
         m=len(iterates) - 1,
-        escapes=escapes,
+        escapes=_concat_escapes(checks),
     )

@@ -77,3 +77,34 @@ def zero_rhs_problem(rng, N=51):
         N=N,
     )
     return prob, chi_star
+
+
+def coupled_problem(N=201):
+    """n = 2, nonlinear and coupled; D is tight enough that some probes leave it."""
+    source = "sin(u2) + t; 0.5*cos(u1)*u2 - u1"
+    return Problem(
+        p=1.5,
+        T=1.0,
+        alpha1=np.array([0.0, 0.5]),
+        alpha2=np.array([1.0, -0.5]),
+        domain=Box(np.array([-1.2, -1.2]), np.array([1.2, 1.2])),
+        f=exprlang.parse(source, 2, {}),
+        f_source=source,
+        constants={},
+        omega=Box(np.array([-8.0, -8.0]), np.array([8.0, 8.0])),
+        M=np.array([2.0, 2.0]),
+        K=np.array([[0.0, 1.0], [1.0, 0.5]]),
+        N=N,
+        domain_policy="warn",
+    )
+
+
+def escape_rows(records):
+    """The entries of ``DomainEscape`` records as (probe, t, component, value,
+    excess) tuples of Python scalars, in record order."""
+    return [
+        row
+        for r in records
+        for row in zip(r.probe.tolist(), r.t.tolist(), r.component.tolist(),
+                       r.value.tolist(), r.excess.tolist())
+    ]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import fracbvp
+from conftest import escape_rows
 from fracbvp.cli import _BLOCK_VALUES, _write_csv, main
 from fracbvp.conditions import check_conditions, delta_gap_bound
 from fracbvp.determine import _exclusion_coefficient, delta_at, existence_check_scalar
@@ -539,9 +540,9 @@ def _per_box_exclusion(prob, m, n_subdiv, path):
     summary = {
         "m": m, "subdiv": n_subdiv, "boxes": len(boxes), "kept": len(survivors),
         "survivors": survivors, "coefficient": coeff.tolist(), "tail": tail.tolist(),
-        "escaped_probes": len({e.probe for e in escapes}),
-        "worst_excess": max((e.excess for e in escapes), default=0.0),
-        "conditional_on_domain": bool(escapes),
+        "escaped_probes": len({probe for probe, *_ in escape_rows(escapes)}),
+        "worst_excess": max((excess for *_, excess in escape_rows(escapes)), default=0.0),
+        "conditional_on_domain": bool(escape_rows(escapes)),
     }
     if n == 1:
         verdict = existence_check_scalar(prob, m)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from conftest import random_scalar_problem, zero_rhs_problem
+from conftest import coupled_problem, escape_rows, random_scalar_problem, zero_rhs_problem
 from fracbvp.conditions import check_conditions, delta_gap_bound
 from fracbvp import determine
 from fracbvp.determine import (
@@ -47,26 +47,6 @@ def _two_component(omega_lo=(-1.0, -1.0), omega_hi=(3.0, 3.0)):
         M=np.array([0.0, 0.0]),
         K=np.zeros((2, 2)),
         N=51,
-    )
-
-
-def _coupled(N=201):
-    # n = 2, nonlinear and coupled; D is tight enough that some probes leave it
-    source = "sin(u2) + t; 0.5*cos(u1)*u2 - u1"
-    return Problem(
-        p=1.5,
-        T=1.0,
-        alpha1=np.array([0.0, 0.5]),
-        alpha2=np.array([1.0, -0.5]),
-        domain=Box(np.array([-1.2, -1.2]), np.array([1.2, 1.2])),
-        f=exprlang.parse(source, 2, {}),
-        f_source=source,
-        constants={},
-        omega=Box(np.array([-8.0, -8.0]), np.array([8.0, 8.0])),
-        M=np.array([2.0, 2.0]),
-        K=np.array([[0.0, 1.0], [1.0, 0.5]]),
-        N=N,
-        domain_policy="warn",
     )
 
 
@@ -146,7 +126,8 @@ def test_delta_at_collects_the_probe_escapes(gyre):
     escapes = []
     value = delta_at(gyre, -325.0, 2, escapes)
     approx = run_iteration(gyre, -325.0, m_max=2, tol=0.0)
-    assert escapes == approx.escapes and len(escapes) == 3
+    assert len(escapes) == 1  # one record for the one batch
+    assert escape_rows(escapes) == escape_rows([approx.escapes]) and len(approx.escapes) == 3
     assert value[0] == delta_at(gyre, -325.0, 2)[0]
 
 
@@ -175,7 +156,7 @@ def test_delta_at_of_an_empty_stack_is_empty(gyre):
     escapes = []
     out = delta_at(gyre, np.empty((0, 1)), 2, escapes)
     assert out.shape == (0, 1) and out.dtype == float and escapes == []
-    assert delta_at(_coupled(), np.empty((0, 2)), 1).shape == (0, 2)
+    assert delta_at(coupled_problem(), np.empty((0, 2)), 1).shape == (0, 2)
 
 
 def _stack_case(name, gyre):
@@ -183,15 +164,15 @@ def _stack_case(name, gyre):
     if name == "scalar-direct":
         prob = random_scalar_problem(np.random.default_rng(3))
     elif name == "coupled":
-        prob = _coupled()
-    else:  # the gyre at a grid on the FFT path
+        prob = coupled_problem()
+    else:  # the gyre at N = 401 (163-row chunks on the ramp) or on the FFT path
         prob = dataclasses.replace(gyre, N=int(name.split("-")[1]))
     rows = max(1, _BATCH_VALUES // (prob.n * prob.N))
     rng = np.random.default_rng(5)
     return prob, rows, rng.uniform(prob.omega.lo, prob.omega.hi, size=(rows + 1, prob.n))
 
 
-@pytest.mark.parametrize("name", ["scalar-direct", "gyre-1024", "gyre-6401", "coupled"])
+@pytest.mark.parametrize("name", ["scalar-direct", "gyre-401", "gyre-1024", "gyre-6401", "coupled"])
 def test_stacked_probes_are_bit_identical_to_one_row_probes(gyre, name):
     prob, rows, points = _stack_case(name, gyre)
     single = []
@@ -199,16 +180,18 @@ def test_stacked_probes_are_bit_identical_to_one_row_probes(gyre, name):
         escapes = []
         value = delta_at(prob, chi, 2, escapes)
         assert value.shape == (prob.n,)
-        assert all(e.probe == 0 for e in escapes)
-        single.append((value, [dataclasses.replace(e, probe=b) for e in escapes]))
+        found = escape_rows(escapes)
+        assert all(probe == 0 for probe, *_ in found)
+        single.append((value, [(b, *rest) for _, *rest in found]))
     for B in sorted({1, 2, rows - 1, rows, rows + 1}):
         escapes = []
         stacked = delta_at(prob, points[:B], 2, escapes)
         assert stacked.shape == (B, prob.n)
+        found = escape_rows(escapes)
         for b in range(B):
             assert np.array_equal(stacked[b], single[b][0])
-            assert [e for e in escapes if e.probe == b] == single[b][1]
-        assert len(escapes) == sum(len(s[1]) for s in single[:B])
+            assert [e for e in found if e[0] == b] == single[b][1]
+        assert len(found) == sum(len(s[1]) for s in single[:B])
     escaped = sum(bool(s[1]) for s in single)
     if name == "coupled":
         assert 0 < escaped < rows + 1

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_scalar_problem, zero_rhs_problem
-from fracbvp import exprlang
+from conftest import coupled_problem, escape_rows, random_scalar_problem, zero_rhs_problem
+from fracbvp import exprlang, iterate
+from fracbvp.determine import exclusion_sweep
 from fracbvp.fracops import GridFunction, ProductTrapezoid
 from fracbvp.iterate import (
     DomainEscape,
@@ -148,13 +149,14 @@ def test_strict_policy_raises_with_location(zero_rhs):
 def test_warn_policy_records_escapes(gyre):
     sol = run_iteration(gyre, CHI_THIRD, m_max=4, tol=0.0)
     assert len(sol.escapes) == 5  # every iterate dips below lo(D) = 1
-    worst = max(e.excess for e in sol.escapes)
+    rows = escape_rows([sol.escapes])
+    worst = max(excess for *_, excess in rows)
     assert worst == pytest.approx(99.41640324513766, rel=1e-10)
-    for e in sol.escapes:
-        assert e.component == 1
-        assert 0.0 < e.t < gyre.T
-        assert e.value < gyre.domain.lo[0]
-        assert e.excess == pytest.approx(gyre.domain.lo[0] - e.value, rel=1e-12)
+    for probe, t, component, value, excess in rows:
+        assert (probe, component) == (0, 1)
+        assert 0.0 < t < gyre.T
+        assert value < gyre.domain.lo[0]
+        assert excess == pytest.approx(gyre.domain.lo[0] - value, rel=1e-12)
 
 
 def test_run_iteration_returns_escapes_without_warning(gyre, caplog):
@@ -162,6 +164,7 @@ def test_run_iteration_returns_escapes_without_warning(gyre, caplog):
         sol = run_iteration(gyre, CHI_THIRD, m_max=3, tol=0.0)
     assert not any(r.levelno >= logging.WARNING for r in caplog.records)
     assert len(sol.escapes) == 4  # u_0 .. u_3, the final iterate included
+    assert sol.escapes.probe.tolist() == [0] * 4
 
 
 def test_collected_runs_log_nothing_even_at_debug(gyre, caplog):
@@ -169,12 +172,20 @@ def test_collected_runs_log_nothing_even_at_debug(gyre, caplog):
         sol = run_iteration(gyre, [[CHI_THIRD], [CHI_FIRST]], m_max=2, tol=0.0)
     assert caplog.records == []
     assert len(sol.escapes) == 6
+    assert sol.escapes.probe.tolist() == [0, 1] * 3  # both rows at each of 3 checks
+
+
+def _record(*rows):
+    """A DomainEscape of (probe, t, component, value, excess) rows."""
+    columns = zip(*rows) if rows else [()] * 5
+    return DomainEscape(*(np.array(c, dtype) for c, dtype in zip(columns, (int, float, int, float, float))))
 
 
 def test_escape_stats_count_probes_and_take_the_worst_excess():
     assert _escape_stats([]) == (0, 0.0)
-    records = [DomainEscape(0.5, 1, 3.0, 1.0, 0), DomainEscape(0.2, 1, 4.5, 2.5, 0),
-               DomainEscape(0.7, 2, -3.0, 1.5, 4)]
+    assert _escape_stats([_record()]) == (0, 0.0)
+    records = [_record((0, 0.5, 1, 3.0, 1.0), (0, 0.2, 1, 4.5, 2.5)), _record(),
+               _record((4, 0.7, 2, -3.0, 1.5))]
     assert _escape_stats(records) == (2, 2.5)
 
 
@@ -198,20 +209,50 @@ def test_stacked_domain_check_records_each_row_at_its_worst_node():
     values = np.random.default_rng(8).uniform(-2.5, 2.5, (9, 2, N))
     values[[0, 4]] = 0.0  # rows inside D
     values[5, 1, 3] = values[5, 1, 7] = 9.0  # a tie in component 2: the first node wins
-    want = []  # the worst node of each row on its own
+    want = []  # the worst node of each row on its own: (probe, t, component, value, excess)
     for b, row in enumerate(values.reshape(9, -1)):
         excess = np.maximum(np.repeat(lo, N) - row, row - np.repeat(hi, N))
         k = int(np.argmax(excess))
         if excess[k] > 1e-9:
-            want.append(DomainEscape(float(nodes[k % N]), k // N + 1, float(row[k]), float(excess[k]), b))
-    got = []
-    _check_domain(prob, GridFunction(prob.grid, values), nodes, got)
-    assert got == want and len(got) == 7
-    assert (got[3].probe, got[3].component, got[3].t, got[3].excess) == (5, 2, nodes[3], 7.0)
-    first = want[0]
+            want.append((b, float(nodes[k % N]), k // N + 1, float(row[k]), float(excess[k])))
+    records = []
+    _check_domain(prob, GridFunction(prob.grid, values), nodes, records)
+    got = escape_rows(records)
+    assert len(records) == 1 and got == want and len(got) == 7
+    probe, t, component, _, excess = got[3]
+    assert (probe, component, t, excess) == (5, 2, nodes[3], 7.0)
+    _, t, component, _, excess = want[0]
     strict = dataclasses.replace(prob, domain_policy="strict")
-    with pytest.raises(DomainEscapeError, match=f"leaves D by {first.excess:.6g} at t={first.t:.6g} "):
+    with pytest.raises(DomainEscapeError, match=f"leaves D by {excess:.6g} at t={t:.6g} "
+                       f"\\(component {component}\\)"):
         _check_domain(strict, GridFunction(prob.grid, values), nodes, None)
+
+
+def test_escapes_are_true_exactly_when_a_row_left_d(gyre, zero_rhs):
+    assert bool(run_iteration(zero_rhs, 1.0, m_max=2, tol=0.0).escapes) is False
+    assert bool(run_iteration(gyre, CHI_THIRD, m_max=2, tol=0.0).escapes) is True
+
+
+def test_sweep_builds_one_escape_record_per_check_and_chunk(gyre, monkeypatch):
+    records, checks = [], []
+    init, check = DomainEscape.__init__, iterate._check_domain
+
+    def counted_init(self, *args, **kwargs):
+        records.append(1)
+        init(self, *args, **kwargs)
+
+    def counted_check(*args, **kwargs):
+        checks.append(1)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(DomainEscape, "__init__", counted_init)
+    monkeypatch.setattr(iterate, "_check_domain", counted_check)
+    res = exclusion_sweep(gyre, 2, 2000)
+    chunks = -(-2000 // 163)
+    assert res.escaped_probes == 2000
+    assert len(checks) == 3 * chunks  # u_0, u_1 and u_2 of each chunk's run
+    # one record per check, one per run; one per probe row and check made 12,000
+    assert len(records) <= len(checks) + chunks == 52
 
 
 # --- full runs -------------------------------------------------------------
@@ -229,6 +270,29 @@ def test_run_iteration_sup_diff_pins(gyre):
     ]
     got = [float(d[0]) for d in sol.sup_diffs]
     assert got == pytest.approx(want, rel=1e-11)
+
+
+def _chain_case(name, gyre):
+    """A problem and its chi1: the gyre as gyre-<N>-<rows>, or the coupled n = 2 stack."""
+    if name == "coupled":
+        return coupled_problem(), np.array([[-3.0, 2.0], [0.5, -0.5], [6.0, 1.0]])
+    N, B = map(int, name.split("-")[1:])
+    chi = CHI_THIRD if B == 1 else np.linspace(-334.0, -318.0, B)[:, np.newaxis]
+    return dataclasses.replace(gyre, N=N), chi
+
+
+@pytest.mark.parametrize("name", ["gyre-401-1", "gyre-401-163", "gyre-1024-1", "coupled"])
+def test_run_iteration_is_u0_and_a_chain_of_steps(gyre, name):
+    # the run builds u_0 once for every step, a standalone step rebuilds it;
+    # 163 rows at N = 401 convolve as a ramp of dots, N = 1024 through the FFT
+    prob, chi = _chain_case(name, gyre)
+    sol = run_iteration(prob, chi, m_max=3, tol=0.0)
+    chain = [u0(prob, chi)]
+    for _ in range(3):
+        chain.append(iterate_step(prob, chain[-1], chi, escapes=[]))
+    assert sol.m == 3
+    assert [u.values.shape for u in sol.iterates] == [u.values.shape for u in chain]
+    assert [u.values.tobytes() for u in sol.iterates] == [u.values.tobytes() for u in chain]
 
 
 def test_run_iteration_bound_trace_pins(gyre):
