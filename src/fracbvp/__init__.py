@@ -22,7 +22,6 @@ from .conditions import (
     check_conditions,
     combined_error_bound,
     delta_gap_bound,
-    lipschitz_constants,
     radius_bound,
     spectral_radius,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "gamma",
     "iterate_step",
     "kernel_constant",
-    "lipschitz_constants",
     "load_problem",
     "parse",
     "pretty",

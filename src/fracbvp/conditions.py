@@ -38,7 +38,6 @@ __all__ = [
     "check_conditions",
     "combined_error_bound",
     "delta_gap_bound",
-    "lipschitz_constants",
     "radius_bound",
     "spectral_radius",
 ]
@@ -218,33 +217,6 @@ def delta_gap_bound(report: ConditionsReport, M, m: int) -> np.ndarray:
     inv = _resolvent(report)
     Qm = np.linalg.matrix_power(report.Q, m)
     return Qm @ (inv @ M)
-
-
-def lipschitz_constants(
-    report: ConditionsReport, prob: Problem
-) -> tuple[np.ndarray, Callable[[float], np.ndarray]]:
-    """Parameter-sensitivity constants of the limit function.
-
-    Returns the vector R with entries sup_t |t - T (t/T)^p| — attained
-    at t* = T p^(-1/(p-1)), computed in closed form — and an evaluator
-    for the pointwise sensitivity matrix
-
-        S(t) = R * (I + alpha1(t) (I-Q)^(-1)),
-
-    which bounds |u(t, chi^0) - u(t, chi^1)| / |chi^0 - chi^1|.
-    """
-    inv = _resolvent(report)
-    n = report.n
-    R = report.R.copy()
-    r_scalar = float(R[0])
-    eye = np.eye(n)
-    p, T = report.p, report.T
-
-    def sensitivity(t: float) -> np.ndarray:
-        a = alpha1(t, 0.0, T, p)
-        return r_scalar * (eye + a * inv)
-
-    return R, sensitivity
 
 
 def combined_error_bound(

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conditions import ConditionsReport, _resolvent, check_conditions, delta_gap_bound
-from .fracops import ProductTrapezoid, gamma
-from .iterate import ApproxSolution, DomainEscape, _escape_stats, _operator, _rhs, run_iteration
+from .fracops import gamma, operator
+from .iterate import ApproxSolution, DomainEscape, _escape_stats, _rhs, run_iteration
 from .problem import Problem
 
 __all__ = [
@@ -88,10 +88,10 @@ class DeterminingResult:
 _BATCH_VALUES = 2**16
 
 
-def _delta(prob: Problem, op: ProductTrapezoid, chi: np.ndarray, fvals: np.ndarray) -> np.ndarray:
+def _delta(prob: Problem, chi: np.ndarray, fvals: np.ndarray) -> np.ndarray:
     """Delta at slope(s) chi from f along the iterate, (..., n, N) -> (..., n)."""
     # int_0^T (T-s)^(p-1) f ds, no 1/Gamma
-    raw_T = op.endpoint(fvals.reshape(-1, op.grid.N)).reshape(fvals.shape[:-1])
+    raw_T = operator(prob.grid, prob.p).endpoint(fvals.reshape(-1, prob.N)).reshape(fvals.shape[:-1])
     gp1 = gamma(prob.p + 1.0)
     return gp1 / prob.T**prob.p * (prob.alpha2 - prob.alpha1 - chi * prob.T) - (
         prob.p / prob.T**prob.p
@@ -106,8 +106,7 @@ def delta_m(prob: Problem, approx: ApproxSolution, k: int | None = None) -> np.n
     iterate for every deeper k, as a run of depth k would.
     """
     u = approx.final if k is None else approx.iterates[min(k, approx.m)]
-    op = _operator(prob, u.grid)
-    return _delta(prob, op, approx.chi1.chi1, _rhs(prob, op, u.values))
+    return _delta(prob, approx.chi1.chi1, _rhs(prob, u.values))
 
 
 def delta_at(

@@ -17,18 +17,21 @@ basis, so the scheme degenerates to the classical trapezoidal rule at
 p = 1 and loses no accuracy to the singularity itself.
 
 ``ProductTrapezoid`` is the package's one integral operator (weights,
-nodes, (t/T)^p, Gamma(p)).  Its running integral is a convolution with
-fixed weights: direct below ``_FFT_MIN_N`` nodes, from there on an
-O(N log N) ``numpy.fft`` real FFT against the cached weight spectrum
-(Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985), which
-moves results by ~1e-15 relative.  A direct stack of ``_RAMP_MIN_ROWS``
-rows or more runs as one ramp of ``numpy.vecdot`` dots, the BLAS ddot calls
-of ``np.convolve`` bit for bit.  The integral up to T alone is an O(N) dot
+nodes, (t/T)^p, Gamma(p)).  ``operator(grid, p)`` builds it and keeps the
+``_OPERATOR_CACHE`` most recently used, so every problem, iterate and probe
+on one (N, T, p) shares one read-only instance.  Its running integral is
+a convolution with fixed weights: direct below ``_FFT_MIN_N`` nodes, from
+there on an O(N log N) ``numpy.fft`` real FFT against the cached weight
+spectrum (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985),
+which moves results by ~1e-15 relative.  A direct stack of
+``_RAMP_MIN_ROWS`` rows or more runs as one ramp of ``numpy.vecdot`` dots,
+the BLAS ddot calls of ``np.convolve`` bit for bit.  The integral up to T alone is an O(N) dot
 product with the reversed weights.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,6 +47,7 @@ __all__ = [
     "frac_integral",
     "gamma",
     "kernel_constant",
+    "operator",
 ]
 
 
@@ -55,6 +59,9 @@ _FFT_MIN_N = 1024
 # Direct stacks of this many rows or more skip np.convolve's N - 1 unused
 # outputs; the two cost the same near 64 rows (one row: 0.4-1.1 vs 0.05 ms).
 _RAMP_MIN_ROWS = 64
+
+# Operators kept by ``operator``: a pipeline uses two per grid (p and 2 - p).
+_OPERATOR_CACHE = 8
 
 
 def _fast_len(n: int) -> int:
@@ -163,9 +170,10 @@ class ProductTrapezoid:
     here at and above it.  ``endpoint`` takes only the integral up to T,
     as an O(N) dot product per row with the reversed weights.
 
-    Moments are raw (no 1/Gamma(p)); ``gamma_p`` = Gamma(p), the
-    read-only ``nodes`` and ``ratio`` = (t/T)^p complete the
-    boundary-corrected operator I^p g - (t/T)^p I^p g(T).
+    Moments are raw (no 1/Gamma(p)); ``gamma_p`` = Gamma(p), ``nodes``
+    and ``ratio`` = (t/T)^p complete the boundary-corrected operator
+    I^p g - (t/T)^p I^p g(T).  Every array it holds is read-only; build
+    one through ``operator``, which shares it.
     """
 
     def __init__(self, grid: Grid, p: float) -> None:
@@ -176,8 +184,6 @@ class ProductTrapezoid:
         self.gamma_p = gamma(p)
         self.nodes = grid.nodes
         self.ratio = (self.nodes / grid.T) ** p
-        self.nodes.flags.writeable = False
-        self.ratio.flags.writeable = False
         N = grid.N
         ell = np.arange(N, dtype=float)
         lp = ell**p
@@ -204,12 +210,14 @@ class ProductTrapezoid:
         self._w = w
         self._corr = corr
         self._wrev = np.ascontiguousarray(w[::-1])
-        self._wrev.flags.writeable = False
         self._spectrum = None
         if N >= _FFT_MIN_N:
             self._fft_len = _fast_len(2 * N - 1)
             self._spectrum = np.fft.rfft(w, self._fft_len)
-            self._spectrum.flags.writeable = False
+        # one instance is shared by every caller of ``operator``
+        for arr in (self.nodes, self.ratio, c1, c2, w, corr, self._wrev, self._spectrum):
+            if arr is not None:
+                arr.flags.writeable = False
 
     def running(self, values: np.ndarray) -> np.ndarray:
         """Raw moments int_0^{t_j} (t_j - s)^(p-1) g(s) ds for every j.
@@ -267,6 +275,13 @@ class ProductTrapezoid:
         return out[0] if single else out
 
 
+@functools.lru_cache(maxsize=_OPERATOR_CACHE)
+def operator(grid: Grid, p: float) -> ProductTrapezoid:
+    """The integral operator of kernel order p on ``grid``, built once per
+    (N, T, p) while it stays among the ``_OPERATOR_CACHE`` most recently used."""
+    return ProductTrapezoid(grid, p)
+
+
 def _require_order(p: float) -> None:
     if not (math.isfinite(p) and 1.0 < p <= 2.0):
         raise ValueError(f"fractional order must lie in (1, 2], got p={p!r}")
@@ -276,18 +291,15 @@ def frac_integral(g: GridFunction, p: float, t_index: int | None = None) -> np.n
     """Riemann-Liouville integral I^p g on the grid.
 
     Returns (1/Gamma(p)) * int_0^{t_j} (t_j - s)^(p-1) g(s) ds, either at
-    one node (``t_index``) as a component vector, or at every node as an
-    (n, N) array when ``t_index`` is None.  Exact to roundoff for
+    one node (``t_index``) as a ([B,] n) array, or at every node as a
+    ([B,] n, N) array when ``t_index`` is None.  Exact to roundoff for
     piecewise-linear g.
     """
     _require_order(p)
-    quad = ProductTrapezoid(g.grid, p)
-    vals = quad.running(g.values) / quad.gamma_p
-    if t_index is None:
-        return vals
-    if not (-g.grid.N <= t_index < g.grid.N):
+    if t_index is not None and not (-g.grid.N <= t_index < g.grid.N):
         raise ValueError(f"t_index {t_index} outside grid of {g.grid.N} nodes")
-    return vals[:, t_index]
+    vals = _running(g.values, g.grid, p)
+    return vals if t_index is None else vals[..., t_index]
 
 
 def caputo_derivative(u: GridFunction, p: float, split: bool = True) -> GridFunction:
@@ -306,7 +318,8 @@ def caputo_derivative(u: GridFunction, p: float, split: bool = True) -> GridFunc
     which is exact on span{1, t, t^2, t^p}, and differentiates the
     singular part analytically: cD^p [c t^p] = c Gamma(p+1).  The
     remainder is smooth at the origin and goes through the base scheme.
-    Set ``split=False`` for the plain scheme.
+    Set ``split=False`` for the plain scheme.  A batch of B functions gives
+    each row's derivative bit for bit.
     """
     _require_order(p)
     if u.grid.N < 5:
@@ -315,10 +328,10 @@ def caputo_derivative(u: GridFunction, p: float, split: bool = True) -> GridFunc
     if split and p != 2.0 and abs(den) >= 1e-2:
         h = u.grid.h
         v = u.values
-        c = (v[:, 3] - 3.0 * v[:, 2] + 3.0 * v[:, 1] - v[:, 0]) / (h**p * den)
+        c = (v[..., 3] - 3.0 * v[..., 2] + 3.0 * v[..., 1] - v[..., 0]) / (h**p * den)
         tp = u.grid.nodes**p
-        smooth = v - c[:, np.newaxis] * tp
-        out = c[:, np.newaxis] * gamma(p + 1.0) + _caputo_plain(smooth, u.grid, p)
+        smooth = v - c[..., np.newaxis] * tp
+        out = c[..., np.newaxis] * gamma(p + 1.0) + _caputo_plain(smooth, u.grid, p)
     else:
         out = _caputo_plain(u.values, u.grid, p)
     return GridFunction(u.grid, out)
@@ -327,13 +340,16 @@ def caputo_derivative(u: GridFunction, p: float, split: bool = True) -> GridFunc
 def _caputo_plain(values: np.ndarray, grid: Grid, p: float) -> np.ndarray:
     h = grid.h
     d = np.empty_like(values)
-    d[:, 1:-1] = (values[:, 2:] - 2.0 * values[:, 1:-1] + values[:, :-2]) / h**2
-    d[:, 0] = 2.0 * d[:, 1] - d[:, 2]
-    d[:, -1] = 2.0 * d[:, -2] - d[:, -3]
-    if p == 2.0:
-        return d
-    quad = ProductTrapezoid(grid, 2.0 - p)
-    return quad.running(d) / quad.gamma_p
+    d[..., 1:-1] = (values[..., 2:] - 2.0 * values[..., 1:-1] + values[..., :-2]) / h**2
+    d[..., 0] = 2.0 * d[..., 1] - d[..., 2]
+    d[..., -1] = 2.0 * d[..., -2] - d[..., -3]
+    return d if p == 2.0 else _running(d, grid, 2.0 - p)
+
+
+def _running(values: np.ndarray, grid: Grid, p: float) -> np.ndarray:
+    """I^p of ([B,] n, N) values: the raw running moments over Gamma(p)."""
+    quad = operator(grid, p)
+    return quad.running(values.reshape(-1, grid.N)).reshape(values.shape) / quad.gamma_p
 
 
 def alpha1(t, a: float, b: float, p: float):
@@ -376,7 +392,7 @@ def envelope_sequence(grid: Grid, p: float, m: int) -> list[np.ndarray]:
     _require_order(p)
     if m < 1:
         raise ValueError(f"envelope_sequence: m must be >= 1, got {m}")
-    quad = ProductTrapezoid(grid, p)
+    quad = operator(grid, p)
     seq: list[np.ndarray] = []
     a = np.ones(grid.N)
     for _ in range(m):

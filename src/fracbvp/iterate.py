@@ -18,19 +18,20 @@ corresponding a-priori bounds.  A (B, n) stack of slopes runs B
 sequences at once, values (B, n, N), each row bit-identical to its own run.
 A run builds u_0 once and checks every iterate against D; its domain
 escapes are one ``DomainEscape`` record of arrays, filled without a
-Python object per escaped row.
+Python object per escaped row.  Every iterate lies on ``prob.grid``: each
+step takes the shared ``fracops.operator(prob.grid, prob.p)`` and f bound
+on the grid's nodes, ``prob.f_on_grid``.
 """
 
 from __future__ import annotations
 
 import logging
-import weakref
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import exprlang
-from .fracops import Grid, GridFunction, ProductTrapezoid, kernel_constant
+from .fracops import GridFunction, ProductTrapezoid, kernel_constant, operator
 from .problem import ParameterPoint, Problem
 
 __all__ = [
@@ -45,31 +46,6 @@ __all__ = [
 _log = logging.getLogger(__name__)
 
 _DOMAIN_SLACK = 1e-9
-
-
-# Problem -> {Grid: (ProductTrapezoid, f bound on the grid's nodes)}.  The
-# keys are weak, so an operator lives exactly as long as the problem that
-# built it.
-_OPERATORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _cached(prob: Problem, grid: Grid) -> tuple[ProductTrapezoid, tuple]:
-    """The integral operator of ``prob`` on ``grid`` and f with its t-only
-    subtrees evaluated on the nodes (``exprlang.bind``), built on first use.
-
-    Every iterate and every Delta_m probe of the problem shares them.
-    """
-    ops = _OPERATORS.setdefault(prob, {})
-    entry = ops.get(grid)
-    if entry is None:
-        op = ProductTrapezoid(grid, prob.p)
-        entry = ops[grid] = (op, exprlang.bind(prob.f, op.nodes))
-    return entry
-
-
-def _operator(prob: Problem, grid: Grid) -> ProductTrapezoid:
-    """The cached integral operator of ``prob`` on ``grid``."""
-    return _cached(prob, grid)[0]
 
 
 class DomainEscapeError(RuntimeError):
@@ -144,16 +120,19 @@ def _interpolant(prob: Problem, op: ProductTrapezoid, chi: np.ndarray) -> np.nda
     return vals
 
 
-def _rhs(prob: Problem, op: ProductTrapezoid, values: np.ndarray) -> np.ndarray:
-    """f along (n, N) or (B, n, N) values on the operator's grid, the bits of
+def _rhs(prob: Problem, values: np.ndarray) -> np.ndarray:
+    """f along (n, N) or (B, n, N) values on ``prob.grid``, the bits of
     ``prob.rhs``; exprlang wants components first."""
-    f = exprlang.evaluate(_cached(prob, op.grid)[1], op.nodes, np.moveaxis(values, -2, 0))
+    if np.shape(values)[-1] != prob.N:
+        raise ValueError(f"values must lie on the problem's grid of {prob.N} nodes, got {np.shape(values)}")
+    nodes = operator(prob.grid, prob.p).nodes
+    f = exprlang.evaluate(prob.f_on_grid, nodes, np.moveaxis(values, -2, 0))
     return np.moveaxis(f, 0, -2)
 
 
 def u0(prob: Problem, chi1) -> GridFunction:
     """Zeroth approximation: the (t/T)^p-corrected boundary interpolant."""
-    op = _operator(prob, prob.grid)
+    op = operator(prob.grid, prob.p)
     return GridFunction(op.grid, _interpolant(prob, op, np.atleast_1d(np.asarray(chi1, dtype=float))))
 
 
@@ -170,14 +149,17 @@ def iterate_step(
     Checks that ``prev`` stays inside D first (hard error beyond 1e-9
     under the 'strict' policy; logged, or appended to ``escapes`` when
     given, under 'warn'), then evaluates f along prev and adds the
-    corrected integral term to u_0.  ``u0_values``, when given, are the
-    values of ``u0(prob, chi1)`` on prev's grid, which are then not rebuilt.
+    corrected integral term to u_0.  ``prev`` must lie on ``prob.grid``
+    (ValueError otherwise).  ``u0_values``, when given, are the values of
+    ``u0(prob, chi1)``, which are then not rebuilt.
     """
-    op = _operator(prob, prev.grid)
+    op = operator(prob.grid, prob.p)
+    if prev.grid != op.grid:
+        raise ValueError(f"prev lies on {prev.grid}, not on the problem's {op.grid}")
     _check_domain(prob, prev, op.nodes, escapes)
     if u0_values is None:
         u0_values = _interpolant(prob, op, np.atleast_1d(np.asarray(chi1, dtype=float)))
-    fvals = _rhs(prob, op, prev.values)
+    fvals = _rhs(prob, prev.values)
     ip = op.running(fvals.reshape(-1, op.grid.N)).reshape(fvals.shape)
     ip /= op.gamma_p
     vals = u0_values + ip
@@ -253,7 +235,7 @@ def run_iteration(
         if np.all(diff <= tol_vec):
             converged = True
             break
-    _check_domain(prob, current, _operator(prob, current.grid).nodes, checks)
+    _check_domain(prob, current, operator(prob.grid, prob.p).nodes, checks)
     point = ParameterPoint(chi, prob.omega.contains(chi))
     return ApproxSolution(
         chi1=point,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -131,15 +132,15 @@ class Problem:
             raise ProblemError(f"need {n} rhs component(s), got {len(self.f)}")
         if self.M is not None:
             object.__setattr__(self, "M", np.atleast_1d(np.asarray(self.M, dtype=float)))
-            if self.M.size != n or np.any(self.M < 0):
-                raise ProblemError("M must be a nonnegative n-vector")
+            if self.M.size != n or not np.all((self.M >= 0) & np.isfinite(self.M)):
+                raise ProblemError(f"M must be a finite nonnegative {n}-vector, got {self.M.tolist()}")
         if self.K is not None:
-            K = np.asarray(self.K, dtype=float).reshape(n, n)
-            object.__setattr__(self, "K", K)
-            if np.any(K < 0):
-                raise ProblemError("K entries must be nonnegative")
-        if self.N < 5:
-            raise ProblemError(f"grid nodes N must be >= 5, got {self.N}")
+            K = np.asarray(self.K, dtype=float)
+            if K.size != n * n or not np.all((K >= 0) & np.isfinite(K)):
+                raise ProblemError(f"K must hold {n * n} finite nonnegative entries, got {K.tolist()}")
+            object.__setattr__(self, "K", K.reshape(n, n))
+        if not (isinstance(self.N, (int, np.integer)) and self.N >= 5):
+            raise ProblemError(f"grid nodes N must be an integer >= 5, got {self.N!r}")
         if self.domain_policy not in ("strict", "warn"):
             raise ProblemError(f"domain_policy must be 'strict' or 'warn', got {self.domain_policy!r}")
 
@@ -150,6 +151,12 @@ class Problem:
     @property
     def grid(self) -> Grid:
         return Grid(self.N, self.T)
+
+    @functools.cached_property
+    def f_on_grid(self) -> tuple[Expr, ...]:
+        """f with its t-only subtrees evaluated on the grid's nodes (``exprlang.bind``);
+        cached on the instance, so copy a Problem with ``dataclasses.replace``."""
+        return exprlang.bind(self.f, self.grid.nodes)
 
     def rhs(self, t, u) -> np.ndarray:
         """Evaluate f(t, u); exprlang does the vectorization."""
@@ -276,7 +283,11 @@ def problem_from_config(text: str, name: str = "") -> Problem:
     T = _get_float(cfg, "problem", "T")
     a1 = _parse_vector(_get(cfg, "problem", "alpha1"), "alpha1")
     a2 = _parse_vector(_get(cfg, "problem", "alpha2"), "alpha2")
-    N = int(cfg.get("problem", "N", fallback="401"))
+    N_text = cfg.get("problem", "N", fallback="401")
+    try:
+        N = int(N_text)
+    except ValueError as exc:
+        raise ProblemError(f"field 'N' in [problem]: not an integer: {N_text!r}") from exc
     policy = cfg.get("problem", "domain_policy", fallback="strict").strip()
 
     domain = Box(
@@ -305,7 +316,7 @@ def problem_from_config(text: str, name: str = "") -> Problem:
     M = K = None
     if cfg.has_section("bounds"):
         M = _parse_vector(_get(cfg, "bounds", "M"), "bounds.M")
-        K = _parse_vector(_get(cfg, "bounds", "K"), "bounds.K").reshape(a1.size, a1.size)
+        K = _parse_vector(_get(cfg, "bounds", "K"), "bounds.K")
 
     return Problem(
         p=p, T=T, alpha1=a1, alpha2=a2, domain=domain, f=f, f_source=source,

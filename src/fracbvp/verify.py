@@ -23,7 +23,7 @@ import numpy as np
 
 from .determine import _delta
 from .fracops import GridFunction, caputo_derivative
-from .iterate import ApproxSolution, _operator, _rhs
+from .iterate import ApproxSolution, _rhs
 from .problem import Problem
 
 __all__ = ["ResidualReport", "emit_figure_data", "residuals"]
@@ -49,19 +49,25 @@ class ResidualReport:
         }
 
 
+def _final(approx: ApproxSolution, caller: str) -> GridFunction:
+    """The final iterate of a run at one chi1; a batched run has no single table."""
+    if not approx.iterates:
+        raise ValueError(f"{caller}: approximation holds no iterates")
+    if approx.final.values.ndim != 2:
+        raise ValueError(f"{caller}: need the run at one chi1, got a batch {approx.final.values.shape}")
+    return approx.final
+
+
 def residuals(prob: Problem, approx: ApproxSolution, include_delta: bool = True) -> ResidualReport:
     """Residual |cD^p u_m - f(., u_m) - Delta_m| of the final iterate."""
-    if not approx.iterates:
-        raise ValueError("residuals: approximation holds no iterates")
-    u = approx.final
+    u = _final(approx, "residuals")
     grid = u.grid
     if grid.N < 5:
         raise ValueError("residuals: need at least 5 nodes for the Caputo stencil")
     cap = caputo_derivative(u, prob.p).values
-    op = _operator(prob, grid)
-    fvals = _rhs(prob, op, u.values)
+    fvals = _rhs(prob, u.values)
     # Delta_m from the same f values, as delta_m(prob, approx) would evaluate them
-    delta = _delta(prob, op, approx.chi1.chi1, fvals)
+    delta = _delta(prob, approx.chi1.chi1, fvals)
     offset = delta[:, np.newaxis] if include_delta else 0.0
     res = np.abs(cap - fvals - offset)
     sup_interior = np.max(res[:, 2 : grid.N - 2], axis=1)
@@ -90,8 +96,8 @@ def emit_figure_data(
     iterate, as held by ``report``: the ``residuals`` of the same
     ``approx``, computed here when not given.
     """
+    grid = _final(approx, "emit_figure_data").grid
     report = residuals(prob, approx) if report is None else report
-    grid = approx.final.grid
     cols = [grid.nodes]
     names = ["t"]
     for k, it in enumerate(approx.iterates):

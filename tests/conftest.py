@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from fracbvp import exprlang
-from fracbvp.fracops import kernel_constant
+from fracbvp import exprlang, fracops
+from fracbvp.fracops import ProductTrapezoid, kernel_constant
 from fracbvp.problem import Box, Problem, builtin_problem
 
 settings.register_profile(
@@ -24,6 +24,21 @@ def gyre():
 @pytest.fixture(scope="session")
 def zero_rhs():
     return builtin_problem("zero-rhs")
+
+
+@pytest.fixture
+def operator_builds(monkeypatch):
+    """(N, T, p) of every ProductTrapezoid built from here on, from an empty operator cache."""
+    builds = []
+    init = ProductTrapezoid.__init__
+
+    def counted(self, grid, p):
+        builds.append((grid.N, grid.T, p))
+        init(self, grid, p)
+
+    monkeypatch.setattr(ProductTrapezoid, "__init__", counted)
+    fracops.operator.cache_clear()
+    return builds
 
 
 def random_scalar_problem(rng, N=101, r_cap=0.45):

@@ -11,8 +11,9 @@ from conftest import escape_rows
 from fracbvp.cli import _BLOCK_VALUES, _write_csv, main
 from fracbvp.conditions import check_conditions, delta_gap_bound
 from fracbvp.determine import _exclusion_coefficient, delta_at, existence_check_scalar
+from fracbvp import fracops
 from fracbvp.fracops import caputo_derivative
-from fracbvp.problem import Box, builtin_problem, load_problem
+from fracbvp.problem import BUILTIN_PROBLEMS, Box, builtin_problem, load_problem
 
 GYRE_ROOTS = [-320.68685748392215, -332.0604225604555, -332.30179286902836]
 
@@ -245,6 +246,30 @@ def test_tol_must_be_a_finite_non_negative_number(tmp_path, capsys, tol):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "line, edit, message",
+    [
+        ("M = 0", "M = nan", "M must be a finite nonnegative 1-vector, got [nan]"),
+        ("M = 0", "M = inf", "M must be a finite nonnegative 1-vector, got [inf]"),
+        ("K = 0", "K = nan", "K must hold 1 finite nonnegative entries, got [nan]"),
+        ("K = 0", "K = 0 0", "K must hold 1 finite nonnegative entries, got [0.0, 0.0]"),
+        ("N = 401", "N = 40a1", "field 'N' in [problem]: not an integer: '40a1'"),
+    ],
+    ids=["M-nan", "M-inf", "K-nan", "K-size", "N-text"],
+)
+@pytest.mark.parametrize("stage", [["check"], ["exclude", "--m", "1", "--subdiv", "4"]])
+def test_malformed_bounds_and_grid_are_config_errors(tmp_path, capsys, line, edit, message, stage):
+    # a NaN bound used to pass every gate: "conditions hold", boxes dropped, "tail": [NaN]
+    text = BUILTIN_PROBLEMS["zero-rhs"][0]
+    assert f"\n{line}\n" in text
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text.replace(f"\n{line}\n", f"\n{edit}\n"), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([*stage, "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- check --------------------------------------------------------------------
 
 
@@ -469,6 +494,31 @@ def test_solve_outputs_are_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def _pipeline(out, *extra):
+    """check -> solve -> exclude -> verify on the gyre, all exit 0."""
+    for stage in (["check"], ["solve"], ["exclude"], ["verify"]):
+        assert main([*stage, "--builtin", "acc-gyre", "--out", str(out), *extra]) == 0
+
+
+def test_pipeline_builds_one_operator_per_kernel_order(tmp_path, operator_builds):
+    # p for every iterate and probe, 2 - p for verify's Caputo derivative
+    _pipeline(tmp_path)
+    assert sorted(operator_builds) == [(401, 1.0, 0.5), (401, 1.0, 1.5)]
+
+
+def test_pipeline_outputs_do_not_depend_on_the_operator_cache(tmp_path):
+    fracops.operator.cache_clear()
+    first, fine, again = tmp_path / "a", tmp_path / "fine", tmp_path / "b"
+    _pipeline(first)
+    _pipeline(fine, "--grid-n", "6401")
+    _pipeline(again)
+    names = sorted(p.name for p in first.iterdir() if p.name != "manifest.json")
+    assert names == sorted(p.name for p in again.iterdir() if p.name != "manifest.json")
+    assert len(names) == 11
+    for name in names:
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name
+
+
 def test_grid_override_flows_through(tmp_path):
     assert main(
         ["solve", "--builtin", "zero-rhs", "--out", str(tmp_path), "--grid-n", "75"]
@@ -615,7 +665,7 @@ def test_exclude_single_box(tmp_path):
 
 
 def test_exclude_unchanged_after_a_solve_on_another_grid(tmp_path):
-    # each run builds its own integral operator; none leaks into the next
+    # the two grids share the operator cache; neither changes the other's outputs
     first, second = tmp_path / "a", tmp_path / "b"
     assert main(["exclude", "--builtin", "acc-gyre", "--out", str(first)]) == 0
     assert main(["solve", "--builtin", "acc-gyre", "--grid-n", "201", "--out", str(tmp_path / "s")]) == 0

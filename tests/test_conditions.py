@@ -1,5 +1,6 @@
 """Solvability report, spectral radius, and the error-bound family."""
 
+import dataclasses
 import json
 import textwrap
 
@@ -15,7 +16,6 @@ from fracbvp.conditions import (
     check_conditions,
     combined_error_bound,
     delta_gap_bound,
-    lipschitz_constants,
     radius_bound,
     spectral_radius,
 )
@@ -190,7 +190,7 @@ def test_gyre_sensitivity_radius_closed_form():
 @given(st.floats(1.05, 2.0), st.floats(0.5, 2.0))
 def test_sensitivity_radius_dominates_grid(p, T):
     prob = builtin_problem("zero-rhs")
-    prob = type(prob)(**{**prob.__dict__, "p": p, "T": T})
+    prob = dataclasses.replace(prob, p=p, T=T)
     rep = check_conditions(prob)
     t = np.linspace(0.0, T, 20001)
     assert np.max(np.abs(t - T * (t / T) ** p)) <= rep.R[0] * (1 + 1e-12)
@@ -244,8 +244,6 @@ def test_bounds_undefined_when_radius_exceeds_one():
         delta_gap_bound(rep, rep.M, 1)
     with pytest.raises(BoundUndefinedError):
         combined_error_bound(rep, rep.M, 1, 0.1)
-    with pytest.raises(BoundUndefinedError):
-        lipschitz_constants(rep, problem_from_config(STIFF_K))
 
 
 # --- a-priori and gap bounds --------------------------------------------
@@ -309,27 +307,6 @@ def test_bounds_on_random_problems(seed):
     q, M = rep.Q[0, 0], rep.M[0]
     assert delta_gap_bound(rep, M, 2)[0] == pytest.approx(q**2 * M / (1 - q), rel=1e-10)
     assert apriori_error(rep, M, 3)[0] <= apriori_error(rep, M, 2)[0] + 1e-15
-
-
-# --- parameter sensitivity ----------------------------------------------
-
-
-def test_lipschitz_constants_shape_and_base():
-    R, sens = lipschitz_constants(REPORT, GYRE)
-    assert np.array_equal(R, REPORT.R)
-    # alpha1 vanishes at both endpoints, so the sensitivity is R * I there
-    for t in (0.0, GYRE.T):
-        assert np.allclose(sens(t), R[0] * np.eye(1), rtol=0, atol=1e-15)
-
-
-def test_lipschitz_sensitivity_peak():
-    R, sens = lipschitz_constants(REPORT, GYRE)
-    q = REPORT.Q[0, 0]
-    want = R[0] * (1.0 + REPORT.kernel_const / (1.0 - q))
-    grid = np.linspace(0.0, GYRE.T, 2001)
-    values = np.array([sens(t)[0, 0] for t in grid])
-    assert np.max(values) == pytest.approx(want, rel=1e-6)
-    assert np.all(values >= R[0] - 1e-15)
 
 
 # --- combined depth + parameter-mismatch bound --------------------------

@@ -258,12 +258,8 @@ def test_negative_depth_rejected(gyre):
 
 def test_no_bracket_error(zero_rhs):
     # Omega entirely right of the root chi* = 1: Delta keeps one sign
-    prob = Problem(
-        **{
-            **zero_rhs.__dict__,
-            "omega": Box(np.array([5.0]), np.array([6.0])),
-            "domain": Box(np.array([-50.0]), np.array([50.0])),
-        }
+    prob = dataclasses.replace(
+        zero_rhs, omega=Box(np.array([5.0]), np.array([6.0])), domain=Box(np.array([-50.0]), np.array([50.0]))
     )
     with pytest.raises(NoRootBracketError, match="no sign change"):
         solve_determining(prob, 1)

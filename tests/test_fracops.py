@@ -289,9 +289,37 @@ def test_frac_integral_of_one_on_the_fft_path():
 
 def test_cached_weight_arrays_are_read_only():
     quad = ProductTrapezoid(Grid(_FFT_MIN_N, 1.0), 1.5)
-    for arr in (quad._wrev, quad._spectrum, quad.nodes, quad.ratio):
+    arrays = [v for v in vars(quad).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 8  # nodes, ratio, c1, c2, w, corr, wrev, spectrum
+    for arr in arrays:
         with pytest.raises(ValueError):
             arr[1] = 1.0
+
+
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize(
+    "N, B", [(401, 3), (401, 70), (_FFT_MIN_N, 3)], ids=["direct", "ramp", "fft"]
+)
+def test_batched_grid_functions_match_each_row(N, B, n):
+    # a batch of B runs the B*n rows as one stack: np.convolve below 64 rows,
+    # the ramp of dots from 64 on, the FFT from _FFT_MIN_N nodes
+    rng = np.random.default_rng(N + B + n)
+    grid = Grid(N, 1.0)
+    t = grid.nodes
+    coef = rng.standard_normal((3, B, n, 1))
+    u = GridFunction(grid, coef[0] + coef[1] * t + coef[2] * t**1.5)
+    assert u.values.shape == (B, n, N)
+    ops = {
+        "caputo": lambda g: caputo_derivative(g, 1.5).values,
+        "plain": lambda g: caputo_derivative(g, 1.5, split=False).values,
+        "integral": lambda g: frac_integral(g, 1.5),
+        "endpoint": lambda g: frac_integral(g, 1.5, t_index=-1),
+    }
+    for name, op in ops.items():
+        got = op(u)
+        assert got.shape[:2] == (B, n), name
+        for b in range(B):
+            assert got[b].tobytes() == op(GridFunction(grid, u.values[b])).tobytes(), (name, b)
 
 
 @pytest.mark.parametrize("N, T, p", [(51, 1.0, 1.5), (401, 2.5, 1.3), (1024, 0.7, 0.5)])

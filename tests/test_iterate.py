@@ -1,25 +1,21 @@
 """Successive approximations: closed forms, pins, domain policy, logging."""
 
 import dataclasses
-import gc
 import logging
-import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import coupled_problem, escape_rows, random_scalar_problem, zero_rhs_problem
-from fracbvp import exprlang, iterate
-from fracbvp.determine import exclusion_sweep
-from fracbvp.fracops import GridFunction, ProductTrapezoid
+from fracbvp import exprlang, fracops, iterate
+from fracbvp.determine import delta_m, exclusion_sweep
+from fracbvp.fracops import GridFunction, ProductTrapezoid, operator
 from fracbvp.iterate import (
     DomainEscape,
     DomainEscapeError,
     _check_domain,
-    _cached,
     _escape_stats,
-    _operator,
     _rhs,
     iterate_step,
     run_iteration,
@@ -94,45 +90,71 @@ def test_iterate_step_keeps_boundary_values(gyre):
 
 
 def test_operator_is_built_once_per_problem(gyre):
-    op = _operator(gyre, gyre.grid)
+    op = operator(gyre.grid, gyre.p)
     assert isinstance(op, ProductTrapezoid)
     assert (op.p, op.grid) == (gyre.p, gyre.grid)
-    assert _operator(gyre, gyre.grid) is op
+    assert operator(gyre.grid, gyre.p) is op
     assert u0(gyre, CHI_FIRST).grid is op.grid
     other = dataclasses.replace(gyre, N=201)
-    assert _operator(other, other.grid) is not op
-    assert _operator(other, other.grid).nodes.shape == (201,)
+    assert operator(other.grid, other.p) is not op
+    assert operator(other.grid, other.p).nodes.shape == (201,)
 
 
 def test_operator_arrays_are_read_only(gyre):
-    op = _operator(gyre, gyre.grid)
-    with pytest.raises(ValueError):
-        op.nodes[1] = 0.5
-    with pytest.raises(ValueError):
-        op.ratio[1] = 0.5
+    op = operator(gyre.grid, gyre.p)
+    arrays = [v for v in vars(op).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 7  # nodes, ratio, c1, c2, w, corr, wrev (no spectrum below 1024 nodes)
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[1] = 0.5
 
 
 def test_f_is_bound_once_per_grid_next_to_the_operator(gyre):
-    op, f = _cached(gyre, gyre.grid)
-    assert op is _operator(gyre, gyre.grid)
-    assert _cached(gyre, gyre.grid)[1] is f
+    op = operator(gyre.grid, gyre.p)
+    f = gyre.f_on_grid
+    assert gyre.f_on_grid is f
     bound = [node.value for node in (f[0].left.left, f[0].right)]
     assert all(isinstance(v, np.ndarray) and not v.flags.writeable for v in bound)
     # f along one iterate and along a stack: the bits of the unbound f
     stack = np.stack([u0(gyre, chi).values for chi in (-330.0, -325.0, -320.0)])
     for values in (stack[0], stack):
         want = np.moveaxis(gyre.rhs(op.nodes, np.moveaxis(values, -2, 0)), 0, -2)
-        got = _rhs(gyre, op, values)
+        got = _rhs(gyre, values)
         assert got.shape == values.shape and got.tobytes() == want.tobytes()
+    # a copy binds f afresh, on its own grid
+    coarse = dataclasses.replace(gyre, N=201)
+    assert coarse.f_on_grid is not f and coarse.f_on_grid[0].right.value.shape == (201,)
 
 
-def test_operator_dies_with_its_problem(gyre):
-    prob = dataclasses.replace(gyre, N=51)
-    op = weakref.ref(_operator(prob, prob.grid))
-    assert op() is not None
-    del prob
-    gc.collect()
-    assert op() is None
+def test_problems_on_one_grid_share_one_operator(gyre, operator_builds):
+    twin = dataclasses.replace(gyre, name="twin")
+    for prob in (gyre, twin):
+        run_iteration(prob, CHI_FIRST, m_max=2, tol=0.0)
+    assert operator_builds == [(401, 1.0, 1.5)]
+    assert operator(twin.grid, twin.p) is operator(gyre.grid, gyre.p)
+    other = dataclasses.replace(gyre, N=51)
+    run_iteration(other, CHI_FIRST, m_max=2, tol=0.0)
+    assert operator_builds == [(401, 1.0, 1.5), (51, 1.0, 1.5)]
+    assert operator(other.grid, other.p) is not operator(gyre.grid, gyre.p)
+
+
+def test_operator_cache_is_bounded():
+    fracops.operator.cache_clear()
+    for N in range(5, 5 + 2 * fracops._OPERATOR_CACHE):
+        operator(fracops.Grid(N, 1.0), 1.5)
+    info = fracops.operator.cache_info()
+    assert info.currsize == info.maxsize == fracops._OPERATOR_CACHE
+
+
+def test_values_off_the_problem_grid_are_rejected(gyre):
+    coarse = dataclasses.replace(gyre, N=201)
+    prev = u0(coarse, CHI_FIRST)
+    with pytest.raises(ValueError, match="401 nodes"):
+        _rhs(gyre, prev.values)
+    with pytest.raises(ValueError, match=r"not on the problem's Grid\(N=401"):
+        iterate_step(gyre, prev, CHI_FIRST)
+    with pytest.raises(ValueError, match="401 nodes"):
+        delta_m(gyre, run_iteration(coarse, CHI_FIRST, m_max=1))
 
 
 # --- domain policy --------------------------------------------------------

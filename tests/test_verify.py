@@ -232,3 +232,14 @@ def test_figure_caputo_column_near_zero_for_line(zero_rhs):
     hdr, rows = emit_figure_data(zero_rhs, sol)
     cap = rows[:, hdr.split(",").index("caputo")]
     assert np.max(np.abs(cap[2:-2])) <= 1e-8
+
+
+def test_batched_runs_have_no_single_residual_table():
+    gyre = builtin_problem("acc-gyre")
+    approx = run_iteration(gyre, [[-330.0], [-325.0]], m_max=1, tol=0.0)
+    assert approx.final.values.shape == (2, 1, gyre.N)
+    with pytest.raises(ValueError, match=r"residuals: need the run at one chi1"):
+        residuals(gyre, approx)
+    one = run_iteration(gyre, -330.0, m_max=1, tol=0.0)
+    with pytest.raises(ValueError, match=r"emit_figure_data: need the run at one chi1"):
+        emit_figure_data(gyre, approx, residuals(gyre, one))
