@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, fracops
 from .conditions import BoundUndefinedError, check_conditions
 from .determine import (
     NonConvergenceError,
@@ -400,6 +400,9 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # each call starts from an empty operator cache, so the work a stage does
+    # never depends on what ran before it in the same process
+    fracops.operator.cache_clear()
     if args.command == "verify" and args.recompute and args.m is None:
         args.m = 2
     try:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conditions import ConditionsReport, _resolvent, check_conditions, delta_gap_bound
-from .fracops import gamma, operator
+from .fracops import gamma
 from .iterate import ApproxSolution, DomainEscape, _escape_stats, _rhs, run_iteration
 from .problem import Problem
 
@@ -91,7 +91,7 @@ _BATCH_VALUES = 2**16
 def _delta(prob: Problem, chi: np.ndarray, fvals: np.ndarray) -> np.ndarray:
     """Delta at slope(s) chi from f along the iterate, (..., n, N) -> (..., n)."""
     # int_0^T (T-s)^(p-1) f ds, no 1/Gamma
-    raw_T = operator(prob.grid, prob.p).endpoint(fvals.reshape(-1, prob.N)).reshape(fvals.shape[:-1])
+    raw_T = prob.operator.endpoint(fvals.reshape(-1, prob.N)).reshape(fvals.shape[:-1])
     gp1 = gamma(prob.p + 1.0)
     return gp1 / prob.T**prob.p * (prob.alpha2 - prob.alpha1 - chi * prob.T) - (
         prob.p / prob.T**prob.p

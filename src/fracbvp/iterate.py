@@ -19,8 +19,8 @@ sequences at once, values (B, n, N), each row bit-identical to its own run.
 A run builds u_0 once and checks every iterate against D; its domain
 escapes are one ``DomainEscape`` record of arrays, filled without a
 Python object per escaped row.  Every iterate lies on ``prob.grid``: each
-step takes the shared ``fracops.operator(prob.grid, prob.p)`` and f bound
-on the grid's nodes, ``prob.f_on_grid``.
+step takes the problem's shared operator, ``prob.operator``, and f bound
+on its nodes, ``prob.f_on_grid``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import exprlang
-from .fracops import GridFunction, ProductTrapezoid, kernel_constant, operator
+from .fracops import GridFunction, ProductTrapezoid, kernel_constant
 from .problem import ParameterPoint, Problem
 
 __all__ = [
@@ -125,14 +125,13 @@ def _rhs(prob: Problem, values: np.ndarray) -> np.ndarray:
     ``prob.rhs``; exprlang wants components first."""
     if np.shape(values)[-1] != prob.N:
         raise ValueError(f"values must lie on the problem's grid of {prob.N} nodes, got {np.shape(values)}")
-    nodes = operator(prob.grid, prob.p).nodes
-    f = exprlang.evaluate(prob.f_on_grid, nodes, np.moveaxis(values, -2, 0))
+    f = exprlang.evaluate(prob.f_on_grid, prob.operator.nodes, np.moveaxis(values, -2, 0))
     return np.moveaxis(f, 0, -2)
 
 
 def u0(prob: Problem, chi1) -> GridFunction:
     """Zeroth approximation: the (t/T)^p-corrected boundary interpolant."""
-    op = operator(prob.grid, prob.p)
+    op = prob.operator
     return GridFunction(op.grid, _interpolant(prob, op, np.atleast_1d(np.asarray(chi1, dtype=float))))
 
 
@@ -153,7 +152,7 @@ def iterate_step(
     (ValueError otherwise).  ``u0_values``, when given, are the values of
     ``u0(prob, chi1)``, which are then not rebuilt.
     """
-    op = operator(prob.grid, prob.p)
+    op = prob.operator
     if prev.grid != op.grid:
         raise ValueError(f"prev lies on {prev.grid}, not on the problem's {op.grid}")
     _check_domain(prob, prev, op.nodes, escapes)
@@ -235,7 +234,7 @@ def run_iteration(
         if np.all(diff <= tol_vec):
             converged = True
             break
-    _check_domain(prob, current, operator(prob.grid, prob.p).nodes, checks)
+    _check_domain(prob, current, prob.operator.nodes, checks)
     point = ParameterPoint(chi, prob.omega.contains(chi))
     return ApproxSolution(
         chi1=point,

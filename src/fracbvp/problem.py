@@ -24,7 +24,7 @@ import numpy as np
 
 from . import exprlang
 from .exprlang import Expr, ExprSyntaxError
-from .fracops import Grid
+from .fracops import Grid, ProductTrapezoid, operator
 
 __all__ = [
     "BUILTIN_PROBLEMS",
@@ -152,11 +152,17 @@ class Problem:
     def grid(self) -> Grid:
         return Grid(self.N, self.T)
 
+    @property
+    def operator(self) -> ProductTrapezoid:
+        """The integral operator of order p on the grid, shared by every problem
+        on the same (N, T, p) through ``fracops.operator``."""
+        return operator(self.grid, self.p)
+
     @functools.cached_property
     def f_on_grid(self) -> tuple[Expr, ...]:
-        """f with its t-only subtrees evaluated on the grid's nodes (``exprlang.bind``);
+        """f with its t-only subtrees evaluated on the operator's nodes (``exprlang.bind``);
         cached on the instance, so copy a Problem with ``dataclasses.replace``."""
-        return exprlang.bind(self.f, self.grid.nodes)
+        return exprlang.bind(self.f, self.operator.nodes)
 
     def rhs(self, t, u) -> np.ndarray:
         """Evaluate f(t, u); exprlang does the vectorization."""

@@ -500,14 +500,23 @@ def _pipeline(out, *extra):
         assert main([*stage, "--builtin", "acc-gyre", "--out", str(out), *extra]) == 0
 
 
-def test_pipeline_builds_one_operator_per_kernel_order(tmp_path, operator_builds):
-    # p for every iterate and probe, 2 - p for verify's Caputo derivative
-    _pipeline(tmp_path)
-    assert sorted(operator_builds) == [(401, 1.0, 0.5), (401, 1.0, 1.5)]
+def test_each_stage_builds_one_operator_per_kernel_order(tmp_path, operator_builds):
+    # p for every iterate and probe, 2 - p for verify's Caputo derivative; each
+    # call starts from an empty cache, so a second pipeline builds as many
+    want = {
+        "check": [],
+        "solve": [(401, 1.0, 1.5)],
+        "exclude": [(401, 1.0, 1.5)],
+        "verify": [(401, 1.0, 0.5), (401, 1.0, 1.5)],
+    }
+    for out in (tmp_path / "a", tmp_path / "b"):
+        for stage, builds in want.items():
+            operator_builds.clear()
+            assert main([stage, "--builtin", "acc-gyre", "--out", str(out)]) == 0
+            assert sorted(operator_builds) == builds, stage
 
 
 def test_pipeline_outputs_do_not_depend_on_the_operator_cache(tmp_path):
-    fracops.operator.cache_clear()
     first, fine, again = tmp_path / "a", tmp_path / "fine", tmp_path / "b"
     _pipeline(first)
     _pipeline(fine, "--grid-n", "6401")
@@ -665,7 +674,7 @@ def test_exclude_single_box(tmp_path):
 
 
 def test_exclude_unchanged_after_a_solve_on_another_grid(tmp_path):
-    # the two grids share the operator cache; neither changes the other's outputs
+    # each run builds its own integral operator; none leaks into the next
     first, second = tmp_path / "a", tmp_path / "b"
     assert main(["exclude", "--builtin", "acc-gyre", "--out", str(first)]) == 0
     assert main(["solve", "--builtin", "acc-gyre", "--grid-n", "201", "--out", str(tmp_path / "s")]) == 0

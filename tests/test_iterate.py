@@ -94,6 +94,7 @@ def test_operator_is_built_once_per_problem(gyre):
     assert isinstance(op, ProductTrapezoid)
     assert (op.p, op.grid) == (gyre.p, gyre.grid)
     assert operator(gyre.grid, gyre.p) is op
+    assert gyre.operator is op
     assert u0(gyre, CHI_FIRST).grid is op.grid
     other = dataclasses.replace(gyre, N=201)
     assert operator(other.grid, other.p) is not op
