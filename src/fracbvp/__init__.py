@@ -31,7 +31,6 @@ from .determine import (
     ExistenceVerdict,
     NonConvergenceError,
     NoRootBracketError,
-    SolverConfig,
     delta_at,
     delta_m,
     exclusion_sweep,
@@ -55,7 +54,6 @@ from .iterate import ApproxSolution, DomainEscape, DomainEscapeError, iterate_st
 from .problem import (
     BUILTIN_PROBLEMS,
     Box,
-    ParameterPoint,
     Problem,
     ProblemError,
     builtin_problem,
@@ -84,12 +82,10 @@ __all__ = [
     "GridFunction",
     "NoRootBracketError",
     "NonConvergenceError",
-    "ParameterPoint",
     "Problem",
     "ProblemError",
     "ProductTrapezoid",
     "ResidualReport",
-    "SolverConfig",
     "alpha1",
     "apriori_error",
     "builtin_problem",

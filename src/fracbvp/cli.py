@@ -26,7 +26,6 @@ from .conditions import BoundUndefinedError, check_conditions
 from .determine import (
     NonConvergenceError,
     NoRootBracketError,
-    SolverConfig,
     exclusion_sweep,
     existence_check_scalar,
     solve_depths,
@@ -201,16 +200,14 @@ def cmd_check(args) -> int:
 def cmd_solve(args) -> int:
     prob, source = _load(args)
     out = _out_dir(args)
-    _gate_conditions(prob, args.force)
-    manifest = _manifest(args, "solve", source, prob, m=args.m, tol=args.tol)
-    manifest.write(out)
-    solver = SolverConfig()
+    report = _gate_conditions(prob, args.force)
+    _manifest(args, "solve", source, prob, m=args.m, tol=args.tol).write(out)
     n = prob.n
     trace_rows = []
     roots = []
     failure: Exception | None = None
     try:
-        for k, res in enumerate(solve_depths(prob, args.m, solver)):
+        for k, res in enumerate(solve_depths(prob, args.m)):
             roots.append(res)
             trace_rows.append([float(k), *res.chi1_star, *res.residual])
             chi_txt = ", ".join(f"{c:.17g}" for c in res.chi1_star)
@@ -230,10 +227,11 @@ def cmd_solve(args) -> int:
         iter_header += _suffixed(f"u{k}", n)
     cols = [approx.final.grid.nodes] + [it.values[j] for it in approx.iterates for j in range(n)]
     _write_csv(out / "iterates.csv", ",".join(iter_header), np.column_stack(cols))
+    # next to each sup|u_k - u_(k-1)| its a-priori bound Q^(k-1) beta
     sd_header = ",".join(["m", *_suffixed("sup_diff", n), *_suffixed("bound", n)])
     sd_rows = [
-        [float(k + 1), *approx.sup_diffs[k], *approx.bounds_used[k]]
-        for k in range(len(approx.sup_diffs))
+        [float(k + 1), *diff, *(np.linalg.matrix_power(report.Q, k) @ report.beta)]
+        for k, diff in enumerate(approx.sup_diffs)
     ]
     _write_csv(out / "sup_diffs.csv", sd_header, sd_rows)
     (out / "determining.json").write_text(
@@ -300,26 +298,40 @@ def cmd_exclude(args) -> int:
     return EXIT_OK
 
 
+def _solve_outputs(path: Path, n: int) -> tuple[np.ndarray, int]:
+    """chi1_star and m of a solve's determining.json; a malformed file is a ProblemError."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+        chi, m = np.array(data["chi1_star"], dtype=float), data["m"]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ProblemError(f"malformed {path}: {type(exc).__name__}: {exc}") from exc
+    if chi.shape != (n,) or not np.all(np.isfinite(chi)):
+        raise ProblemError(
+            f"malformed {path}: chi1_star must be {n} finite number(s), got {data['chi1_star']!r}"
+        )
+    if type(m) is not int or m < 0:
+        raise ProblemError(f"malformed {path}: m must be an integer >= 0, got {m!r}")
+    return chi, m
+
+
 def cmd_verify(args) -> int:
     prob, source = _load(args)
     out = _out_dir(args)
     det_path = out / "determining.json"
-    if args.recompute or not det_path.exists():
-        if not args.recompute:
-            print(
-                f"no solve outputs in {out} (missing determining.json): "
-                "run `fracbvp solve` first or pass --recompute",
-                file=sys.stderr,
-            )
-            return EXIT_CONFIG
+    if args.recompute:
         _gate_conditions(prob, args.force)
-        res = solve_determining(prob, args.m, SolverConfig())
-        chi = res.chi1_star
-        m = args.m
+        m = 2 if args.m is None else args.m
+        chi = solve_determining(prob, m).chi1_star
+    elif det_path.exists():
+        chi, m = _solve_outputs(det_path, prob.n)
+        m = m if args.m is None else args.m
     else:
-        data = json.loads(det_path.read_text(encoding="utf-8"))
-        chi = np.asarray(data["chi1_star"], dtype=float)
-        m = args.m if args.m is not None else int(data["m"])
+        print(
+            f"no solve outputs in {out} (missing determining.json): "
+            "run `fracbvp solve` first or pass --recompute",
+            file=sys.stderr,
+        )
+        return EXIT_CONFIG
     _manifest(args, "verify", source, prob, m=m).write(out)
     approx = run_iteration(prob, chi, m_max=m, tol=0.0)
     report = residuals(prob, approx, include_delta=not args.no_delta)
@@ -380,7 +392,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_excl.add_argument("--force", action="store_true", help="proceed even if conditions fail")
 
     p_verify = sub.add_parser("verify", parents=[common], help="a-posteriori residual check")
-    p_verify.add_argument("--m", type=int, default=None, help="iteration depth (default: from solve outputs)")
+    p_verify.add_argument("--m", type=int, default=None,
+                          help="iteration depth (default: from solve outputs, 2 with --recompute)")
     p_verify.add_argument("--recompute", action="store_true", help="solve inline instead of reading outputs")
     p_verify.add_argument("--no-delta", action="store_true", help="compare against f alone, without Delta_m")
     p_verify.add_argument("--force", action="store_true", help="proceed even if conditions fail")
@@ -403,8 +416,6 @@ def main(argv: list[str] | None = None) -> int:
     # each call starts from an empty operator cache, so the work a stage does
     # never depends on what ran before it in the same process
     fracops.operator.cache_clear()
-    if args.command == "verify" and args.recompute and args.m is None:
-        args.m = 2
     try:
         return _COMMANDS[args.command](args)
     except (ProblemError, ExprSyntaxError, ExprEvalError) as exc:

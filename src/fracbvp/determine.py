@@ -16,7 +16,9 @@ from the scan's values at the bracket ends; ``_brent`` is a
 line-for-line port of SciPy's ``brentq`` (same tolerances, same
 iterates), so no probe path imports SciPy.  ``solve_depths`` solves
 every depth 0..m from one shared scan.  For systems it is a damped
-Newton with forward-difference Jacobian.  The
+Newton with forward-difference Jacobian.  The searches have no options:
+their settings (16 scan points, Brent's xtol 1e-12, Newton down to
+|Delta_m| <= 1e-9, ...) are module constants.  The
 exclusion sweep applies the necessary-condition filter: a parameter box
 can be discarded once |Delta_m| at its center exceeds what the
 Lipschitz coefficient over the box plus the iteration tube can explain.
@@ -40,7 +42,6 @@ __all__ = [
     "ExistenceVerdict",
     "NoRootBracketError",
     "NonConvergenceError",
-    "SolverConfig",
     "delta_at",
     "delta_m",
     "exclusion_sweep",
@@ -60,16 +61,6 @@ class NonConvergenceError(RuntimeError):
     def __init__(self, message: str, trace: list) -> None:
         super().__init__(message)
         self.trace = trace
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    scan_points: int = 16
-    xtol: float = 1e-12
-    residual_tol: float = 1e-9
-    newton_max_iter: int = 50
-    newton_fd_step: float = 1e-6
-    newton_max_halvings: int = 30
 
 
 @dataclass
@@ -106,7 +97,7 @@ def delta_m(prob: Problem, approx: ApproxSolution, k: int | None = None) -> np.n
     iterate for every deeper k, as a run of depth k would.
     """
     u = approx.final if k is None else approx.iterates[min(k, approx.m)]
-    return _delta(prob, approx.chi1.chi1, _rhs(prob, u.values))
+    return _delta(prob, approx.chi1, _rhs(prob, u.values))
 
 
 def delta_at(
@@ -144,23 +135,22 @@ def delta_at(
     return out if every_depth else out[0]
 
 
-def solve_determining(
-    prob: Problem, m: int, config: SolverConfig = SolverConfig()
-) -> DeterminingResult:
+def solve_determining(prob: Problem, m: int) -> DeterminingResult:
     """Solve Delta_m(chi1) = 0 over the parameter box Omega.
 
-    n = 1: scan Omega with ``scan_points`` probes, take the leftmost
-    sign change and polish with Brent.  n > 1: damped Newton from the
-    box center with a forward-difference Jacobian, falling back to a
-    coarse-grid restart once before giving up.  Raises
-    NoRootBracketError / NonConvergenceError respectively.  The
-    residual is |Delta_m| as the solver last evaluated it at the root.
+    n = 1: scan Omega with ``_SCAN_POINTS`` probes, take the leftmost
+    sign change and polish with Brent to ``_XTOL``.  n > 1: damped
+    Newton from the box center with a forward-difference Jacobian down
+    to ``_RESIDUAL_TOL``, falling back to a coarse-grid restart once
+    before giving up.  Raises NoRootBracketError / NonConvergenceError
+    respectively.  The residual is |Delta_m| as the solver last
+    evaluated it at the root.
     """
-    return _solve(prob, m, config)
+    return _solve(prob, m)
 
 
-def solve_depths(prob: Problem, m: int, config: SolverConfig = SolverConfig()):
-    """Yield ``solve_determining(prob, k, config)`` for k = 0, 1, ..., m.
+def solve_depths(prob: Problem, m: int):
+    """Yield ``solve_determining(prob, k)`` for k = 0, 1, ..., m.
 
     Each result equals the standalone one field for field, but for n = 1
     one batched depth-m scan gives the scan values of every depth.  A
@@ -169,16 +159,16 @@ def solve_depths(prob: Problem, m: int, config: SolverConfig = SolverConfig()):
     """
     if m < 0:
         raise ValueError(f"iteration budget m must be >= 0, got {m}")
-    scan = delta_at(prob, _scan_points(prob, config), m, every_depth=True) if prob.n == 1 else None
+    scan = delta_at(prob, _scan_points(prob), m, every_depth=True) if prob.n == 1 else None
     for k in range(m + 1):
-        yield _solve(prob, k, config, None if scan is None else scan[k])
+        yield _solve(prob, k, None if scan is None else scan[k])
 
 
-def _scan_points(prob: Problem, config: SolverConfig) -> np.ndarray:
-    return np.linspace(prob.omega.lo[0], prob.omega.hi[0], config.scan_points)[:, np.newaxis]
+def _scan_points(prob: Problem) -> np.ndarray:
+    return np.linspace(prob.omega.lo[0], prob.omega.hi[0], _SCAN_POINTS)[:, np.newaxis]
 
 
-def _solve(prob: Problem, m: int, config: SolverConfig, scan=None) -> DeterminingResult:
+def _solve(prob: Problem, m: int, scan=None) -> DeterminingResult:
     """The root search at depth m; ``scan`` holds the n = 1 scan's values when known."""
     if m < 0:
         raise ValueError(f"iteration budget m must be >= 0, got {m}")
@@ -192,9 +182,9 @@ def _solve(prob: Problem, m: int, config: SolverConfig, scan=None) -> Determinin
         return val
 
     if prob.n == 1:
-        root = _solve_scalar(prob, probe, config, trace, scan)
+        root = _solve_scalar(prob, probe, trace, scan)
     else:
-        root = _solve_newton(prob, probe, config, trace)
+        root = _solve_newton(prob, probe, trace)
     # every probe is deterministic, so the trace's value at the root is its residual
     residual = np.abs(next(val for chi, val in reversed(trace) if np.array_equal(chi, root)))
     return DeterminingResult(
@@ -202,9 +192,9 @@ def _solve(prob: Problem, m: int, config: SolverConfig, scan=None) -> Determinin
     )
 
 
-def _solve_scalar(prob: Problem, probe, config: SolverConfig, trace: list, scan) -> np.ndarray:
+def _solve_scalar(prob: Problem, probe, trace: list, scan) -> np.ndarray:
     lo, hi = float(prob.omega.lo[0]), float(prob.omega.hi[0])
-    scan_xs = _scan_points(prob, config)
+    scan_xs = _scan_points(prob)
     scan = probe(scan_xs, scan)
     xs, vals = scan_xs[:, 0], scan[:, 0]
     bracket = None
@@ -225,14 +215,21 @@ def _solve_scalar(prob: Problem, probe, config: SolverConfig, trace: list, scan)
     ends = slice(bracket, bracket + 2)
     probe(scan_xs[ends], scan[ends])
     try:
-        root = _brent(lambda x: probe(np.array([x]))[0], *xs[ends], config.xtol, *vals[ends])
+        root = _brent(lambda x: probe(np.array([x]))[0], *xs[ends], _XTOL, *vals[ends])
     except NonConvergenceError as exc:
         raise NonConvergenceError(str(exc), trace) from None
     return np.array([root])
 
 
+# Root-search settings: the n = 1 bracket scan and Brent, the n > 1 Newton.
+_SCAN_POINTS = 16  # equally spaced probes of Omega in the bracket scan
+_XTOL = 1e-12  # Brent's absolute tolerance in chi1
 _BRENT_RTOL = 4.0 * np.finfo(float).eps
 _BRENT_MAXITER = 100
+_RESIDUAL_TOL = 1e-9  # Newton stops once max |Delta_m| is this small
+_NEWTON_MAX_ITER = 50
+_NEWTON_FD_STEP = 1e-6  # Jacobian step, relative to max(1, |chi1_j|)
+_NEWTON_MAX_HALVINGS = 30  # line-search halvings before Newton gives up
 
 
 def _brent(f, xa: float, xb: float, xtol: float, fa=None, fb=None) -> float:
@@ -292,17 +289,17 @@ def _brent(f, xa: float, xb: float, xtol: float, fa=None, fb=None) -> float:
     )
 
 
-def _solve_newton(prob: Problem, probe, config: SolverConfig, trace: list) -> np.ndarray:
+def _solve_newton(prob: Problem, probe, trace: list) -> np.ndarray:
     n = prob.n
     starts = [prob.omega.center]
     for attempt, x in enumerate(starts):
         x = x.copy()
         fx = probe(x)
-        for _ in range(config.newton_max_iter):
-            if np.max(np.abs(fx)) <= config.residual_tol:
+        for _ in range(_NEWTON_MAX_ITER):
+            if np.max(np.abs(fx)) <= _RESIDUAL_TOL:
                 return x
             # row j steps x_j; x + diag(steps) would turn -0.0 into +0.0
-            steps = config.newton_fd_step * np.maximum(1.0, np.abs(x))
+            steps = _NEWTON_FD_STEP * np.maximum(1.0, np.abs(x))
             columns = np.tile(x, (n, 1))
             columns[np.diag_indices(n)] += steps
             J = ((probe(columns) - fx) / steps[:, np.newaxis]).T
@@ -312,7 +309,7 @@ def _solve_newton(prob: Problem, probe, config: SolverConfig, trace: list) -> np
                 s = np.linalg.lstsq(J, -fx, rcond=None)[0]
             lam = 1.0
             improved = False
-            for _half in range(config.newton_max_halvings):
+            for _half in range(_NEWTON_MAX_HALVINGS):
                 candidate = np.clip(x + lam * s, prob.omega.lo, prob.omega.hi)
                 fc = probe(candidate)
                 if np.max(np.abs(fc)) < np.max(np.abs(fx)):
@@ -322,7 +319,7 @@ def _solve_newton(prob: Problem, probe, config: SolverConfig, trace: list) -> np
                 lam *= 0.5
             if not improved:
                 break
-        if np.max(np.abs(fx)) <= config.residual_tol:
+        if np.max(np.abs(fx)) <= _RESIDUAL_TOL:
             return x
         if attempt == 0:
             # one coarse-grid restart: best point of a 5-per-axis lattice
@@ -333,7 +330,7 @@ def _solve_newton(prob: Problem, probe, config: SolverConfig, trace: list) -> np
             starts.append(points[int(np.argmin(scores))])
     raise NonConvergenceError(
         f"Newton stalled at residual {np.max(np.abs(fx)):.6g} "
-        f"(tolerance {config.residual_tol:g})",
+        f"(tolerance {_RESIDUAL_TOL:g})",
         trace,
     )
 

@@ -12,9 +12,11 @@ right-hand side along the previous iterate:
 
 Both endpoint values are pinned to alpha1/alpha2 exactly, so every
 iterate satisfies the Dirichlet data to roundoff by construction.  The
-sup-differences between consecutive iterates contract at the rate of
-the condition matrix Q, which run_iteration records next to the
-corresponding a-priori bounds.  A (B, n) stack of slopes runs B
+sup-differences between consecutive iterates, which run_iteration
+records, contract at the rate of the condition matrix Q: under the
+solvability conditions sup|u_k - u_{k-1}| <= Q^(k-1) beta, with Q and
+beta from ``conditions.check_conditions``.  The iteration itself needs
+neither M nor K.  A (B, n) stack of slopes runs B
 sequences at once, values (B, n, N), each row bit-identical to its own run.
 A run builds u_0 once and checks every iterate against D; its domain
 escapes are one ``DomainEscape`` record of arrays, filled without a
@@ -31,8 +33,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import exprlang
-from .fracops import GridFunction, ProductTrapezoid, kernel_constant
-from .problem import ParameterPoint, Problem
+from .fracops import GridFunction, ProductTrapezoid
+from .problem import Problem
 
 __all__ = [
     "ApproxSolution",
@@ -172,10 +174,9 @@ def iterate_step(
 class ApproxSolution:
     """The iterate trace at one parameter value (or a stack), with diagnostics."""
 
-    chi1: ParameterPoint
+    chi1: np.ndarray  # (n,), or (B, n) for a stack
     iterates: list[GridFunction]
     sup_diffs: list[np.ndarray]
-    bounds_used: list[np.ndarray]
     converged: bool
     m: int
     escapes: DomainEscape
@@ -211,36 +212,25 @@ def run_iteration(
         tol = 1e-8 * (1.0 + float(np.max(np.abs(prob.alpha2 - prob.alpha1))))
     tol_vec = np.broadcast_to(np.asarray(tol, dtype=float), (prob.n,))
 
-    kc = kernel_constant(prob.T, prob.p)
-    have_bounds = prob.M is not None and prob.K is not None
-    if have_bounds:
-        Q = np.atleast_2d(prob.K) * kc
-        beta = prob.M * kc
-
     checks: list[DomainEscape] = []
     current = u0(prob, chi)
     iterates = [current]
     sup_diffs: list[np.ndarray] = []
-    bounds_used: list[np.ndarray] = []
     converged = False
-    for k in range(1, m_max + 1):
+    for _ in range(m_max):
         nxt = iterate_step(prob, current, chi, escapes=checks, u0_values=iterates[0].values)
         diff = np.max(np.abs(nxt.values - current.values), axis=-1)
         sup_diffs.append(diff)
-        if have_bounds:
-            bounds_used.append(np.linalg.matrix_power(Q, k - 1) @ beta)
         iterates.append(nxt)
         current = nxt
         if np.all(diff <= tol_vec):
             converged = True
             break
     _check_domain(prob, current, prob.operator.nodes, checks)
-    point = ParameterPoint(chi, prob.omega.contains(chi))
     return ApproxSolution(
-        chi1=point,
+        chi1=chi,
         iterates=iterates,
         sup_diffs=sup_diffs,
-        bounds_used=bounds_used,
         converged=converged,
         m=len(iterates) - 1,
         escapes=_concat_escapes(checks),

@@ -29,7 +29,6 @@ from .fracops import Grid, ProductTrapezoid, operator
 __all__ = [
     "BUILTIN_PROBLEMS",
     "Box",
-    "ParameterPoint",
     "Problem",
     "ProblemError",
     "builtin_problem",
@@ -71,22 +70,9 @@ class Box:
     def center(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
 
-    def contains(self, x, slack: float = 0.0) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo - slack) and np.all(x <= self.hi + slack))
-
-
-@dataclass(frozen=True, eq=False)
-class ParameterPoint:
-    """A candidate initial slope chi1 with its Omega-membership flag."""
-
-    chi1: np.ndarray
-    in_omega: bool
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "chi1", np.atleast_1d(np.asarray(self.chi1, dtype=float)))
-        if not np.all(np.isfinite(self.chi1)):
-            raise ProblemError("chi1 must be finite")
+        return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,10 +182,7 @@ def _sample_points(prob: Problem, samples: int | None, seed: int) -> tuple[np.nd
 
 
 def estimate_bounds(
-    prob: Problem,
-    samples: int | None = None,
-    seed: int = 0,
-    margin: float = 0.0,
+    prob: Problem, samples: int | None = None, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Estimate the sup bound M and Lipschitz matrix K over [0,T] x D.
 
@@ -208,9 +191,7 @@ def estimate_bounds(
     divided by the realized spread, with step h = 2^-10 * box width
     clamped inward at the faces.  The secant is exact (to the last bit)
     for right-hand sides linear in u_j, which is what lets the classic
-    gyre problem report K = 0.5 on the nose.  ``margin`` optionally
-    inflates both results by a factor (1 + margin) for users who want
-    slack in the sufficient conditions.
+    gyre problem report K = 0.5 on the nose.
 
     On the n <= 2 mesh a subtree of f in t or in one component runs once
     per axis value, but every mesh point sees the same floating-point
@@ -232,19 +213,14 @@ def estimate_bounds(
         np.abs(diff, out=diff)
         diff /= spread
         K[:, j] = np.max(diff.reshape(n, -1), axis=1)
-    if margin:
-        M = M * (1.0 + margin)
-        K = K * (1.0 + margin)
     return M, K
 
 
-def resolve_bounds(
-    prob: Problem, samples: int | None = None, seed: int = 0, margin: float = 0.0
-) -> Problem:
+def resolve_bounds(prob: Problem, seed: int = 0) -> Problem:
     """Fill in M and K by estimation when the config did not supply them."""
     if prob.M is not None and prob.K is not None:
         return prob
-    M, K = estimate_bounds(prob, samples=samples, seed=seed, margin=margin)
+    M, K = estimate_bounds(prob, seed=seed)
     return dataclasses.replace(
         prob,
         M=prob.M if prob.M is not None else M,
@@ -314,6 +290,8 @@ def problem_from_config(text: str, name: str = "") -> Problem:
             constants[key] = float(value)
         except ValueError as exc:
             raise ProblemError(f"constant {key!r} in [rhs]: not a number: {value!r}") from exc
+        if not math.isfinite(constants[key]):
+            raise ProblemError(f"constant {key!r} in [rhs]: not finite: {value!r}")
     try:
         f = exprlang.parse(source, n=a1.size, constants=constants)
     except ExprSyntaxError as exc:

@@ -67,7 +67,7 @@ def residuals(prob: Problem, approx: ApproxSolution, include_delta: bool = True)
     cap = caputo_derivative(u, prob.p).values
     fvals = _rhs(prob, u.values)
     # Delta_m from the same f values, as delta_m(prob, approx) would evaluate them
-    delta = _delta(prob, approx.chi1.chi1, fvals)
+    delta = _delta(prob, approx.chi1, fvals)
     offset = delta[:, np.newaxis] if include_delta else 0.0
     res = np.abs(cap - fvals - offset)
     sup_interior = np.max(res[:, 2 : grid.N - 2], axis=1)

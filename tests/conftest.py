@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from fracbvp import exprlang, fracops
+from fracbvp.conditions import check_conditions
 from fracbvp.fracops import ProductTrapezoid, kernel_constant
 from fracbvp.problem import Box, Problem, builtin_problem
 
@@ -39,6 +40,13 @@ def operator_builds(monkeypatch):
     monkeypatch.setattr(ProductTrapezoid, "__init__", counted)
     fracops.operator.cache_clear()
     return builds
+
+
+def displacement_bounds(prob, count):
+    """The a-priori bounds Q^(k-1) beta on sup|u_k - u_(k-1)|, k = 1..count,
+    with Q and beta from the problem's conditions report."""
+    rep = check_conditions(prob)
+    return [np.linalg.matrix_power(rep.Q, k) @ rep.beta for k in range(count)]
 
 
 def random_scalar_problem(rng, N=101, r_cap=0.45):

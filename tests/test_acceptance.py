@@ -94,7 +94,8 @@ def test_criterion_04_displacement_bound_suite():
         assert rep.spectral_radius < 0.5
         chi = float(rng.uniform(-2, 2))
         sol = run_iteration(prob, chi, m_max=5, tol=0.0)
-        for diff, bound in zip(sol.sup_diffs, sol.bounds_used):
+        bounds = [np.linalg.matrix_power(rep.Q, k) @ rep.beta for k in range(len(sol.sup_diffs))]
+        for diff, bound in zip(sol.sup_diffs, bounds):
             if bound[0] > 0:
                 worst_ratio = max(worst_ratio, float(diff[0] / bound[0]))
     ok = worst_ratio <= 1.05

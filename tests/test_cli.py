@@ -270,6 +270,20 @@ def test_malformed_bounds_and_grid_are_config_errors(tmp_path, capsys, line, edi
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_rhs_constant_is_a_config_error(tmp_path, capsys, value):
+    # with supplied bounds a NaN f used to pass the gate: "conditions hold", exit 0
+    text = BUILTIN_PROBLEMS["acc-gyre"][0]
+    assert "\nomega = 4649.56\n" in text
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text.replace("\nomega = 4649.56\n", f"\nomega = {value}\n")
+                   + "[bounds]\nM = 844.11\nK = 0.5\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["check", "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"config error: constant 'omega' in [rhs]: not finite: '{value}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- check --------------------------------------------------------------------
 
 
@@ -452,6 +466,27 @@ def test_solve_respects_tol(tmp_path):
     assert det["converged"] is True
     _, rows = _read_csv(tmp_path / "sup_diffs.csv")
     assert float(rows[-1][1]) <= 0.05
+
+
+@pytest.mark.parametrize("source", ["acc-gyre-early-stop", "coupled-bounds"])
+def test_sup_diff_bounds_are_the_conditions_q_and_beta(tmp_path, source):
+    # the bound of row k is Q^(k-1) beta with Q and beta as conditions.json holds them
+    if source == "coupled-bounds":
+        cfg = tmp_path / "coupled.ini"
+        cfg.write_text(COUPLED_BOUNDS_CFG, encoding="utf-8")
+        base, solve, n = ["--config", str(cfg)], ["--m", "2"], 2
+    else:
+        base, solve, n = ["--builtin", "acc-gyre"], ["--m", "6", "--tol", "0.05"], 1
+    base += ["--out", str(tmp_path / "out")]
+    assert main(["check", *base]) == 0
+    assert main(["solve", *base, *solve]) == 0
+    cond = json.loads((tmp_path / "out" / "conditions.json").read_text(encoding="utf-8"))
+    Q, beta = np.array(cond["Q"]), np.array(cond["beta"])
+    header, rows = _read_csv(tmp_path / "out" / "sup_diffs.csv")
+    assert len(rows) == (3 if n == 1 else 2)  # the gyre stops early at m = 3
+    for k, row in enumerate(rows):
+        assert row[0] == str(k + 1)
+        assert row[1 + n :] == ["%.17g" % b for b in np.linalg.matrix_power(Q, k) @ beta]
 
 
 def test_solve_conditions_gate_and_force(tmp_path, capsys):
@@ -768,6 +803,33 @@ def test_solve_and_verify_on_the_fft_grid(tmp_path):
     assert main(["verify", *grid]) == 0
     data = json.loads((tmp_path / "verify.json").read_text(encoding="utf-8"))
     assert data["sup_residual"][0] == pytest.approx(0.34996755761989107, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"m": 2}', "KeyError: 'chi1_star'"),
+        ('{"chi1_star": [-332.3]}', "KeyError: 'm'"),
+        ('{"m": 2, "chi1_star": [NaN]}', "chi1_star must be 1 finite number(s), got [nan]"),
+        ('{"m": 2, "chi1_star": [1.0, 2.0]}', "chi1_star must be 1 finite number(s), got [1.0, 2.0]"),
+        ('{"m": 2, "chi1_star": ["x"]}', "ValueError: could not convert string to float: 'x'"),
+        ('{"m": -1, "chi1_star": [-332.3]}', "m must be an integer >= 0, got -1"),
+        ('{"m": 2.5, "chi1_star": [-332.3]}', "m must be an integer >= 0, got 2.5"),
+        ('{"m": "2", "chi1_star": [-332.3]}', "m must be an integer >= 0, got '2'"),
+        ('{"m": 2', "JSONDecodeError"),
+        ("[]", "TypeError"),
+    ],
+    ids=["no-chi1", "no-m", "chi1-nan", "chi1-size", "chi1-text", "m-negative", "m-float", "m-text",
+         "not-json", "not-an-object"],
+)
+def test_verify_rejects_malformed_solve_outputs(tmp_path, capsys, text, message):
+    # a missing key, a bad chi1_star or a negative m used to end in a traceback
+    (tmp_path / "determining.json").write_text(text, encoding="utf-8")
+    assert main(["verify", "--builtin", "acc-gyre", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: malformed {tmp_path / 'determining.json'}: ")
+    assert message in err
+    assert not (tmp_path / "verify.json").exists()
 
 
 def test_verify_without_solve_outputs(tmp_path, capsys):

@@ -17,7 +17,6 @@ from fracbvp.determine import (
     _brent,
     NoRootBracketError,
     NonConvergenceError,
-    SolverConfig,
     delta_at,
     delta_m,
     exclusion_sweep,
@@ -265,11 +264,6 @@ def test_no_bracket_error(zero_rhs):
         solve_determining(prob, 1)
 
 
-def test_scan_density_configurable(zero_rhs):
-    res = solve_determining(zero_rhs, 0, SolverConfig(scan_points=5))
-    assert res.chi1_star[0] == pytest.approx(1.0, abs=1e-10)
-
-
 @given(st.integers(0, 10**6))
 @settings(max_examples=25)
 def test_zero_rhs_family_roots(seed):
@@ -369,7 +363,7 @@ def test_gyre_root_is_scipy_brentq_bit_for_bit(gyre):
         _recorded(lambda x: delta_at(gyre, [x], 2)[0], points),
         scan[i][0][0],
         scan[i + 1][0][0],
-        xtol=SolverConfig().xtol,
+        xtol=determine._XTOL,
     )
     assert res.chi1_star[0] == root
     assert [chi[0] for chi, _ in res.solver_trace[16:]] == points

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import coupled_problem, escape_rows, random_scalar_problem, zero_rhs_problem
+from conftest import (
+    coupled_problem,
+    displacement_bounds,
+    escape_rows,
+    random_scalar_problem,
+    zero_rhs_problem,
+)
 from fracbvp import exprlang, fracops, iterate
 from fracbvp.determine import delta_m, exclusion_sweep
 from fracbvp.fracops import GridFunction, ProductTrapezoid, operator
@@ -321,7 +327,7 @@ def test_run_iteration_is_u0_and_a_chain_of_steps(gyre, name):
 def test_run_iteration_bound_trace_pins(gyre):
     sol = run_iteration(gyre, CHI_THIRD, m_max=3, tol=0.0)
     want = [158.82009645226074, 14.934107346069244, 1.4042779673727155]
-    got = [float(b[0]) for b in sol.bounds_used]
+    got = [float(b[0]) for b in displacement_bounds(gyre, len(sol.sup_diffs))]
     assert got == pytest.approx(want, rel=1e-12)
     # and the trace is exactly the geometric sequence Q^{k-1} beta
     q = gyre.K[0, 0] * 0.18806319451591874
@@ -331,7 +337,8 @@ def test_run_iteration_bound_trace_pins(gyre):
 
 def test_sup_diffs_stay_below_displacement_bounds(gyre):
     sol = run_iteration(gyre, CHI_THIRD, m_max=4, tol=0.0)
-    for diff, bound in zip(sol.sup_diffs, sol.bounds_used):
+    assert len(sol.sup_diffs) == 4
+    for diff, bound in zip(sol.sup_diffs, displacement_bounds(gyre, 4)):
         assert diff[0] <= bound[0]
 
 
@@ -373,11 +380,13 @@ def test_negative_steps_rejected(gyre):
         run_iteration(gyre, CHI_THIRD, m_max=-1)
 
 
-def test_parameter_point_flags_omega_membership(gyre):
-    inside = run_iteration(gyre, CHI_THIRD, m_max=1, tol=0.0)
-    outside = run_iteration(gyre, -500.0, m_max=1, tol=0.0)
-    assert inside.chi1.in_omega is True
-    assert outside.chi1.in_omega is False
+def test_run_keeps_its_slopes_as_an_array(gyre):
+    # one slope, also outside Omega, is an (n,) array; a stack keeps its (B, n)
+    for chi in (CHI_THIRD, -500.0):
+        sol = run_iteration(gyre, chi, m_max=1, tol=0.0)
+        assert sol.chi1.shape == (1,) and sol.chi1[0] == chi
+    stack = np.array([[CHI_THIRD], [-500.0]])
+    assert run_iteration(gyre, stack, m_max=1, tol=0.0).chi1.tobytes() == stack.tobytes()
 
 
 def test_all_iterates_pin_boundaries(gyre):
@@ -395,7 +404,7 @@ def test_displacement_bounds_hold_on_random_problems(seed):
     chi = float(rng.uniform(-2, 2))
     sol = run_iteration(prob, chi, m_max=3, tol=0.0)
     assert len(sol.sup_diffs) == 3
-    for diff, bound in zip(sol.sup_diffs, sol.bounds_used):
+    for diff, bound in zip(sol.sup_diffs, displacement_bounds(prob, 3)):
         assert diff[0] <= bound[0] * (1 + 1e-12)
 
 
