@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from conftest import random_scalar_problem, zero_rhs_problem
+from conftest import displacement_bounds, random_scalar_problem, zero_rhs_problem
 from fracbvp.conditions import check_conditions
 from fracbvp.determine import exclusion_sweep, solve_determining
 from fracbvp.fracops import (
@@ -94,8 +94,7 @@ def test_criterion_04_displacement_bound_suite():
         assert rep.spectral_radius < 0.5
         chi = float(rng.uniform(-2, 2))
         sol = run_iteration(prob, chi, m_max=5, tol=0.0)
-        bounds = [np.linalg.matrix_power(rep.Q, k) @ rep.beta for k in range(len(sol.sup_diffs))]
-        for diff, bound in zip(sol.sup_diffs, bounds):
+        for diff, bound in zip(sol.sup_diffs, displacement_bounds(prob, len(sol.sup_diffs))):
             if bound[0] > 0:
                 worst_ratio = max(worst_ratio, float(diff[0] / bound[0]))
     ok = worst_ratio <= 1.05

@@ -482,7 +482,7 @@ def test_sup_diff_bounds_are_the_conditions_q_and_beta(tmp_path, source):
     assert main(["solve", *base, *solve]) == 0
     cond = json.loads((tmp_path / "out" / "conditions.json").read_text(encoding="utf-8"))
     Q, beta = np.array(cond["Q"]), np.array(cond["beta"])
-    header, rows = _read_csv(tmp_path / "out" / "sup_diffs.csv")
+    _, rows = _read_csv(tmp_path / "out" / "sup_diffs.csv")
     assert len(rows) == (3 if n == 1 else 2)  # the gyre stops early at m = 3
     for k, row in enumerate(rows):
         assert row[0] == str(k + 1)
