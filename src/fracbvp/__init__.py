@@ -45,7 +45,6 @@ from .fracops import (
     ProductTrapezoid,
     alpha1,
     caputo_derivative,
-    envelope_sequence,
     frac_integral,
     gamma,
     kernel_constant,
@@ -96,7 +95,6 @@ __all__ = [
     "delta_gap_bound",
     "delta_m",
     "emit_figure_data",
-    "envelope_sequence",
     "estimate_bounds",
     "evaluate",
     "exclusion_sweep",

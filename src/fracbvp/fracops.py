@@ -8,8 +8,9 @@ envelope
 
     alpha1(t) = 2 (t - a)^p / Gamma(p+1) * ((b - t)/(b - a))^p
 
-that bounds the boundary-corrected integral operator driving the
-successive-approximation scheme.
+whose sup kc = ``kernel_constant(T, p)`` is the paper's constant in beta =
+kc M and Q = kc K.  For p > 1 the boundary-corrected kernel changes sign, so
+the operator's sup-norm kappa exceeds kc (kappa/kc = 1.079 at p = 1.5).
 
 All quadrature is exact (to roundoff) for piecewise-linear integrands:
 the singular kernel is integrated in closed form against the hat-function
@@ -43,7 +44,6 @@ __all__ = [
     "ProductTrapezoid",
     "alpha1",
     "caputo_derivative",
-    "envelope_sequence",
     "frac_integral",
     "gamma",
     "kernel_constant",
@@ -205,8 +205,6 @@ class ProductTrapezoid:
         w[N - 1] = c1[N - 1]
         corr = np.zeros(N)
         corr[: N - 1] = c2[1:N]
-        self._c1 = c1
-        self._c2 = c2
         self._w = w
         self._corr = corr
         self._wrev = np.ascontiguousarray(w[::-1])
@@ -215,7 +213,7 @@ class ProductTrapezoid:
             self._fft_len = _fast_len(2 * N - 1)
             self._spectrum = np.fft.rfft(w, self._fft_len)
         # one instance is shared by every caller of ``operator``
-        for arr in (self.nodes, self.ratio, c1, c2, w, corr, self._wrev, self._spectrum):
+        for arr in (self.nodes, self.ratio, w, corr, self._wrev, self._spectrum):
             if arr is not None:
                 arr.flags.writeable = False
 
@@ -256,30 +254,12 @@ class ProductTrapezoid:
         """
         return np.vecdot(np.asarray(values, dtype=float), self._wrev)
 
-    def anchored_running(self, values: np.ndarray) -> np.ndarray:
-        """Raw moments int_0^{t_j} (T - s)^(p-1) g(s) ds for every j.
-
-        Same panel weights, but every panel keeps the lag it has from the
-        far endpoint T, so the result is a plain cumulative sum.  The last
-        entry coincides with running(values)[..., -1].
-        """
-        v = np.asarray(values, dtype=float)
-        single = v.ndim == 1
-        rows = v[np.newaxis, :] if single else v
-        N = self.grid.N
-        lag = np.arange(N - 1, 0, -1)
-        panel = rows[:, :-1] * self._c1[lag] + rows[:, 1:] * self._c2[lag]
-        out = np.concatenate(
-            [np.zeros((rows.shape[0], 1)), np.cumsum(panel, axis=1)], axis=1
-        )
-        return out[0] if single else out
-
 
 @functools.lru_cache(maxsize=_OPERATOR_CACHE)
 def operator(grid: Grid, p: float) -> ProductTrapezoid:
     """The integral operator of kernel order p on ``grid``, built once per
     (N, T, p) while it stays among the ``_OPERATOR_CACHE`` most recently used.
-    Each holds about 72 N bytes, so a full cache pins up to 0.58 GB at
+    Each holds about 56 N bytes, so a full cache pins up to 0.45 GB at
     N = 10**6 until ``operator.cache_clear()``, which ``cli.main`` calls first."""
     return ProductTrapezoid(grid, p)
 
@@ -289,19 +269,15 @@ def _require_order(p: float) -> None:
         raise ValueError(f"fractional order must lie in (1, 2], got p={p!r}")
 
 
-def frac_integral(g: GridFunction, p: float, t_index: int | None = None) -> np.ndarray:
+def frac_integral(g: GridFunction, p: float) -> np.ndarray:
     """Riemann-Liouville integral I^p g on the grid.
 
-    Returns (1/Gamma(p)) * int_0^{t_j} (t_j - s)^(p-1) g(s) ds, either at
-    one node (``t_index``) as a ([B,] n) array, or at every node as a
-    ([B,] n, N) array when ``t_index`` is None.  Exact to roundoff for
-    piecewise-linear g.
+    Returns (1/Gamma(p)) * int_0^{t_j} (t_j - s)^(p-1) g(s) ds at every
+    node as a ([B,] n, N) array; index ``[..., j]`` for node j.  Exact to
+    roundoff for piecewise-linear g.
     """
     _require_order(p)
-    if t_index is not None and not (-g.grid.N <= t_index < g.grid.N):
-        raise ValueError(f"t_index {t_index} outside grid of {g.grid.N} nodes")
-    vals = _running(g.values, g.grid, p)
-    return vals if t_index is None else vals[..., t_index]
+    return _running(g.values, g.grid, p)
 
 
 def caputo_derivative(u: GridFunction, p: float, split: bool = True) -> GridFunction:
@@ -357,10 +333,11 @@ def _running(values: np.ndarray, grid: Grid, p: float) -> np.ndarray:
 def alpha1(t, a: float, b: float, p: float):
     """Kernel envelope 2 (t-a)^p / Gamma(p+1) * ((b-t)/(b-a))^p.
 
-    This is the sharp pointwise bound on the boundary-corrected
-    fractional integral operator: it vanishes at both endpoints and
-    peaks at the midpoint with value (b-a)^p / (2^(2p-1) Gamma(p+1)).
-    Accepts scalar or array ``t`` inside [a, b].
+    It vanishes at both endpoints and peaks at the midpoint with the
+    paper's constant kc = (b-a)^p / (2^(2p-1) Gamma(p+1)).  It is not a
+    pointwise bound on the boundary-corrected operator: for p > 1 the
+    kernel changes sign, and the operator's sup-norm exceeds kc (by 7.9%
+    at p = 1.5).  Accepts scalar or array ``t`` inside [a, b].
     """
     if not b > a:
         raise ValueError(f"alpha1: need a < b, got a={a!r}, b={b!r}")
@@ -379,28 +356,3 @@ def kernel_constant(T: float, p: float) -> float:
     """
     return T**p / (2.0 ** (2.0 * p - 1.0) * gamma(p + 1.0))
 
-
-def envelope_sequence(grid: Grid, p: float, m: int) -> list[np.ndarray]:
-    """First m iterates alpha_1..alpha_m of the comparison operator.
-
-    alpha_{k+1}(t) = (1/Gamma(p)) [ int_0^t (t-s)^(p-1) alpha_k ds
-                     - (t/T)^p int_0^t (T-s)^(p-1) alpha_k ds
-                     + (t/T)^p int_t^T (T-s)^(p-1) alpha_k ds ]
-
-    starting from alpha_0 = 1.  The first application reproduces the
-    closed-form alpha1 exactly (the quadrature is exact for constants);
-    analytically the sequence obeys alpha_{k+1} <= kernel_constant^k * alpha_1.
-    """
-    _require_order(p)
-    if m < 1:
-        raise ValueError(f"envelope_sequence: m must be >= 1, got {m}")
-    quad = operator(grid, p)
-    seq: list[np.ndarray] = []
-    a = np.ones(grid.N)
-    for _ in range(m):
-        conv = quad.running(a)
-        cum = quad.anchored_running(a)
-        full = cum[-1]
-        a = (conv - quad.ratio * cum + quad.ratio * (full - cum)) / quad.gamma_p
-        seq.append(a)
-    return seq

@@ -134,7 +134,7 @@ class Problem:
     def n(self) -> int:
         return self.alpha1.size
 
-    @property
+    @functools.cached_property
     def grid(self) -> Grid:
         return Grid(self.N, self.T)
 
@@ -157,33 +157,31 @@ class Problem:
 
 # --- Bound estimation -------------------------------------------------
 
-def _sample_points(prob: Problem, samples: int | None, seed: int) -> tuple[np.ndarray, list]:
+# Sample sets behind estimated M and K: the product mesh of this many values
+# per axis of [0,T] x D for n <= 2, this many Latin-hypercube points for n >= 3.
+_MESH_PER_AXIS = 200
+_LHS_POINTS = 10**5
+
+
+def _sample_points(prob: Problem, seed: int) -> tuple[np.ndarray, list]:
     """Return t and the list of u components of samples covering [0,T] x D:
     for n <= 2 the sparse axes (P, 1, ...), (1, P, ...), ... of the product
     mesh, for n >= 3 P Latin-hypercube points, each array of shape (P,)."""
     n = prob.n
-    if samples is not None and samples < 1000:
-        raise ValueError(f"estimate_bounds: samples must be >= 1000, got {samples}")
     if n <= 2:
-        per_axis = 200 if samples is None else max(8, int(round(samples ** (1.0 / (n + 1)))))
-        axes = [np.linspace(0.0, prob.T, per_axis)]
-        axes += [
-            np.linspace(prob.domain.lo[i], prob.domain.hi[i], per_axis) for i in range(n)
-        ]
+        axes = [np.linspace(0.0, prob.T, _MESH_PER_AXIS)]
+        axes += [np.linspace(lo, hi, _MESH_PER_AXIS) for lo, hi in zip(prob.domain.lo, prob.domain.hi)]
         t, *u = np.meshgrid(*axes, indexing="ij", sparse=True)
         return t, u
     from scipy.stats import qmc
 
-    count = 10**5 if samples is None else samples
-    raw = qmc.LatinHypercube(d=n + 1, seed=seed).random(count)
+    raw = qmc.LatinHypercube(d=n + 1, seed=seed).random(_LHS_POINTS)
     t = raw[:, 0] * prob.T
     u = (prob.domain.lo[:, None] + raw[:, 1:].T * prob.domain.width[:, None])
     return t, list(u)
 
 
-def estimate_bounds(
-    prob: Problem, samples: int | None = None, seed: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
+def estimate_bounds(prob: Problem, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Estimate the sup bound M and Lipschitz matrix K over [0,T] x D.
 
     M is the componentwise max of |f| over the sample set; K_ij is the
@@ -197,7 +195,7 @@ def estimate_bounds(
     per axis value, but every mesh point sees the same floating-point
     operations as on the dense mesh.
     """
-    t, u = _sample_points(prob, samples, seed)
+    t, u = _sample_points(prob, seed)
     n = prob.n
     M = np.max(np.abs(prob.rhs(t, u)).reshape(n, -1), axis=1)
     K = np.zeros((n, n))

@@ -110,7 +110,8 @@ def test_operator_is_built_once_per_problem(gyre):
 def test_operator_arrays_are_read_only(gyre):
     op = operator(gyre.grid, gyre.p)
     arrays = [v for v in vars(op).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 7  # nodes, ratio, c1, c2, w, corr, wrev (no spectrum below 1024 nodes)
+    assert len(arrays) == 5  # nodes, ratio, w, corr, wrev (no spectrum below 1024 nodes)
+    assert sum(arr.nbytes for arr in arrays) == 5 * 8 * gyre.N
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[1] = 0.5

@@ -1,5 +1,6 @@
 """Problem model, bound estimation, and config ingestion."""
 
+import dataclasses
 import textwrap
 
 import numpy as np
@@ -17,7 +18,7 @@ from fracbvp.problem import (
     resolve_bounds,
 )
 from fracbvp.problem import _sample_points
-from fracbvp import exprlang
+from fracbvp import exprlang, problem
 
 MINIMAL = textwrap.dedent(
     """
@@ -125,6 +126,15 @@ def test_problem_rhs_vectorized():
     assert np.allclose(out[0], 3 * t)
 
 
+def test_problem_grid_is_built_once_per_problem():
+    prob = _problem()
+    assert prob.grid is prob.grid
+    assert (prob.grid.N, prob.grid.T) == (51, 1.0)
+    finer = dataclasses.replace(prob, N=101)
+    assert finer.grid is not prob.grid
+    assert (finer.grid.N, prob.grid.N) == (101, 51)
+
+
 # --- bound estimation ---------------------------------------------------------
 
 def test_estimate_bounds_gyre_pins(gyre):
@@ -143,15 +153,45 @@ def test_estimate_bounds_of_cos_u1_approach_one():
     assert K0[0, 0] == pytest.approx(1.0, abs=1e-3)
 
 
-def test_estimate_bounds_sample_budget_validated():
-    prob = _problem()
-    with pytest.raises(ValueError, match=">= 1000"):
-        estimate_bounds(prob, samples=10)
-
-
 def test_estimate_bounds_deterministic_given_seed():
     prob = _problem(f=exprlang.parse("sin(3*t)*u1", 1, {}), f_source="sin(3*t)*u1")
     assert estimate_bounds(prob, seed=5)[0] == estimate_bounds(prob, seed=5)[0]
+
+
+THREE_LINEAR = textwrap.dedent(
+    """
+    [problem]
+    p = 1.5
+    T = 1
+    alpha1 = 0 0 0
+    alpha2 = 1 1 1
+    N = 51
+
+    [domain]
+    lo = -2 -2 -2
+    hi = 2 2 2
+
+    [rhs]
+    expr = 0.5*u1; 0.25*u2; 0.5*u3
+
+    [omega_box]
+    lo = -3 -3 -3
+    hi = 3 3 3
+    """
+)
+
+
+def test_estimate_bounds_on_latin_hypercube_points_for_three_components():
+    # n >= 3 samples _LHS_POINTS points drawn from the seed; the secant of a
+    # u-linear f is exact, and a sampled max of |f| stays below its sup
+    prob = problem_from_config(THREE_LINEAR)
+    M, K = estimate_bounds(prob, seed=5)
+    assert np.array_equal(K, np.diag([0.5, 0.25, 0.5]))
+    assert np.all(M <= [1.0, 0.5, 1.0])
+    assert np.all(M >= [0.999, 0.4995, 0.999])
+    again = estimate_bounds(prob, seed=5)
+    assert M.tobytes() == again[0].tobytes() and K.tobytes() == again[1].tobytes()
+    assert not np.array_equal(estimate_bounds(prob, seed=6)[0], M)
 
 
 COUPLED_NO_BOUNDS = textwrap.dedent(
@@ -183,10 +223,9 @@ COUPLED_NO_BOUNDS = textwrap.dedent(
 )
 
 
-def _dense_bounds(prob, samples=None):
+def _dense_bounds(prob, per_axis):
     """M and K on the dense, ravelled n <= 2 mesh: the oracle of the broadcast axes."""
     n = prob.n
-    per_axis = 200 if samples is None else max(8, int(round(samples ** (1.0 / (n + 1)))))
     axes = [np.linspace(0.0, prob.T, per_axis)]
     axes += [np.linspace(prob.domain.lo[i], prob.domain.hi[i], per_axis) for i in range(n)]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -210,31 +249,37 @@ def _scalar(source):
 
 
 @pytest.mark.parametrize(
-    "make, samples",
+    "make, per_axis",
     [
-        (lambda: builtin_problem("acc-gyre", resolve=False), None),
-        (lambda: builtin_problem("zero-rhs", resolve=False), None),
-        (lambda: _scalar("cos(u1)"), None),
-        (lambda: _scalar("sin(3*t)*u1"), None),
-        (lambda: _scalar("2"), None),
-        (lambda: problem_from_config(COUPLED_NO_BOUNDS), 1000),
+        (lambda: builtin_problem("acc-gyre", resolve=False), 200),
+        (lambda: builtin_problem("zero-rhs", resolve=False), 200),
+        (lambda: _scalar("cos(u1)"), 200),
+        (lambda: _scalar("sin(3*t)*u1"), 200),
+        (lambda: _scalar("2"), 200),
+        # a 10^3 mesh keeps the dense n = 2 oracle small
+        (lambda: problem_from_config(COUPLED_NO_BOUNDS), 10),
     ],
     ids=["acc-gyre", "zero-rhs", "cos-u1", "sin-3t-u1", "constant", "coupled-n2"],
 )
-def test_estimate_bounds_on_broadcast_axes_matches_the_dense_mesh(make, samples):
+def test_estimate_bounds_on_broadcast_axes_matches_the_dense_mesh(monkeypatch, make, per_axis):
     # every mesh point sees the same floating-point operations, so == holds
     prob = make()
-    M, K = estimate_bounds(prob, samples=samples)
-    M_dense, K_dense = _dense_bounds(prob, samples)
+    monkeypatch.setattr(problem, "_MESH_PER_AXIS", per_axis)
+    M, K = estimate_bounds(prob)
+    M_dense, K_dense = _dense_bounds(prob, per_axis)
     assert M.shape == M_dense.shape and K.shape == K_dense.shape
     assert np.array_equal(M, M_dense)
     assert np.array_equal(K, K_dense)
 
 
-@pytest.mark.parametrize("n, samples, per_axis", [(1, None, 200), (2, None, 200), (2, 1000, 10)])
-def test_sample_mesh_is_kept_as_its_axes(n, samples, per_axis):
+@pytest.mark.parametrize("n, points, per_axis", [(1, None, 200), (2, None, 200), (2, 1000, 10)])
+def test_sample_mesh_is_kept_as_its_axes(monkeypatch, n, points, per_axis):
+    # points: the size of a smaller mesh to sample on (None: the default mesh)
     prob = builtin_problem("acc-gyre", resolve=False) if n == 1 else problem_from_config(COUPLED_NO_BOUNDS)
-    t, u = _sample_points(prob, samples, 0)
+    if points is not None:
+        monkeypatch.setattr(problem, "_MESH_PER_AXIS", round(points ** (1.0 / (n + 1))))
+    assert problem._MESH_PER_AXIS == per_axis
+    t, u = _sample_points(prob, 0)
     assert len(u) == n
     # the arrays hold the axis values alone, not the (n + 1)-fold product
     assert t.size + sum(c.size for c in u) == (n + 1) * per_axis
