@@ -6,7 +6,8 @@ command, the config source, and all effective numeric settings, so a
 run can be reproduced bit-for-bit (CSV payloads contain no clocks).
 
 Exit codes: 0 success, 1 config error, 2 solvability conditions failed,
-3 numerical failure (no root bracket, Newton stall, domain escape).
+3 numerical failure (no root bracket, Newton stall, domain escape),
+141 stdout closed by its reader (128 + SIGPIPE; files already written stay).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -32,7 +34,7 @@ from .determine import (
     solve_determining,
 )
 from .exprlang import ExprEvalError, ExprSyntaxError
-from .iterate import DomainEscapeError, _escape_stats, run_iteration
+from .iterate import DomainEscapeError, run_iteration
 from .problem import BUILTIN_PROBLEMS, Problem, ProblemError, builtin_problem, load_problem, resolve_bounds
 from .verify import emit_figure_data, residuals
 
@@ -40,10 +42,16 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_CONDITIONS = 2
 EXIT_NUMERICAL = 3
+EXIT_BROKEN_PIPE = 141
 
 
 class ConditionFailure(RuntimeError):
     """Solvability conditions do not hold and --force was not given."""
+
+
+def _write_json(path: Path, obj) -> None:
+    """``obj`` as JSON indented by 2, with a final newline."""
+    path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
 
 
 @dataclasses.dataclass
@@ -59,8 +67,7 @@ class RunManifest:
     timestamp: str
 
     def write(self, out_dir: Path) -> None:
-        path = out_dir / "manifest.json"
-        path.write_text(json.dumps(dataclasses.asdict(self), indent=2) + "\n", encoding="utf-8")
+        _write_json(out_dir / "manifest.json", dataclasses.asdict(self))
 
 
 _BLOCK_VALUES = 2**16
@@ -159,7 +166,7 @@ def _escape_summary(approx) -> dict:
     """Domain-escape fields of the iteration run a JSON file describes."""
     return {
         "domain_escapes": len(approx.escapes),
-        "worst_excess": _escape_stats([approx.escapes])[1],
+        "worst_excess": float(approx.escapes.excess.max(initial=0.0)),
         "conditional_on_domain": bool(approx.escapes),
     }
 
@@ -176,9 +183,7 @@ def cmd_check(args) -> int:
     out = _out_dir(args)
     report = check_conditions(prob)
     _manifest(args, "check", source, prob).write(out)
-    (out / "conditions.json").write_text(
-        json.dumps({"problem": source, **report.to_dict()}, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(out / "conditions.json", {"problem": source, **report.to_dict()})
     n = report.n
     table = [(f"beta_{j + 1}", report.beta[j]) for j in range(n)]
     table.append(("beta_over_m", report.beta_over_m))
@@ -234,21 +239,17 @@ def cmd_solve(args) -> int:
         for k, diff in enumerate(approx.sup_diffs)
     ]
     _write_csv(out / "sup_diffs.csv", sd_header, sd_rows)
-    (out / "determining.json").write_text(
-        json.dumps(
-            {
-                "m": args.m,
-                "chi1_star": final.chi1_star.tolist(),
-                "residual": final.residual.tolist(),
-                "converged": approx.converged,
-                "chi_trace": [r.chi1_star.tolist() for r in roots],
-                "probes": len(final.solver_trace),
-                **_escape_summary(approx),
-            },
-            indent=2,
-        )
-        + "\n",
-        encoding="utf-8",
+    _write_json(
+        out / "determining.json",
+        {
+            "m": args.m,
+            "chi1_star": final.chi1_star.tolist(),
+            "residual": final.residual.tolist(),
+            "converged": approx.converged,
+            "chi_trace": [r.chi1_star.tolist() for r in roots],
+            "probes": len(final.solver_trace),
+            **_escape_summary(approx),
+        },
     )
     _note_escapes(approx)
     return EXIT_OK
@@ -288,7 +289,7 @@ def cmd_exclude(args) -> int:
             "sign_change": verdict.sign_change,
             **_domain_summary(verdict),
         }
-    (out / "exclusion.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    _write_json(out / "exclusion.json", summary)
     print(f"kept {len(result.survivors)} of {len(result.subsets)} boxes at m={args.m}")
     if n == 1:
         answer = "yes" if verdict.certified else "inconclusive"
@@ -343,11 +344,8 @@ def cmd_verify(args) -> int:
         res_header,
         np.column_stack([report.residual_grid.grid.nodes, report.residual_grid.values.T]),
     )
-    (out / "verify.json").write_text(
-        json.dumps({"m": m, "chi1": chi.tolist(), **report.to_dict(), **_escape_summary(approx)},
-                   indent=2) + "\n",
-        encoding="utf-8",
-    )
+    _write_json(out / "verify.json",
+                {"m": m, "chi1": chi.tolist(), **report.to_dict(), **_escape_summary(approx)})
     print(f"sup interior residual at m={m}: {np.max(report.sup_residual):.6g} "
           f"(delta offset {'included' if report.includes_delta_offset else 'omitted'})")
     print(f"boundary residuals: {np.max(report.boundary_residuals[0]):.3g} / "
@@ -417,7 +415,14 @@ def main(argv: list[str] | None = None) -> int:
     # never depends on what ran before it in the same process
     fracops.operator.cache_clear()
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout is gone: send what is still buffered to devnull,
+        # so the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ProblemError, ExprSyntaxError, ExprEvalError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

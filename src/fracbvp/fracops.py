@@ -140,17 +140,6 @@ class GridFunction:
     def n_components(self) -> int:
         return self.values.shape[-2]
 
-    def sup(self) -> np.ndarray:
-        """Componentwise sup norm over the nodes."""
-        return np.max(np.abs(self.values), axis=-1)
-
-    def __call__(self, t):
-        """Piecewise-linear evaluation between nodes, shape values.shape[:-1] + shape(t)."""
-        t = np.asarray(t, dtype=float)
-        rows = self.values.reshape(-1, self.grid.N)
-        out = np.stack([np.interp(t, self.grid.nodes, row) for row in rows])
-        return out.reshape(self.values.shape[:-1] + t.shape)
-
 
 class ProductTrapezoid:
     """Product-trapezoidal weights for the kernel (t - s)^(p-1), p > 0.

@@ -18,16 +18,16 @@ solvability conditions sup|u_k - u_{k-1}| <= Q^(k-1) beta, with Q and
 beta from ``conditions.check_conditions``.  The iteration itself needs
 neither M nor K.  A (B, n) stack of slopes runs B
 sequences at once, values (B, n, N), each row bit-identical to its own run.
-A run builds u_0 once and checks every iterate against D; its domain
-escapes are one ``DomainEscape`` record of arrays, filled without a
-Python object per escaped row.  Every iterate lies on ``prob.grid``: each
-step takes the problem's shared operator, ``prob.operator``, and f bound
-on its nodes, ``prob.f_on_grid``.
+A run builds u_0 once and is the one place that checks iterates against
+D: it checks u_0, ..., u_m as it builds them, and its domain escapes are
+one ``DomainEscape`` record of arrays, filled without a Python object per
+escaped row.  ``iterate_step`` is the bare operator application.  Every
+iterate lies on ``prob.grid``: each step takes the problem's shared
+operator, ``prob.operator``, and f bound on its nodes, ``prob.f_on_grid``.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -45,8 +45,6 @@ __all__ = [
     "u0",
 ]
 
-_log = logging.getLogger(__name__)
-
 _DOMAIN_SLACK = 1e-9
 
 
@@ -60,9 +58,6 @@ class DomainEscape:
     row that left D, at its worst node, in check order; ``len()`` counts them."""
 
     probe: np.ndarray  # row of the chi1 stack that left D (0 for one chi1)
-    t: np.ndarray
-    component: np.ndarray  # 1-based, matching u1..un naming
-    value: np.ndarray
     excess: np.ndarray
 
     def __len__(self) -> int:
@@ -83,32 +78,23 @@ def _escape_stats(records: list[DomainEscape]) -> tuple[int, float]:
     return np.unique(probes).size, float(max(r.excess.max(initial=0.0) for r in records))
 
 
-def _check_domain(
-    prob: Problem, u: GridFunction, nodes: np.ndarray, escapes: list[DomainEscape] | None
-) -> None:
-    """Records each batch row whose iterate leaves D, at its worst node, as
-    one record appended to ``escapes``; the 'strict' policy raises at the first."""
-    N = u.grid.N
-    v = u.values.reshape(-1, u.n_components * N)
+def _check_domain(prob: Problem, values: np.ndarray) -> DomainEscape:
+    """The record of the batch rows of ``values`` (on ``prob.grid``) that leave D,
+    each at its worst node; the 'strict' policy raises at the first such row,
+    located at its worst node (the first one on a tie)."""
+    N = prob.N
+    v = values.reshape(-1, prob.n * N)
     excess = np.maximum(np.repeat(prob.domain.lo, N) - v, v - np.repeat(prob.domain.hi, N))
     cols = np.argmax(excess, axis=1)
     worst = excess[np.arange(len(v)), cols]
     rows = np.flatnonzero(worst > _DOMAIN_SLACK)
-    cols = cols[rows]
-    found = DomainEscape(rows, nodes[cols % N], cols // N + 1, v[rows, cols], worst[rows])
-    if prob.domain_policy == "strict" and len(found):
+    if prob.domain_policy == "strict" and len(rows):
+        col = cols[rows[0]]
         raise DomainEscapeError(
-            f"iterate leaves D by {found.excess[0]:.6g} at t={found.t[0]:.6g} "
-            f"(component {found.component[0]}); the convergence theory assumes iterates stay in D"
+            f"iterate leaves D by {worst[rows[0]]:.6g} at t={prob.operator.nodes[col % N]:.6g} "
+            f"(component {col // N + 1}); the convergence theory assumes iterates stay in D"
         )
-    # collected runs return their escapes as data, standalone calls warn
-    if escapes is not None:
-        escapes.append(found)
-        return
-    for excess_b, t, component in zip(found.excess.tolist(), found.t.tolist(),
-                                      found.component.tolist()):
-        _log.warning("iterate leaves D by %.3g at t=%.6g (component %d); continuing "
-                     "(domain_policy=warn)", excess_b, t, component)
+    return DomainEscape(rows, worst[rows])
 
 
 def _interpolant(prob: Problem, op: ProductTrapezoid, chi: np.ndarray) -> np.ndarray:
@@ -141,23 +127,20 @@ def iterate_step(
     prob: Problem,
     prev: GridFunction,
     chi1,
-    escapes: list[DomainEscape] | None = None,
     *,
     u0_values: np.ndarray | None = None,
 ) -> GridFunction:
     """One application of the integral operator to the previous iterate.
 
-    Checks that ``prev`` stays inside D first (hard error beyond 1e-9
-    under the 'strict' policy; logged, or appended to ``escapes`` when
-    given, under 'warn'), then evaluates f along prev and adds the
-    corrected integral term to u_0.  ``prev`` must lie on ``prob.grid``
-    (ValueError otherwise).  ``u0_values``, when given, are the values of
+    Evaluates f along ``prev`` and adds the corrected integral term to
+    u_0; ``prev`` is not checked against D (``run_iteration`` checks every
+    iterate it builds).  ``prev`` must lie on ``prob.grid`` (ValueError
+    otherwise).  ``u0_values``, when given, are the values of
     ``u0(prob, chi1)``, which are then not rebuilt.
     """
     op = prob.operator
     if prev.grid != op.grid:
         raise ValueError(f"prev lies on {prev.grid}, not on the problem's {op.grid}")
-    _check_domain(prob, prev, op.nodes, escapes)
     if u0_values is None:
         u0_values = _interpolant(prob, op, np.atleast_1d(np.asarray(chi1, dtype=float)))
     fvals = _rhs(prob, prev.values)
@@ -199,8 +182,9 @@ def run_iteration(
     wanted, e.g. for determining-function probes — the loop still stops
     early on a bitwise fixed point, which changes nothing downstream).
     Non-convergence at m_max is reported via ``converged=False``, not an
-    exception.  Every iterate, u_m included, is checked against D;
-    excursions under the 'warn' policy are returned in ``escapes``, one
+    exception.  Every iterate u_0, ..., u_m is checked against D as it is
+    built: the 'strict' policy raises at the first that leaves it, and
+    excursions under 'warn' are returned in ``escapes``, one
     ``DomainEscape`` record for the whole run.  u_0 is built once and every
     step adds its integral term to the same values.  A
     (B, n) stack of slopes stops early only when every row meets ``tol``.
@@ -212,13 +196,14 @@ def run_iteration(
         tol = 1e-8 * (1.0 + float(np.max(np.abs(prob.alpha2 - prob.alpha1))))
     tol_vec = np.broadcast_to(np.asarray(tol, dtype=float), (prob.n,))
 
-    checks: list[DomainEscape] = []
     current = u0(prob, chi)
     iterates = [current]
+    checks = [_check_domain(prob, current.values)]
     sup_diffs: list[np.ndarray] = []
     converged = False
     for _ in range(m_max):
-        nxt = iterate_step(prob, current, chi, escapes=checks, u0_values=iterates[0].values)
+        nxt = iterate_step(prob, current, chi, u0_values=iterates[0].values)
+        checks.append(_check_domain(prob, nxt.values))
         diff = np.max(np.abs(nxt.values - current.values), axis=-1)
         sup_diffs.append(diff)
         iterates.append(nxt)
@@ -226,7 +211,6 @@ def run_iteration(
         if np.all(diff <= tol_vec):
             converged = True
             break
-    _check_domain(prob, current, prob.operator.nodes, checks)
     return ApproxSolution(
         chi1=chi,
         iterates=iterates,

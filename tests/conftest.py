@@ -123,11 +123,6 @@ def coupled_problem(N=201):
 
 
 def escape_rows(records):
-    """The entries of ``DomainEscape`` records as (probe, t, component, value,
-    excess) tuples of Python scalars, in record order."""
-    return [
-        row
-        for r in records
-        for row in zip(r.probe.tolist(), r.t.tolist(), r.component.tolist(),
-                       r.value.tolist(), r.excess.tolist())
-    ]
+    """The entries of ``DomainEscape`` records as (probe, excess) tuples of
+    Python scalars, in record order."""
+    return [row for r in records for row in zip(r.probe.tolist(), r.excess.tolist())]

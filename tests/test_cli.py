@@ -1,7 +1,11 @@
 """End-to-end command-line runs, in process via main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,6 +336,22 @@ def test_check_fails_cyclic_coupling(tmp_path, capsys):
     assert data["radius_bound"] >= data["spectral_radius"]
     assert all(b >= 0.0 for bound in data["apriori_bounds"] for b in bound)
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+def test_closed_stdout_exits_141_without_a_traceback(tmp_path):
+    # stdout is a pipe whose reader is gone before the first print
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(fracbvp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    with open(write_end, "wb") as stdout:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracbvp.cli", "check", "--builtin", "acc-gyre", "--out", str(tmp_path)],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    assert proc.returncode == 141
+    assert "Traceback" not in proc.stderr
+    assert (tmp_path / "conditions.json").is_file()
 
 
 def test_check_manifest(tmp_path):

@@ -1,7 +1,6 @@
-"""Successive approximations: closed forms, pins, domain policy, logging."""
+"""Successive approximations: closed forms, pins, domain policy."""
 
 import dataclasses
-import logging
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from conftest import (
 )
 from fracbvp import exprlang, fracops, iterate
 from fracbvp.determine import delta_m, exclusion_sweep
-from fracbvp.fracops import GridFunction, ProductTrapezoid, operator
+from fracbvp.fracops import ProductTrapezoid, operator
 from fracbvp.iterate import (
     DomainEscape,
     DomainEscapeError,
@@ -81,9 +80,10 @@ def test_iterate_step_zero_rhs_is_fixed_point(zero_rhs):
 
 def test_iterate_step_midpoint_pin(gyre):
     prev = u0(gyre, CHI_FIRST)
-    assert prev(0.5)[0] == pytest.approx(-45.60994956922515, rel=1e-13)
+    t = gyre.grid.nodes
+    assert np.interp(0.5, t, prev.values[0]) == pytest.approx(-45.60994956922515, rel=1e-13)
     nxt = iterate_step(gyre, prev, CHI_FIRST)
-    assert nxt(0.5)[0] == pytest.approx(-95.5556327872806, rel=1e-12)
+    assert np.interp(0.5, t, nxt.values[0]) == pytest.approx(-95.5556327872806, rel=1e-12)
 
 
 def test_iterate_step_keeps_boundary_values(gyre):
@@ -173,58 +173,56 @@ def test_strict_policy_raises_with_location(zero_rhs):
     prev = u0(zero_rhs, 20.0)
     assert float(np.max(prev.values)) > zero_rhs.domain.hi[0]
     with pytest.raises(DomainEscapeError, match=r"leaves D by .* \(component 1\)"):
-        iterate_step(zero_rhs, prev, 20.0)
+        run_iteration(zero_rhs, 20.0, m_max=1)
+
+
+def test_strict_run_raises_at_u0_whatever_its_depth(zero_rhs):
+    # u_0 is checked before any step, so a deeper run stops with the same message
+    messages = []
+    for m_max in (0, 3):
+        with pytest.raises(DomainEscapeError) as err:
+            run_iteration(zero_rhs, 20.0, m_max=m_max)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    excess = float(np.max(u0(zero_rhs, 20.0).values)) - zero_rhs.domain.hi[0]
+    assert messages[0].startswith(f"iterate leaves D by {excess:.6g} at t=")
 
 
 def test_warn_policy_records_escapes(gyre):
     sol = run_iteration(gyre, CHI_THIRD, m_max=4, tol=0.0)
     assert len(sol.escapes) == 5  # every iterate dips below lo(D) = 1
     rows = escape_rows([sol.escapes])
-    worst = max(excess for *_, excess in rows)
+    worst = max(excess for _, excess in rows)
     assert worst == pytest.approx(99.41640324513766, rel=1e-10)
-    for probe, t, component, value, excess in rows:
-        assert (probe, component) == (0, 1)
-        assert 0.0 < t < gyre.T
-        assert value < gyre.domain.lo[0]
-        assert excess == pytest.approx(gyre.domain.lo[0] - value, rel=1e-12)
+    # one entry per iterate, in order, at its lowest value
+    for (probe, excess), it in zip(rows, sol.iterates):
+        assert probe == 0
+        assert excess == gyre.domain.lo[0] - np.min(it.values)
 
 
-def test_run_iteration_returns_escapes_without_warning(gyre, caplog):
-    with caplog.at_level(logging.WARNING, logger="fracbvp.iterate"):
-        sol = run_iteration(gyre, CHI_THIRD, m_max=3, tol=0.0)
-    assert not any(r.levelno >= logging.WARNING for r in caplog.records)
+def test_run_iteration_returns_escapes_without_warning(gyre):
+    sol = run_iteration(gyre, CHI_THIRD, m_max=3, tol=0.0)
     assert len(sol.escapes) == 4  # u_0 .. u_3, the final iterate included
     assert sol.escapes.probe.tolist() == [0] * 4
 
 
-def test_collected_runs_log_nothing_even_at_debug(gyre, caplog):
-    with caplog.at_level(logging.DEBUG, logger="fracbvp.iterate"):
-        sol = run_iteration(gyre, [[CHI_THIRD], [CHI_FIRST]], m_max=2, tol=0.0)
-    assert caplog.records == []
+def test_collected_runs_log_nothing_even_at_debug(gyre):
+    sol = run_iteration(gyre, [[CHI_THIRD], [CHI_FIRST]], m_max=2, tol=0.0)
     assert len(sol.escapes) == 6
     assert sol.escapes.probe.tolist() == [0, 1] * 3  # both rows at each of 3 checks
 
 
 def _record(*rows):
-    """A DomainEscape of (probe, t, component, value, excess) rows."""
-    columns = zip(*rows) if rows else [()] * 5
-    return DomainEscape(*(np.array(c, dtype) for c, dtype in zip(columns, (int, float, int, float, float))))
+    """A DomainEscape of (probe, excess) rows."""
+    columns = zip(*rows) if rows else [()] * 2
+    return DomainEscape(*(np.array(c, dtype) for c, dtype in zip(columns, (int, float))))
 
 
 def test_escape_stats_count_probes_and_take_the_worst_excess():
     assert _escape_stats([]) == (0, 0.0)
     assert _escape_stats([_record()]) == (0, 0.0)
-    records = [_record((0, 0.5, 1, 3.0, 1.0), (0, 0.2, 1, 4.5, 2.5)), _record(),
-               _record((4, 0.7, 2, -3.0, 1.5))]
+    records = [_record((0, 1.0), (0, 2.5)), _record(), _record((4, 1.5))]
     assert _escape_stats(records) == (2, 2.5)
-
-
-def test_standalone_step_warns_per_call(gyre, caplog):
-    prev = u0(gyre, CHI_THIRD)
-    with caplog.at_level(logging.WARNING, logger="fracbvp.iterate"):
-        iterate_step(gyre, prev, CHI_THIRD)
-        iterate_step(gyre, prev, CHI_THIRD)
-    assert sum(r.levelno == logging.WARNING for r in caplog.records) == 2
 
 
 def test_stacked_domain_check_records_each_row_at_its_worst_node():
@@ -239,23 +237,22 @@ def test_stacked_domain_check_records_each_row_at_its_worst_node():
     values = np.random.default_rng(8).uniform(-2.5, 2.5, (9, 2, N))
     values[[0, 4]] = 0.0  # rows inside D
     values[5, 1, 3] = values[5, 1, 7] = 9.0  # a tie in component 2: the first node wins
-    want = []  # the worst node of each row on its own: (probe, t, component, value, excess)
+    want = []  # the worst node of each row on its own: (probe, t, component, excess)
     for b, row in enumerate(values.reshape(9, -1)):
         excess = np.maximum(np.repeat(lo, N) - row, row - np.repeat(hi, N))
         k = int(np.argmax(excess))
         if excess[k] > 1e-9:
-            want.append((b, float(nodes[k % N]), k // N + 1, float(row[k]), float(excess[k])))
-    records = []
-    _check_domain(prob, GridFunction(prob.grid, values), nodes, records)
-    got = escape_rows(records)
-    assert len(records) == 1 and got == want and len(got) == 7
-    probe, t, component, _, excess = got[3]
-    assert (probe, component, t, excess) == (5, 2, nodes[3], 7.0)
-    _, t, component, _, excess = want[0]
+            want.append((b, float(nodes[k % N]), k // N + 1, float(excess[k])))
+    got = escape_rows([_check_domain(prob, values)])
+    assert got == [(b, excess) for b, _, _, excess in want] and len(got) == 7
+    _, t, component, excess = want[0]
     strict = dataclasses.replace(prob, domain_policy="strict")
     with pytest.raises(DomainEscapeError, match=f"leaves D by {excess:.6g} at t={t:.6g} "
                        f"\\(component {component}\\)"):
-        _check_domain(strict, GridFunction(prob.grid, values), nodes, None)
+        _check_domain(strict, values)
+    # row 5 alone: its tie is located at the first of the two nodes
+    with pytest.raises(DomainEscapeError, match=f"leaves D by 7 at t={nodes[3]:.6g} \\(component 2\\)"):
+        _check_domain(strict, values[5:6])
 
 
 def test_escapes_are_true_exactly_when_a_row_left_d(gyre, zero_rhs):
@@ -319,7 +316,7 @@ def test_run_iteration_is_u0_and_a_chain_of_steps(gyre, name):
     sol = run_iteration(prob, chi, m_max=3, tol=0.0)
     chain = [u0(prob, chi)]
     for _ in range(3):
-        chain.append(iterate_step(prob, chain[-1], chi, escapes=[]))
+        chain.append(iterate_step(prob, chain[-1], chi))
     assert sol.m == 3
     assert [u.values.shape for u in sol.iterates] == [u.values.shape for u in chain]
     assert [u.values.tobytes() for u in sol.iterates] == [u.values.tobytes() for u in chain]
