@@ -2,8 +2,13 @@
 
 Subcommands: check | solve | exclude | verify | example-list.  Every
 run writes a ``manifest.json`` next to its outputs recording the
-command, the config source, and all effective numeric settings, so a
-run can be reproduced bit-for-bit (CSV payloads contain no clocks).
+command, the config source, all effective numeric settings and where
+M and K came from, so a run can be reproduced bit-for-bit (CSV
+payloads contain no clocks).  Without ``[bounds]``, ``check`` samples
+M and K and records them in ``conditions.json`` under a key of the
+config text and --seed; ``solve``, ``exclude`` and ``verify
+--recompute`` in the same --out reuse them when the key matches and
+sample them otherwise, and plain ``verify`` needs neither.
 
 Exit codes: 0 success, 1 config error, 2 solvability conditions failed,
 3 numerical failure (no root bracket, Newton stall, domain escape),
@@ -35,7 +40,15 @@ from .determine import (
 )
 from .exprlang import ExprEvalError, ExprSyntaxError
 from .iterate import DomainEscapeError, run_iteration
-from .problem import BUILTIN_PROBLEMS, Problem, ProblemError, builtin_problem, load_problem, resolve_bounds
+from .problem import (
+    BUILTIN_PROBLEMS,
+    Problem,
+    ProblemError,
+    _read_config,
+    builtin_problem,
+    problem_from_config,
+    resolve_bounds,
+)
 from .verify import emit_figure_data, residuals
 
 EXIT_OK = 0
@@ -63,6 +76,7 @@ class RunManifest:
     tol: float | None
     subdiv: int | None
     seed: int
+    bounds_source: str
     version: str
     timestamp: str
 
@@ -73,19 +87,18 @@ class RunManifest:
 _BLOCK_VALUES = 2**16
 
 
-def _write_csv(path: Path, header: str, rows, fmt: str = "%.17g") -> None:
+def _write_csv(path: Path, header: str, rows) -> None:
     """Header line, then one line per row; floats round-trip at 17 digits.
 
-    The bytes are ``np.savetxt``'s (one ``fmt`` per column, or ``fmt`` as
-    the whole row when it has several fields; a 1-D table is one column),
-    but each block of at most ``_BLOCK_VALUES`` values is formatted by one
-    ``%`` over Python floats instead of one per row.
+    The bytes are ``np.savetxt``'s with ``fmt="%.17g"`` (a 1-D table is
+    one column), but each block of at most ``_BLOCK_VALUES`` values is
+    formatted by one ``%`` over Python floats instead of one per row.
     """
     table = np.asarray(rows)
     if table.ndim == 1:
         table = table.reshape(-1, 1)
     ncols = table.shape[1]
-    line = (",".join([fmt] * ncols) if fmt.count("%") == 1 else fmt) + "\n"
+    line = ",".join(["%.17g"] * ncols) + "\n"
     block = max(1, _BLOCK_VALUES // ncols)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
@@ -98,7 +111,9 @@ def _suffixed(base: str, n: int) -> list[str]:
     return [base] if n == 1 else [f"{base}_c{j + 1}" for j in range(n)]
 
 
-def _load(args) -> tuple[Problem, str]:
+def _load(args) -> tuple[Problem, str, str]:
+    """The problem as its config gives it (M and K unresolved without
+    ``[bounds]``), its source, and the config text, read once."""
     if bool(args.config) == bool(args.builtin):
         raise ProblemError("exactly one of --config PATH or --builtin NAME is required")
     # every stage loads first, so these are rejected before any output
@@ -113,13 +128,40 @@ def _load(args) -> tuple[Problem, str]:
         raise ProblemError(f"--tol must be a finite number >= 0, got {tol}")
     if args.builtin:
         prob = builtin_problem(args.builtin, resolve=False)
-        source = f"builtin:{args.builtin}"
+        source, text = f"builtin:{args.builtin}", BUILTIN_PROBLEMS[args.builtin][0]
     else:
-        prob = load_problem(args.config, resolve=False)
+        text = _read_config(args.config)
+        prob = problem_from_config(text, name=str(Path(args.config)))
         source = str(args.config)
     if args.grid_n is not None:
         prob = dataclasses.replace(prob, N=args.grid_n)
-    return resolve_bounds(prob, seed=args.seed), source
+    return prob, source, text
+
+
+def _bounds_key(seed: int, text: str, M, K) -> str:
+    """sha256 over what sampled M and K depend on (the version, --seed and the
+    config text, but not --grid-n) and over M and K themselves, as lists."""
+    import hashlib  # with OpenSSL about 4 ms: only stages that key a record pay it
+
+    blob = json.dumps([__version__, seed, text, M, K])
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _resolve(args, prob: Problem, text: str, reuse: bool = True) -> tuple[Problem, str]:
+    """prob with M and K, and their source: ``supplied`` by ``[bounds]``, else
+    (with ``reuse``) those in <out>/conditions.json if its ``bounds_key`` is
+    the one of this config text, --seed and those M and K, else ``sampled``
+    here.  JSON floats round-trip, so reused M and K have the sampled bits."""
+    if prob.M is not None and prob.K is not None:
+        return prob, "supplied"
+    if reuse:
+        try:
+            data = json.loads((Path(args.out) / "conditions.json").read_text(encoding="utf-8"))
+            if data["bounds_key"] == _bounds_key(args.seed, text, data["M"], data["K"]):
+                return dataclasses.replace(prob, M=data["M"], K=data["K"]), "conditions.json"
+        except (OSError, ValueError, TypeError, KeyError, OverflowError, RecursionError):
+            pass  # a missing, unreadable or malformed record is a miss, as a stale one is
+    return resolve_bounds(prob, seed=args.seed), "sampled"
 
 
 def _out_dir(args) -> Path:
@@ -128,7 +170,7 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _manifest(args, command: str, source: str, prob: Problem, **extra) -> RunManifest:
+def _manifest(args, command: str, source: str, prob: Problem, bounds: str, **extra) -> RunManifest:
     return RunManifest(
         command=command,
         source=source,
@@ -137,6 +179,7 @@ def _manifest(args, command: str, source: str, prob: Problem, **extra) -> RunMan
         tol=extra.get("tol"),
         subdiv=extra.get("subdiv"),
         seed=args.seed,
+        bounds_source=bounds,
         version=__version__,
         timestamp=datetime.now(timezone.utc).isoformat(),
     )
@@ -179,18 +222,24 @@ def _note_escapes(approx) -> None:
 # --- Subcommands -------------------------------------------------------
 
 def cmd_check(args) -> int:
-    prob, source = _load(args)
+    prob, source, text = _load(args)
+    prob, bounds = _resolve(args, prob, text, reuse=False)
     out = _out_dir(args)
     report = check_conditions(prob)
-    _manifest(args, "check", source, prob).write(out)
-    _write_json(out / "conditions.json", {"problem": source, **report.to_dict()})
+    _manifest(args, "check", source, prob, bounds).write(out)
+    key = _bounds_key(args.seed, text, report.M.tolist(), report.K.tolist())
+    _write_json(out / "conditions.json",
+                {"problem": source, **report.to_dict(), "bounds_source": bounds, "bounds_key": key})
     n = report.n
     table = [(f"beta_{j + 1}", report.beta[j]) for j in range(n)]
     table.append(("beta_over_m", report.beta_over_m))
     table += [(f"Q_{i + 1}{j + 1}", report.Q[i, j]) for i in range(n) for j in range(n)]
     table += [("spectral_radius", report.spectral_radius), ("dbeta_ok", float(report.dbeta_ok)),
               ("dbeta_centered_ok", float(report.dbeta_centered_ok)), ("R", report.R[0])]
-    _write_csv(out / "conditions.csv", "quantity,value", np.array(table, dtype=object), fmt="%s,%.17g")
+    (out / "conditions.csv").write_text(
+        "quantity,value\n" + "".join(f"{name},{value:.17g}\n" for name, value in table),
+        encoding="utf-8", newline="\n",
+    )
     print(f"problem: {source} (n={prob.n}, p={prob.p}, T={prob.T}, N={prob.N})")
     print(f"M = {np.array2string(report.M, precision=6)}   K max = {np.max(report.K):.6g}")
     print(f"beta (raw) = {np.array2string(report.beta, precision=6)}   beta/M = {report.beta_over_m:.6f}")
@@ -203,10 +252,11 @@ def cmd_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    prob, source = _load(args)
+    prob, source, text = _load(args)
+    prob, bounds = _resolve(args, prob, text)
     out = _out_dir(args)
     report = _gate_conditions(prob, args.force)
-    _manifest(args, "solve", source, prob, m=args.m, tol=args.tol).write(out)
+    _manifest(args, "solve", source, prob, bounds, m=args.m, tol=args.tol).write(out)
     n = prob.n
     trace_rows = []
     roots = []
@@ -256,10 +306,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_exclude(args) -> int:
-    prob, source = _load(args)
+    prob, source, text = _load(args)
+    prob, bounds = _resolve(args, prob, text)
     out = _out_dir(args)
     _gate_conditions(prob, args.force)
-    _manifest(args, "exclude", source, prob, m=args.m, subdiv=args.subdiv).write(out)
+    _manifest(args, "exclude", source, prob, bounds, m=args.m, subdiv=args.subdiv).write(out)
     result = exclusion_sweep(prob, args.m, args.subdiv)
     n = prob.n
     header = ",".join(
@@ -316,10 +367,12 @@ def _solve_outputs(path: Path, n: int) -> tuple[np.ndarray, int]:
 
 
 def cmd_verify(args) -> int:
-    prob, source = _load(args)
+    prob, source, text = _load(args)
     out = _out_dir(args)
     det_path = out / "determining.json"
+    bounds = "unused"  # the iteration and the residuals need neither M nor K
     if args.recompute:
+        prob, bounds = _resolve(args, prob, text)
         _gate_conditions(prob, args.force)
         m = 2 if args.m is None else args.m
         chi = solve_determining(prob, m).chi1_star
@@ -333,7 +386,7 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return EXIT_CONFIG
-    _manifest(args, "verify", source, prob, m=m).write(out)
+    _manifest(args, "verify", source, prob, bounds, m=m).write(out)
     approx = run_iteration(prob, chi, m_max=m, tol=0.0)
     report = residuals(prob, approx, include_delta=not args.no_delta)
     header, table = emit_figure_data(prob, approx, report)

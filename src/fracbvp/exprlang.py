@@ -48,7 +48,9 @@ __all__ = [
     "pretty_source",
 ]
 
-_FUNCTIONS = {"exp": 1, "log": 1, "sin": 1, "cos": 1, "sqrt": 1, "abs": 1, "pow": 2}
+# the functions f may call, each a ufunc that takes ``nin`` arguments
+_FUNCTIONS = {"exp": np.exp, "log": np.log, "sin": np.sin, "cos": np.cos, "sqrt": np.sqrt,
+              "abs": np.abs, "pow": np.power}
 
 
 class ExprSyntaxError(ValueError):
@@ -254,7 +256,7 @@ class _Parser:
         if self.peek().kind != "rparen":
             raise self.fail("expected ')' closing call")
         self.advance()
-        arity = _FUNCTIONS[name.text]
+        arity = _FUNCTIONS[name.text].nin
         if len(args) != arity:
             raise ExprSyntaxError(
                 f"{name.text} takes {arity} argument(s), got {len(args)}", name.line, name.col
@@ -296,37 +298,41 @@ def parse(source: str, n: int, constants: dict[str, float] | None = None) -> tup
 
 # --- Evaluation ------------------------------------------------------
 
-def _eval_node(node: Expr, t, u):
-    if isinstance(node, (Num, Bound)):
-        return node.value
-    if isinstance(node, TimeVar):
-        return t
-    if isinstance(node, Comp):
-        return u[node.index]
-    if isinstance(node, ConstRef):
-        return node.value
-    if isinstance(node, Neg):
-        return -_eval_node(node.operand, t, u)
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+
+
+def _eval_node(node: Expr, t, u, out: np.ndarray | None = None):
+    """The value of ``node`` at (t, u); with ``out``, that value written into out.
+
+    Both give the same bits.  When the operands of the node's last operation
+    already span out's shape, that operation writes into out itself, so the
+    value is never copied; otherwise it is computed on its own shape and
+    broadcast in.
+    """
     if isinstance(node, BinOp):
-        a = _eval_node(node.left, t, u)
-        b = _eval_node(node.right, t, u)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            return np.divide(a, b)
-        return np.power(a, b)
-    if isinstance(node, Call):
-        args = [_eval_node(arg, t, u) for arg in node.args]
-        if node.fn == "pow":
-            return np.power(args[0], args[1])
-        if node.fn == "abs":
-            return np.abs(args[0])
-        return getattr(np, node.fn)(args[0])
-    raise TypeError(f"not an expression node: {node!r}")
+        fn, parts = _BINARY[node.op], (node.left, node.right)
+    elif isinstance(node, Neg):
+        fn, parts = np.negative, (node.operand,)
+    elif isinstance(node, Call):
+        fn, parts = _FUNCTIONS[node.fn], node.args
+    elif out is not None:
+        out[...] = _eval_node(node, t, u)
+        return out
+    elif isinstance(node, (Num, Bound, ConstRef)):
+        return node.value
+    elif isinstance(node, TimeVar):
+        return t
+    elif isinstance(node, Comp):
+        return u[node.index]
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    args = [_eval_node(part, t, u) for part in parts]
+    if out is None:
+        return fn(*args)
+    if np.broadcast(*args).shape == out.shape:
+        return fn(*args, out=out)
+    out[...] = fn(*args)
+    return out
 
 
 def evaluate(exprs: tuple[Expr, ...], t, u) -> np.ndarray:
@@ -336,18 +342,17 @@ def evaluate(exprs: tuple[Expr, ...], t, u) -> np.ndarray:
     component values (scalars or arrays; an (n, ...) array is the sequence
     of its rows) that broadcast with t and with each other, so t and the
     components may be the sparse axes of a mesh.  Returns an array of
-    shape (len(exprs),) + the broadcast shape.  A non-finite component
-    raises ExprEvalError with the t and u of the first such point.
+    shape (len(exprs),) + the broadcast shape, each component written
+    into its row as it is computed.  A non-finite component raises
+    ExprEvalError with the t and u of the first such point.
     """
     t_arr = np.asarray(t, dtype=float)
     comps = [np.asarray(c, dtype=float) for c in (u if np.iterable(u) else [u])]
     shape = np.broadcast_shapes(t_arr.shape, *(c.shape for c in comps))
+    out = np.empty((len(exprs), *shape))
     with np.errstate(all="ignore"):
-        rows = [
-            np.broadcast_to(np.asarray(_eval_node(e, t_arr, comps), dtype=float), shape)
-            for e in exprs
-        ]
-    out = np.array(rows, dtype=float)
+        for i, e in enumerate(exprs):
+            _eval_node(e, t_arr, comps, out[i, ...])
     if not np.all(np.isfinite(out)):
         where = np.argwhere(~np.isfinite(out))[0]
         point = tuple(where[1:])

@@ -193,11 +193,15 @@ def estimate_bounds(prob: Problem, seed: int = 0) -> tuple[np.ndarray, np.ndarra
 
     On the n <= 2 mesh a subtree of f in t or in one component runs once
     per axis value, but every mesh point sees the same floating-point
-    operations as on the dense mesh.
+    operations as on the dense mesh.  M and each column of K are
+    per-component maxima over the one array ``evaluate`` fills, taken in
+    place.
     """
     t, u = _sample_points(prob, seed)
     n = prob.n
-    M = np.max(np.abs(prob.rhs(t, u)).reshape(n, -1), axis=1)
+    f = prob.rhs(t, u)
+    M = np.max(np.abs(f, out=f).reshape(n, -1), axis=1)
+    del f  # the secants below need its memory
     K = np.zeros((n, n))
     for j in range(n):
         h = prob.domain.width[j] * 2.0**-10
@@ -306,18 +310,21 @@ def problem_from_config(text: str, name: str = "") -> Problem:
     )
 
 
+def _read_config(path: str | Path) -> str:
+    """The text of a config file; an unreadable file is a ProblemError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ProblemError(f"cannot read config {Path(path)}: {exc}") from exc
+
+
 def load_problem(path: str | Path, resolve: bool = True) -> Problem:
     """Load and validate a Problem from a config file.
 
     With ``resolve=True`` (the default) missing M/K bounds are estimated
     immediately so downstream condition checks always have data.
     """
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ProblemError(f"cannot read config {path}: {exc}") from exc
-    prob = problem_from_config(text, name=str(path))
+    prob = problem_from_config(_read_config(path), name=str(Path(path)))
     return resolve_bounds(prob) if resolve else prob
 
 

@@ -12,12 +12,12 @@ import pytest
 
 import fracbvp
 from conftest import escape_rows
-from fracbvp.cli import _BLOCK_VALUES, _write_csv, main
+from fracbvp.cli import _BLOCK_VALUES, _build_parser, _load, _resolve, _write_csv, main
 from fracbvp.conditions import check_conditions, delta_gap_bound
 from fracbvp.determine import _exclusion_coefficient, delta_at, existence_check_scalar
-from fracbvp import fracops
+from fracbvp import cli, fracops
 from fracbvp.fracops import caputo_derivative
-from fracbvp.problem import BUILTIN_PROBLEMS, Box, builtin_problem, load_problem
+from fracbvp.problem import BUILTIN_PROBLEMS, Box, builtin_problem, estimate_bounds, load_problem
 
 GYRE_ROOTS = [-320.68685748392215, -332.0604225604555, -332.30179286902836]
 
@@ -361,10 +361,151 @@ def test_check_manifest(tmp_path):
     assert m["source"] == "builtin:acc-gyre"
     assert m["grid_n"] == 401
     assert m["seed"] == 7
+    assert m["bounds_source"] == "sampled"
     assert m["version"] == fracbvp.__version__
     assert set(m) == {
-        "command", "source", "grid_n", "m", "tol", "subdiv", "seed", "version", "timestamp",
+        "command", "source", "grid_n", "m", "tol", "subdiv", "seed", "bounds_source", "version",
+        "timestamp",
     }
+
+
+# --- bounds record ---------------------------------------------------------------
+
+
+@pytest.fixture
+def bound_estimates(monkeypatch):
+    """The seed of every estimate_bounds call from here on."""
+    from fracbvp import problem
+
+    calls = []
+    estimate = problem.estimate_bounds
+
+    def counted(prob, seed=0):
+        calls.append(seed)
+        return estimate(prob, seed=seed)
+
+    monkeypatch.setattr(problem, "estimate_bounds", counted)
+    return calls
+
+
+GYRE_STAGES = {"check": [], "solve": [], "exclude": ["--m", "2", "--subdiv", "13"], "verify": []}
+
+
+def _stage(stage, out, *extra, source=("--builtin", "acc-gyre")):
+    """Run one stage (exit 0) and return the bounds_source of its manifest."""
+    assert main([stage, *source, "--out", str(out), *GYRE_STAGES.get(stage, []), *extra]) == 0
+    return json.loads((out / "manifest.json").read_text(encoding="utf-8"))["bounds_source"]
+
+
+def test_reused_bounds_give_the_outputs_of_stages_that_each_sample(tmp_path, bound_estimates):
+    reuse, each = tmp_path / "reuse", tmp_path / "each"
+    assert {s: _stage(s, reuse) for s in GYRE_STAGES} == {
+        "check": "sampled", "solve": "conditions.json", "exclude": "conditions.json", "verify": "unused",
+    }
+    assert len(bound_estimates) == 1  # in check alone
+    # check last: solve and exclude find no conditions.json and sample M and K
+    assert {s: _stage(s, each) for s in ("solve", "exclude", "verify", "check")} == {
+        "solve": "sampled", "exclude": "sampled", "verify": "unused", "check": "sampled",
+    }
+    assert len(bound_estimates) == 4
+    names = sorted(p.name for p in reuse.iterdir() if p.name != "manifest.json")
+    assert names == sorted(p.name for p in each.iterdir() if p.name != "manifest.json")
+    assert len(names) == 11
+    for name in names:
+        assert (reuse / name).read_bytes() == (each / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("three", [False, True], ids=["acc-gyre", "n3-seed-5"])
+def test_reused_bounds_have_the_bits_of_an_estimate(tmp_path, three):
+    if three:
+        cfg = tmp_path / "three.ini"
+        cfg.write_text(THREE_CFG, encoding="utf-8")
+        argv = ["--config", str(cfg), "--seed", "5"]
+    else:
+        argv = ["--builtin", "acc-gyre"]
+    assert main(["check", *argv, "--out", str(tmp_path)]) == 0
+    args = _build_parser().parse_args(["solve", *argv, "--out", str(tmp_path)])
+    prob, _, text = _load(args)
+    reused, source = _resolve(args, prob, text)
+    assert source == "conditions.json"
+    M, K = estimate_bounds(prob, seed=args.seed)
+    assert reused.M.tobytes() == M.tobytes()
+    assert reused.K.tobytes() == K.tobytes()
+
+
+def test_plain_verify_resolves_no_bounds(tmp_path, bound_estimates):
+    assert _stage("solve", tmp_path) == "sampled"  # no conditions.json yet
+    assert bound_estimates == [0]
+    assert _stage("verify", tmp_path) == "unused"
+    assert bound_estimates == [0]
+    assert _stage("verify", tmp_path, "--recompute") == "sampled"
+    assert len(bound_estimates) == 2
+
+
+def test_supplied_bounds_are_recorded_as_supplied(tmp_path, bound_estimates):
+    for stage in ("check", "solve", "exclude"):
+        assert _stage(stage, tmp_path, source=("--builtin", "zero-rhs")) == "supplied"
+    assert json.loads((tmp_path / "conditions.json").read_text(encoding="utf-8"))["bounds_source"] == "supplied"
+    assert bound_estimates == []
+
+
+def test_recorded_bounds_ignore_the_grid(tmp_path):
+    assert _stage("check", tmp_path, "--grid-n", "101") == "sampled"
+    assert _stage("solve", tmp_path) == "conditions.json"
+
+
+def _edit_text(cfg):
+    cfg.write_text(cfg.read_text(encoding="utf-8") + "# the same problem, another text\n", encoding="utf-8")
+
+
+def _edit_m(out):
+    data = json.loads((out / "conditions.json").read_text(encoding="utf-8"))
+    data["M"] = [np.nextafter(data["M"][0], np.inf)]
+    (out / "conditions.json").write_text(json.dumps(data), encoding="utf-8")
+
+
+@pytest.mark.parametrize("change", ["config-text", "seed", "recorded-M", "version"])
+def test_a_changed_input_is_a_miss(tmp_path, monkeypatch, bound_estimates, change):
+    cfg = tmp_path / "gyre.ini"
+    cfg.write_text(BUILTIN_PROBLEMS["acc-gyre"][0], encoding="utf-8")
+    out, clean = tmp_path / "out", tmp_path / "clean"
+    source = ("--config", str(cfg))
+    assert _stage("check", out, source=source) == "sampled"
+    assert _stage("solve", clean, source=source) == "sampled"
+    extra = []
+    if change == "config-text":
+        _edit_text(cfg)
+    elif change == "seed":
+        extra = ["--seed", "1"]
+    elif change == "recorded-M":
+        _edit_m(out)
+    else:
+        monkeypatch.setattr(cli, "__version__", fracbvp.__version__ + "+1")
+    assert _stage("solve", out, *extra, source=source) == "sampled"
+    assert len(bound_estimates) == 3
+    # the stage sampled M and K again, so its verdict and outputs are a clean run's
+    for name in ("chi_trace.csv", "iterates.csv", "sup_diffs.csv", "determining.json"):
+        assert (out / name).read_bytes() == (clean / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "not json", "[]", "null", '{"M": [1.0]}', '{"M": "x", "K": {}, "bounds_key": 3}',
+     "[" * 100000, b"\xff\xfe", None],
+    ids=["empty", "not-json", "list", "null", "partial", "wrong-types", "deep", "not-utf8", "directory"],
+)
+def test_a_malformed_record_falls_back_to_sampling(tmp_path, capsys, bound_estimates, text):
+    path = tmp_path / "conditions.json"
+    if text is None:
+        path.mkdir()
+    elif isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
+    assert _stage("solve", tmp_path) == "sampled"
+    assert _stage("exclude", tmp_path) == "sampled"
+    assert len(bound_estimates) == 2
+    assert capsys.readouterr().err == ""
 
 
 # --- solve ---------------------------------------------------------------------
@@ -903,11 +1044,24 @@ def test_write_csv_rows_round_trip_at_17_digits(tmp_path):
     assert (tmp_path / "l.csv").read_bytes() == want.encode()
 
 
+def _named_rows(conditions):
+    """The (name, value) rows of conditions.csv, rebuilt from conditions.json."""
+    n = len(conditions["beta"])
+    rows = [(f"beta_{j + 1}", conditions["beta"][j]) for j in range(n)]
+    rows.append(("beta_over_m", conditions["beta_over_m"]))
+    rows += [(f"Q_{i + 1}{j + 1}", conditions["Q"][i][j]) for i in range(n) for j in range(n)]
+    return rows + [("spectral_radius", conditions["spectral_radius"]),
+                   ("dbeta_ok", float(conditions["dbeta_ok"])),
+                   ("dbeta_centered_ok", float(conditions["dbeta_centered_ok"])),
+                   ("R", conditions["R"][0])]
+
+
 def test_write_csv_named_rows(tmp_path):
-    pairs = [("beta_1", 0.1), ("Q_11", -0.0), ("R", 5e-324)]
-    _write_csv(tmp_path / "q.csv", "quantity,value", np.array(pairs, dtype=object), fmt="%s,%.17g")
+    # check writes conditions.csv's named rows itself, one %.17g value each
+    assert main(["check", "--builtin", "acc-gyre", "--out", str(tmp_path)]) == 0
+    pairs = _named_rows(json.loads((tmp_path / "conditions.json").read_text(encoding="utf-8")))
     want = "quantity,value\n" + "".join(f"{k},{format(v, '.17g')}\n" for k, v in pairs)
-    assert (tmp_path / "q.csv").read_bytes() == want.encode()
+    assert (tmp_path / "conditions.csv").read_bytes() == want.encode()
 
 
 def test_write_csv_empty_table_is_the_header_alone(tmp_path):
@@ -963,9 +1117,16 @@ def test_write_csv_is_savetxt_byte_for_byte(tmp_path, rows):
 
 
 def test_write_csv_named_rows_are_savetxt_byte_for_byte(tmp_path):
-    table = [("beta_1", 158.82009645226074), ("beta_over_m", np.float64(0.18814)),
-             ("Q_11", -0.0), ("dbeta_ok", float(True)), ("R", np.nan), ("x", -np.inf)]
-    rows = np.array(table, dtype=object)
-    _write_csv(tmp_path / "q.csv", "quantity,value", rows, fmt="%s,%.17g")
-    want = _savetxt_bytes(tmp_path / "ref.csv", "quantity,value", rows, fmt="%s,%.17g")
-    assert (tmp_path / "q.csv").read_bytes() == want
+    # the gyre, an n = 2 system and a config whose conditions fail (exit 2)
+    for name, text in (("gyre", None), ("n2", COUPLED_BOUNDS_CFG), ("fails", BAD_RADIUS_CFG)):
+        out = tmp_path / name
+        if text is None:
+            source = ["--builtin", "acc-gyre"]
+        else:
+            (tmp_path / f"{name}.ini").write_text(text, encoding="utf-8")
+            source = ["--config", str(tmp_path / f"{name}.ini")]
+        assert main(["check", *source, "--out", str(out)]) in (0, 2)
+        rows = np.array(_named_rows(json.loads((out / "conditions.json").read_text(encoding="utf-8"))),
+                        dtype=object)
+        want = _savetxt_bytes(tmp_path / "ref.csv", "quantity,value", rows, fmt="%s,%.17g")
+        assert (out / "conditions.csv").read_bytes() == want, name

@@ -18,6 +18,7 @@ from fracbvp.exprlang import (
     Neg,
     Num,
     TimeVar,
+    _eval_node,
     bind,
     evaluate,
     parse,
@@ -321,3 +322,46 @@ def test_bound_random_trees_are_bit_identical(tree, shift, u1):
     t = _T + shift
     u = [u1 + _T]
     assert _same_outcome(_outcome(bind((tree,), t), t, u), _outcome((tree,), t, u))
+
+
+# --- each component written into its row of the result ------------------------
+
+
+def _stacked(exprs, t, u):
+    """The reference: each component evaluated on its own shape, broadcast, then stacked."""
+    shape = np.broadcast_shapes(np.shape(t), *(np.shape(c) for c in u))
+    with np.errstate(all="ignore"):
+        rows = [np.broadcast_to(np.asarray(_eval_node(e, t, u), dtype=float), shape) for e in exprs]
+    return np.array(rows, dtype=float)
+
+
+def _matches_stacked(exprs, t, u):
+    want = _stacked(exprs, t, u)
+    got = _outcome(exprs, t, u)
+    if np.all(np.isfinite(want)):
+        return isinstance(got, np.ndarray) and got.shape == want.shape and got.tobytes() == want.tobytes()
+    return isinstance(got, tuple)
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["exp(u1)", "abs(u1 - 1.5)", "sqrt(u1)", "pow(u1, t)", "u1^2", "-u1", "u1", "t", "2",
+     "sin(t)*u1", "cos(u1 + t)", "log(u1 - 1)", "exp(t) - u1", GYRE_SOURCE, "t; u1 / t"],
+)
+def test_rows_written_in_place_equal_the_stacked_components(source):
+    n = source.count(";") + 1
+    exprs = parse(source, n, {"omega": 4649.56})
+    for f in (exprs, bind(exprs, _T)):
+        # one iterate (n, N) and a stack of three iterates (n, 3, N)
+        for u in (_U[:n], _U[:, np.newaxis].repeat(n, axis=1).transpose(1, 0, 2)):
+            assert _matches_stacked(f, _T, u), source
+
+
+@given(_tree(3), _tree(3), st.floats(-1.0, 2.0))
+def test_random_rows_on_mesh_axes_equal_the_stacked_components(first, second, shift):
+    # u2 reaches only the second component, so the first one's last operation
+    # never spans the (t, u1, u2) mesh and the second one's may
+    t = np.linspace(0.0, 1.0, 7)[:, np.newaxis, np.newaxis] + shift
+    u = [np.linspace(-1.0, 2.0, 5)[np.newaxis, :, np.newaxis],
+         np.linspace(0.5, 3.0, 3)[np.newaxis, np.newaxis, :]]
+    assert _matches_stacked((first, BinOp("*", second, Comp(1))), t, u)
