@@ -8,7 +8,10 @@ payloads contain no clocks).  Without ``[bounds]``, ``check`` samples
 M and K and records them in ``conditions.json`` under a key of the
 config text and --seed; ``solve``, ``exclude`` and ``verify
 --recompute`` in the same --out reuse them when the key matches and
-sample them otherwise, and plain ``verify`` needs neither.
+sample them otherwise, and plain ``verify`` needs neither.  ``solve``
+records a run key in ``determining.json``; when ``verify`` runs the same
+iteration on the same ``iterates.csv`` bytes, it takes the rendered t and
+u_k cells of its CSVs from that file instead of formatting them again.
 
 Exit codes: 0 success, 1 config error, 2 solvability conditions failed,
 3 numerical failure (no root bracket, Newton stall, domain escape),
@@ -77,6 +80,7 @@ class RunManifest:
     subdiv: int | None
     seed: int
     bounds_source: str
+    iterates_source: str | None
     version: str
     timestamp: str
 
@@ -87,23 +91,33 @@ class RunManifest:
 _BLOCK_VALUES = 2**16
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
+def _write_csv(path: Path, header: str, rows, lead: list[str] | None = None) -> None:
     """Header line, then one line per row; floats round-trip at 17 digits.
 
     The bytes are ``np.savetxt``'s with ``fmt="%.17g"`` (a 1-D table is
     one column), but each block of at most ``_BLOCK_VALUES`` values is
     formatted by one ``%`` over Python floats instead of one per row.
+    ``lead``, one string per row, holds cells already rendered: each line
+    is its string, a comma and the row's values.
     """
     table = np.asarray(rows)
     if table.ndim == 1:
         table = table.reshape(-1, 1)
     ncols = table.shape[1]
     line = ",".join(["%.17g"] * ncols) + "\n"
+    if lead is not None:
+        line = "%s," + line
+        ncols += 1
     block = max(1, _BLOCK_VALUES // ncols)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for start in range(0, len(table), block):
             part = table[start : start + block]
+            if lead is not None:
+                cells = np.empty((len(part), ncols), dtype=object)
+                cells[:, 0] = lead[start : start + block]
+                cells[:, 1:] = part
+                part = cells
             fh.write((line * len(part)) % tuple(part.ravel().tolist()))
 
 
@@ -138,13 +152,28 @@ def _load(args) -> tuple[Problem, str, str]:
     return prob, source, text
 
 
+def _sha256(data: bytes) -> str:
+    import hashlib  # with OpenSSL about 4 ms: only stages that key a record pay it
+
+    return hashlib.sha256(data).hexdigest()
+
+
+def _key(*parts) -> str:
+    """sha256 over ``parts`` as one JSON list."""
+    return _sha256(json.dumps(list(parts)).encode("utf-8"))
+
+
 def _bounds_key(seed: int, text: str, M, K) -> str:
     """sha256 over what sampled M and K depend on (the version, --seed and the
     config text, but not --grid-n) and over M and K themselves, as lists."""
-    import hashlib  # with OpenSSL about 4 ms: only stages that key a record pay it
+    return _key(__version__, seed, text, M, K)
 
-    blob = json.dumps([__version__, seed, text, M, K])
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+def _run_key(text: str, prob: Problem, chi: np.ndarray, m: int, tol: float, digest: str) -> str:
+    """sha256 over what the iterates of one run depend on (the package and numpy
+    versions, the config text, N, chi1, m and tol) and over ``digest``, the
+    sha256 of the iterates.csv bytes that run wrote."""
+    return _key(__version__, np.__version__, text, prob.N, chi.tolist(), m, tol, digest)
 
 
 def _resolve(args, prob: Problem, text: str, reuse: bool = True) -> tuple[Problem, str]:
@@ -180,6 +209,7 @@ def _manifest(args, command: str, source: str, prob: Problem, bounds: str, **ext
         subdiv=extra.get("subdiv"),
         seed=args.seed,
         bounds_source=bounds,
+        iterates_source=extra.get("iterates"),
         version=__version__,
         timestamp=datetime.now(timezone.utc).isoformat(),
     )
@@ -276,12 +306,14 @@ def cmd_solve(args) -> int:
         return EXIT_NUMERICAL
 
     final = roots[-1]
-    approx = run_iteration(prob, final.chi1_star, m_max=args.m, tol=args.tol if args.tol is not None else 0.0)
+    tol = args.tol if args.tol is not None else 0.0
+    approx = run_iteration(prob, final.chi1_star, m_max=args.m, tol=tol)
     iter_header = ["t"]
     for k in range(len(approx.iterates)):
         iter_header += _suffixed(f"u{k}", n)
     cols = [approx.final.grid.nodes] + [it.values[j] for it in approx.iterates for j in range(n)]
     _write_csv(out / "iterates.csv", ",".join(iter_header), np.column_stack(cols))
+    digest = _sha256((out / "iterates.csv").read_bytes())
     # next to each sup|u_k - u_(k-1)| its a-priori bound Q^(k-1) beta
     sd_header = ",".join(["m", *_suffixed("sup_diff", n), *_suffixed("bound", n)])
     sd_rows = [
@@ -299,6 +331,7 @@ def cmd_solve(args) -> int:
             "chi_trace": [r.chi1_star.tolist() for r in roots],
             "probes": len(final.solver_trace),
             **_escape_summary(approx),
+            "run_key": _run_key(text, prob, final.chi1_star, args.m, tol, digest),
         },
     )
     _note_escapes(approx)
@@ -366,6 +399,20 @@ def _solve_outputs(path: Path, n: int) -> tuple[np.ndarray, int]:
     return chi, m
 
 
+def _solved_lines(out: Path, text: str, prob: Problem, chi: np.ndarray, m: int) -> list[str] | None:
+    """The body lines of <out>/iterates.csv, each the rendered t and u_k cells of
+    one node, when the ``run_key`` in <out>/determining.json is the key of the
+    run at chi1 to depth m with tol 0 and of those bytes; None otherwise."""
+    try:
+        recorded = json.loads((out / "determining.json").read_text(encoding="utf-8"))["run_key"]
+        data = (out / "iterates.csv").read_bytes()
+    except (OSError, ValueError, TypeError, KeyError, RecursionError):
+        return None  # a missing, unreadable or malformed record is a miss, as a stale one is
+    if recorded != _run_key(text, prob, chi, m, 0.0, _sha256(data)):
+        return None
+    return data.decode("utf-8").split("\n")[1:-1]
+
+
 def cmd_verify(args) -> int:
     prob, source, text = _load(args)
     out = _out_dir(args)
@@ -386,17 +433,22 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return EXIT_CONFIG
-    _manifest(args, "verify", source, prob, bounds, m=m).write(out)
+    lines = _solved_lines(out, text, prob, chi, m)
+    iterates = "computed" if lines is None else "iterates.csv"
+    _manifest(args, "verify", source, prob, bounds, m=m, iterates=iterates).write(out)
     approx = run_iteration(prob, chi, m_max=m, tol=0.0)
     report = residuals(prob, approx, include_delta=not args.no_delta)
     header, table = emit_figure_data(prob, approx, report)
-    _write_csv(out / "figure.csv", header, table)
     res_header = ",".join(["t", *_suffixed("residual", prob.n)])
-    _write_csv(
-        out / "residuals.csv",
-        res_header,
-        np.column_stack([report.residual_grid.grid.nodes, report.residual_grid.values.T]),
-    )
+    res_table = np.column_stack([report.residual_grid.grid.nodes, report.residual_grid.values.T])
+    if lines is None:
+        _write_csv(out / "figure.csv", header, table)
+        _write_csv(out / "residuals.csv", res_header, res_table)
+    else:
+        # solve rendered this run's t and u_k in those lines; residuals.csv takes their t cells
+        _write_csv(out / "figure.csv", header, table[:, 1 + prob.n * len(approx.iterates) :], lines)
+        _write_csv(out / "residuals.csv", res_header, res_table[:, 1:],
+                   [line.partition(",")[0] for line in lines])
     _write_json(out / "verify.json",
                 {"m": m, "chi1": chi.tolist(), **report.to_dict(), **_escape_summary(approx)})
     print(f"sup interior residual at m={m}: {np.max(report.sup_residual):.6g} "

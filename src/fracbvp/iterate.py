@@ -82,17 +82,18 @@ def _check_domain(prob: Problem, values: np.ndarray) -> DomainEscape:
     """The record of the batch rows of ``values`` (on ``prob.grid``) that leave D,
     each at its worst node; the 'strict' policy raises at the first such row,
     located at its worst node (the first one on a tie)."""
-    N = prob.N
-    v = values.reshape(-1, prob.n * N)
-    excess = np.maximum(np.repeat(prob.domain.lo, N) - v, v - np.repeat(prob.domain.hi, N))
-    cols = np.argmax(excess, axis=1)
-    worst = excess[np.arange(len(v)), cols]
+    lo, hi = prob.domain.lo, prob.domain.hi
+    v = values.reshape(-1, prob.n, prob.N)
+    # x - hi and lo - x are monotone in x, so each row's worst excess is that
+    # of its extreme values, bit for bit
+    worst = np.maximum(v.max(axis=-1) - hi, lo - v.min(axis=-1)).max(axis=-1)
     rows = np.flatnonzero(worst > _DOMAIN_SLACK)
     if prob.domain_policy == "strict" and len(rows):
-        col = cols[rows[0]]
+        row = v[rows[0]]
+        j, k = np.unravel_index(np.argmax(np.maximum(lo[:, None] - row, row - hi[:, None])), row.shape)
         raise DomainEscapeError(
-            f"iterate leaves D by {worst[rows[0]]:.6g} at t={prob.operator.nodes[col % N]:.6g} "
-            f"(component {col // N + 1}); the convergence theory assumes iterates stay in D"
+            f"iterate leaves D by {worst[rows[0]]:.6g} at t={prob.operator.nodes[k]:.6g} "
+            f"(component {j + 1}); the convergence theory assumes iterates stay in D"
         )
     return DomainEscape(rows, worst[rows])
 

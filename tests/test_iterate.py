@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import (
     coupled_problem,
@@ -17,6 +17,7 @@ from fracbvp import exprlang, fracops, iterate
 from fracbvp.determine import delta_m, exclusion_sweep
 from fracbvp.fracops import ProductTrapezoid, operator
 from fracbvp.iterate import (
+    _DOMAIN_SLACK,
     DomainEscape,
     DomainEscapeError,
     _check_domain,
@@ -225,14 +226,38 @@ def test_escape_stats_count_probes_and_take_the_worst_excess():
     assert _escape_stats(records) == (2, 2.5)
 
 
+def _domain_problem(lo, hi, N=21, policy="warn"):
+    """A problem with f = 0 on D = [lo, hi], one component per entry."""
+    n = len(lo)
+    source = "; ".join(["0"] * n)
+    return Problem(
+        p=1.5, T=1.0, alpha1=np.zeros(n), alpha2=np.zeros(n), domain=Box(np.array(lo), np.array(hi)),
+        f=exprlang.parse(source, n, {}), f_source=source, constants={},
+        omega=Box(-np.ones(n), np.ones(n)), M=np.zeros(n), K=np.zeros((n, n)), N=N,
+        domain_policy=policy,
+    )
+
+
+def _reference_check(prob, values):
+    """The domain check as one full (B, n*N) excess array: the escaped rows, their
+    excess and the strict message of the first, at its first worst node."""
+    N = prob.N
+    v = values.reshape(-1, prob.n * N)
+    excess = np.maximum(np.repeat(prob.domain.lo, N) - v, v - np.repeat(prob.domain.hi, N))
+    cols = np.argmax(excess, axis=1)
+    worst = excess[np.arange(len(v)), cols]
+    rows = np.flatnonzero(worst > _DOMAIN_SLACK)
+    message = None
+    if len(rows):
+        col = cols[rows[0]]
+        message = (f"iterate leaves D by {worst[rows[0]]:.6g} at t={prob.grid.nodes[col % N]:.6g} "
+                   f"(component {col // N + 1}); the convergence theory assumes iterates stay in D")
+    return rows, worst[rows], message
+
+
 def test_stacked_domain_check_records_each_row_at_its_worst_node():
     lo, hi = np.array([-1.0, -2.0]), np.array([1.0, 2.0])
-    prob = Problem(
-        p=1.5, T=1.0, alpha1=np.zeros(2), alpha2=np.zeros(2), domain=Box(lo, hi),
-        f=exprlang.parse("0; 0", 2, {}), f_source="0; 0", constants={},
-        omega=Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
-        M=np.zeros(2), K=np.zeros((2, 2)), N=21, domain_policy="warn",
-    )
+    prob = _domain_problem(lo, hi)
     N, nodes = prob.N, prob.grid.nodes
     values = np.random.default_rng(8).uniform(-2.5, 2.5, (9, 2, N))
     values[[0, 4]] = 0.0  # rows inside D
@@ -245,14 +270,52 @@ def test_stacked_domain_check_records_each_row_at_its_worst_node():
             want.append((b, float(nodes[k % N]), k // N + 1, float(excess[k])))
     got = escape_rows([_check_domain(prob, values)])
     assert got == [(b, excess) for b, _, _, excess in want] and len(got) == 7
+    # the first row that leaves D is row 1, at its first node, in component 1
+    assert want[0][:3] == (1, 0.0, 1)
     _, t, component, excess = want[0]
     strict = dataclasses.replace(prob, domain_policy="strict")
     with pytest.raises(DomainEscapeError, match=f"leaves D by {excess:.6g} at t={t:.6g} "
                        f"\\(component {component}\\)"):
         _check_domain(strict, values)
+    # from row 2 on, row 2 is the first: at the last node, in component 1
+    assert want[1][:3] == (2, 1.0, 1)
+    with pytest.raises(DomainEscapeError, match=f"leaves D by {want[1][3]:.6g} at t=1 \\(component 1\\)"):
+        _check_domain(strict, values[2:])
     # row 5 alone: its tie is located at the first of the two nodes
     with pytest.raises(DomainEscapeError, match=f"leaves D by 7 at t={nodes[3]:.6g} \\(component 2\\)"):
         _check_domain(strict, values[5:6])
+
+
+_SLACK_EDGES = [0.0, _DOMAIN_SLACK, -_DOMAIN_SLACK, np.nextafter(_DOMAIN_SLACK, 1.0),
+                np.nextafter(-_DOMAIN_SLACK, -1.0), np.nextafter(_DOMAIN_SLACK, 0.0), 1.0, -1.0, 2.0,
+                -2.0, 1.0 + _DOMAIN_SLACK, -1.0 - _DOMAIN_SLACK, np.nan]
+
+
+@given(
+    n=st.sampled_from([1, 2]),
+    rows=st.integers(1, 6),
+    bounds=st.lists(st.sampled_from([(-1.0, 0.0), (0.0, 1.0), (-2.0, 2.0), (-1.0, 1.0)]), min_size=2,
+                    max_size=2),
+    cells=st.lists(st.sampled_from(_SLACK_EDGES) | st.floats(-3.0, 3.0), min_size=1, max_size=24),
+    strict=st.booleans(),
+)
+# a NaN in one component hides an escape in the other, as in the full array
+@example(n=2, rows=1, bounds=[(-1.0, 1.0)] * 2, cells=[np.nan] + [0.0] * 5 + [5.0] + [0.0] * 5, strict=False)
+def test_domain_check_by_row_reductions_matches_the_full_excess_array(n, rows, bounds, cells, strict):
+    # per-component D with bounds at 0, so an excess can equal the slack exactly;
+    # few distinct values, so rows and nodes tie
+    lo, hi = zip(*bounds[:n])
+    prob = _domain_problem(lo, hi, N=6, policy="strict" if strict else "warn")
+    values = np.resize(np.array(cells), rows * n * prob.N).reshape(rows, n, prob.N)
+    want_rows, want_excess, message = _reference_check(prob, values)
+    if strict and message is not None:
+        with pytest.raises(DomainEscapeError) as err:
+            _check_domain(prob, values)
+        assert str(err.value) == message
+        return
+    got = _check_domain(prob, values)
+    assert got.probe.tolist() == want_rows.tolist()
+    assert got.excess.tobytes() == want_excess.tobytes()
 
 
 def test_escapes_are_true_exactly_when_a_row_left_d(gyre, zero_rhs):
