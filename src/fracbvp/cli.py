@@ -70,24 +70,6 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
 
 
-@dataclasses.dataclass
-class RunManifest:
-    command: str
-    source: str
-    grid_n: int
-    m: int | None
-    tol: float | None
-    subdiv: int | None
-    seed: int
-    bounds_source: str
-    iterates_source: str | None
-    version: str
-    timestamp: str
-
-    def write(self, out_dir: Path) -> None:
-        _write_json(out_dir / "manifest.json", dataclasses.asdict(self))
-
-
 _BLOCK_VALUES = 2**16
 
 
@@ -199,20 +181,15 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _manifest(args, command: str, source: str, prob: Problem, bounds: str, **extra) -> RunManifest:
-    return RunManifest(
-        command=command,
-        source=source,
-        grid_n=prob.N,
-        m=extra.get("m"),
-        tol=extra.get("tol"),
-        subdiv=extra.get("subdiv"),
-        seed=args.seed,
-        bounds_source=bounds,
-        iterates_source=extra.get("iterates"),
-        version=__version__,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    )
+def _write_manifest(args, out: Path, command: str, source: str, prob: Problem, bounds: str,
+                    m=None, tol=None, subdiv=None, iterates=None) -> None:
+    """<out>/manifest.json: the command, its inputs and effective settings (None
+    where the command has no such setting), the version and a UTC timestamp."""
+    _write_json(out / "manifest.json", {
+        "command": command, "source": source, "grid_n": prob.N, "m": m, "tol": tol,
+        "subdiv": subdiv, "seed": args.seed, "bounds_source": bounds, "iterates_source": iterates,
+        "version": __version__, "timestamp": datetime.now(timezone.utc).isoformat(),
+    })
 
 
 def _gate_conditions(prob: Problem, force: bool):
@@ -256,7 +233,7 @@ def cmd_check(args) -> int:
     prob, bounds = _resolve(args, prob, text, reuse=False)
     out = _out_dir(args)
     report = check_conditions(prob)
-    _manifest(args, "check", source, prob, bounds).write(out)
+    _write_manifest(args, out, "check", source, prob, bounds)
     key = _bounds_key(args.seed, text, report.M.tolist(), report.K.tolist())
     _write_json(out / "conditions.json",
                 {"problem": source, **report.to_dict(), "bounds_source": bounds, "bounds_key": key})
@@ -286,7 +263,7 @@ def cmd_solve(args) -> int:
     prob, bounds = _resolve(args, prob, text)
     out = _out_dir(args)
     report = _gate_conditions(prob, args.force)
-    _manifest(args, "solve", source, prob, bounds, m=args.m, tol=args.tol).write(out)
+    _write_manifest(args, out, "solve", source, prob, bounds, m=args.m, tol=args.tol)
     n = prob.n
     trace_rows = []
     roots = []
@@ -343,7 +320,7 @@ def cmd_exclude(args) -> int:
     prob, bounds = _resolve(args, prob, text)
     out = _out_dir(args)
     _gate_conditions(prob, args.force)
-    _manifest(args, "exclude", source, prob, bounds, m=args.m, subdiv=args.subdiv).write(out)
+    _write_manifest(args, out, "exclude", source, prob, bounds, m=args.m, subdiv=args.subdiv)
     result = exclusion_sweep(prob, args.m, args.subdiv)
     n = prob.n
     header = ",".join(
@@ -435,7 +412,7 @@ def cmd_verify(args) -> int:
         return EXIT_CONFIG
     lines = _solved_lines(out, text, prob, chi, m)
     iterates = "computed" if lines is None else "iterates.csv"
-    _manifest(args, "verify", source, prob, bounds, m=m, iterates=iterates).write(out)
+    _write_manifest(args, out, "verify", source, prob, bounds, m=m, iterates=iterates)
     approx = run_iteration(prob, chi, m_max=m, tol=0.0)
     report = residuals(prob, approx, include_delta=not args.no_delta)
     header, table = emit_figure_data(prob, approx, report)

@@ -23,7 +23,8 @@ as ``dbeta_centered_ok`` so nothing is hidden.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -98,11 +99,24 @@ class ConditionsReport:
     dbeta_basis: str             # which beta the verdict used
     dbeta_centered_ok: bool      # diagnostic: alpha1 +- raw beta inside D
     R: np.ndarray                # sup_t |t - T (t/T)^p| per component
-    apriori_bounds: list[np.ndarray] = field(default_factory=list)
 
     @property
     def n(self) -> int:
         return self.M.size
+
+    @functools.cached_property
+    def apriori_bounds(self) -> list[np.ndarray]:
+        """The m-step uniform error bounds for m = 0, 1, ..., truncated at 25
+        entries or once they drop below 1e-12 * max(1, |M|); none unless the
+        certified bound on r(Q) is below 1."""
+        bounds: list[np.ndarray] = []
+        if self.radius_bound < 1.0:
+            cap = 1e-12 * max(1.0, float(np.max(np.abs(self.M))))
+            for m in range(25):
+                bounds.append(apriori_error(self, self.M, m))
+                if np.max(bounds[-1]) < cap:
+                    break
+        return bounds
 
     @property
     def ok(self) -> bool:
@@ -145,9 +159,7 @@ def check_conditions(prob: Problem) -> ConditionsReport:
     uses the certified Collatz-Wielandt bound on r(Q).  dbeta_ok is the
     nonemptiness check width(D) >= 2*beta using the normalized constant
     (see module docstring); the raw-beta ball around alpha1 is reported
-    as ``dbeta_centered_ok``.  The a-priori bound list holds the m-step
-    uniform error bounds, truncated at 25 entries or once they drop
-    below 1e-12 * max(1, |M|).
+    as ``dbeta_centered_ok``.  The a-priori bounds are computed when read.
     """
     M, K = _require_bounds(prob)
     kc = kernel_constant(prob.T, prob.p)
@@ -162,7 +174,7 @@ def check_conditions(prob: Problem) -> ConditionsReport:
     )
     tau = prob.p ** (-1.0 / (prob.p - 1.0))
     R = np.full(prob.n, prob.T * (tau - tau**prob.p))
-    report = ConditionsReport(
+    return ConditionsReport(
         p=prob.p,
         T=prob.T,
         M=M.copy(),
@@ -178,16 +190,6 @@ def check_conditions(prob: Problem) -> ConditionsReport:
         dbeta_centered_ok=centered,
         R=R,
     )
-    if bound < 1.0:
-        cap = 1e-12 * max(1.0, float(np.max(np.abs(M))))
-        bounds: list[np.ndarray] = []
-        for m in range(25):
-            b = apriori_error(report, M, m)
-            bounds.append(b)
-            if np.max(b) < cap:
-                break
-        report.apriori_bounds.extend(bounds)
-    return report
 
 
 def _resolvent(report: ConditionsReport) -> np.ndarray:

@@ -27,7 +27,7 @@ Lipschitz coefficient over the box plus the iteration tube can explain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,8 +67,7 @@ class NonConvergenceError(RuntimeError):
 class DeterminingResult:
     chi1_star: np.ndarray
     residual: np.ndarray
-    iterations_used: int
-    solver_trace: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    solver_trace: list[tuple[np.ndarray, np.ndarray]]
 
 
 # Cap on the u values (rows * n * N) of one batched run.  A run keeps every
@@ -114,8 +113,8 @@ def delta_at(
     With ``every_depth`` the result gains a first axis of length m + 1:
     Delta_k for k = 0..m, each read off the same depth-m run and equal to
     ``delta_at(prob, chi1, k)`` bit for bit.  When ``escapes`` is given,
-    each batch appends the ``DomainEscape`` record of its run, with
-    ``probe`` the row in the whole stack.
+    each batch appends the ``DomainEscape`` record of its run, whose
+    entries are its rows in stack order.
     """
     stack = np.atleast_2d(np.asarray(chi1, dtype=float))
     if stack.ndim != 2 or stack.shape[1] != prob.n:
@@ -126,7 +125,6 @@ def delta_at(
     for start in range(0, len(stack), rows):
         approx = run_iteration(prob, stack[start : start + rows], m_max=m, tol=0.0)
         if escapes is not None:
-            approx.escapes.probe[...] += start
             escapes.append(approx.escapes)
         deltas.append(np.stack([delta_m(prob, approx, k) for k in depths]))
     out = np.concatenate(deltas, axis=1)
@@ -187,9 +185,7 @@ def _solve(prob: Problem, m: int, scan=None) -> DeterminingResult:
         root = _solve_newton(prob, probe, trace)
     # every probe is deterministic, so the trace's value at the root is its residual
     residual = np.abs(next(val for chi, val in reversed(trace) if np.array_equal(chi, root)))
-    return DeterminingResult(
-        chi1_star=root, residual=residual, iterations_used=m, solver_trace=trace
-    )
+    return DeterminingResult(chi1_star=root, residual=residual, solver_trace=trace)
 
 
 def _solve_scalar(prob: Problem, probe, trace: list, scan) -> np.ndarray:
@@ -232,20 +228,19 @@ _NEWTON_FD_STEP = 1e-6  # Jacobian step, relative to max(1, |chi1_j|)
 _NEWTON_MAX_HALVINGS = 30  # line-search halvings before Newton gives up
 
 
-def _brent(f, xa: float, xb: float, xtol: float, fa=None, fb=None) -> float:
+def _brent(f, xa: float, xb: float, xtol: float, fa: float, fb: float) -> float:
     """Root of f in [xa, xb] by Brent's method; SciPy's brentq.c, step for step.
 
     Same arithmetic, rtol = 4 eps and 100 iterations as SciPy's
-    ``optimize.brentq(f, xa, xb, xtol=xtol)``, so it evaluates f at the
-    same points and returns the same root.  ``fa`` and ``fb``, when given,
-    are f(xa) and f(xb), which are then not evaluated again.
+    ``optimize.brentq(f, xa, xb, xtol=xtol)``, so given fa = f(xa) and
+    fb = f(xb) it evaluates f at the points SciPy's evaluates after those
+    two and returns the same root.
     """
     if not xtol > 0.0:
         raise ValueError(f"xtol must be positive, got {xtol!r}")
     xpre, xcur = float(xa), float(xb)
     xblk = fblk = spre = scur = 0.0
-    fpre = float(f(xpre) if fa is None else fa)
-    fcur = float(f(xcur) if fb is None else fb)
+    fpre, fcur = float(fa), float(fb)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:

@@ -117,8 +117,8 @@ class Grid:
 class GridFunction:
     """Vector-valued function sampled on a grid, linear between nodes.
 
-    ``values`` has shape (n_components, grid.N); a 1-D array is promoted
-    to a single component.  A batch of B has shape (B, n_components, grid.N).
+    ``values`` has shape (n, grid.N) for n components; a 1-D array is
+    promoted to a single component.  A batch of B has shape (B, n, grid.N).
     """
 
     grid: Grid
@@ -135,10 +135,6 @@ class GridFunction:
         if not np.all(np.isfinite(v)):
             raise ValueError("GridFunction: values must be finite")
         self.values = v
-
-    @property
-    def n_components(self) -> int:
-        return self.values.shape[-2]
 
 
 class ProductTrapezoid:
@@ -269,30 +265,29 @@ def frac_integral(g: GridFunction, p: float) -> np.ndarray:
     return _running(g.values, g.grid, p)
 
 
-def caputo_derivative(u: GridFunction, p: float, split: bool = True) -> GridFunction:
+def caputo_derivative(u: GridFunction, p: float) -> GridFunction:
     """L1-type numerical Caputo derivative of order p in (1, 2].
 
-    The base scheme forms central second differences of the sampled
-    values (one-sided extrapolation at the two end nodes) and applies the
-    fractional integral I^(2-p) to their interpolant, i.e. it discretizes
-    cD^p u = I^(2-p) u''.  That alone stalls on the leading t^p mode the
-    iteration produces (its second difference blows up at the first
-    node), so by default the scheme first fits the t^p coefficient from
+    The plain scheme, ``_caputo_plain``, forms central second differences of
+    the sampled values (one-sided extrapolation at the two end nodes) and
+    applies the fractional integral I^(2-p) to their interpolant, i.e. it
+    discretizes cD^p u = I^(2-p) u''.  That alone stalls on the leading
+    t^p mode the iteration produces (its second difference blows up at the
+    first node), so for p < 2 the scheme first fits the t^p coefficient from
     the third difference over the first four nodes,
 
         c = (u_3 - 3 u_2 + 3 u_1 - u_0) / (h^p (3^p - 3*2^p + 3)),
 
     which is exact on span{1, t, t^2, t^p}, and differentiates the
     singular part analytically: cD^p [c t^p] = c Gamma(p+1).  The
-    remainder is smooth at the origin and goes through the base scheme.
-    Set ``split=False`` for the plain scheme.  A batch of B functions gives
-    each row's derivative bit for bit.
+    remainder is smooth at the origin and goes through the plain scheme.
+    A batch of B functions gives each row's derivative bit for bit.
     """
     _require_order(p)
     if u.grid.N < 5:
         raise ValueError(f"caputo_derivative: need at least 5 nodes, got N={u.grid.N}")
     den = 3.0**p - 3.0 * 2.0**p + 3.0
-    if split and p != 2.0 and abs(den) >= 1e-2:
+    if p != 2.0 and abs(den) >= 1e-2:
         h = u.grid.h
         v = u.values
         c = (v[..., 3] - 3.0 * v[..., 2] + 3.0 * v[..., 1] - v[..., 0]) / (h**p * den)

@@ -20,15 +20,15 @@ neither M nor K.  A (B, n) stack of slopes runs B
 sequences at once, values (B, n, N), each row bit-identical to its own run.
 A run builds u_0 once and is the one place that checks iterates against
 D: it checks u_0, ..., u_m as it builds them, and its domain escapes are
-one ``DomainEscape`` record of arrays, filled without a Python object per
-escaped row.  ``iterate_step`` is the bare operator application.  Every
+one ``DomainEscape`` record with one entry per row, which every check
+updates in place.  ``iterate_step`` is the bare operator application.  Every
 iterate lies on ``prob.grid``: each step takes the problem's shared
 operator, ``prob.operator``, and f bound on its nodes, ``prob.f_on_grid``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,48 +54,44 @@ class DomainEscapeError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class DomainEscape:
-    """Domain excursions under the 'warn' policy: one array entry per check and
-    row that left D, at its worst node, in check order; ``len()`` counts them."""
+    """Domain excursions of a run under the 'warn' policy, one entry per row of
+    its chi1 stack: ``count`` checks found the row outside D, ``excess`` is its
+    worst excess over them (0 where ``count`` is 0); ``len()`` sums ``count``."""
 
-    probe: np.ndarray  # row of the chi1 stack that left D (0 for one chi1)
+    count: np.ndarray
     excess: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.probe)
-
-
-def _concat_escapes(records: list[DomainEscape]) -> DomainEscape:
-    """One record of the entries of ``records``, in order."""
-    return DomainEscape(*(np.concatenate([getattr(r, f.name) for r in records])
-                          for f in fields(DomainEscape)))
+        return int(self.count.sum())
 
 
 def _escape_stats(records: list[DomainEscape]) -> tuple[int, float]:
-    """(number of distinct probes that left D, worst excess) of escape records."""
-    if not any(records):
-        return 0, 0.0
-    probes = np.concatenate([r.probe for r in records])
-    return np.unique(probes).size, float(max(r.excess.max(initial=0.0) for r in records))
+    """(number of rows that left D, worst excess) of records of distinct rows,
+    such as those ``delta_at`` appends for the chunks of one stack."""
+    return (sum(int(np.count_nonzero(r.count)) for r in records),
+            max((float(r.excess.max(initial=0.0)) for r in records), default=0.0))
 
 
-def _check_domain(prob: Problem, values: np.ndarray) -> DomainEscape:
-    """The record of the batch rows of ``values`` (on ``prob.grid``) that leave D,
-    each at its worst node; the 'strict' policy raises at the first such row,
-    located at its worst node (the first one on a tie)."""
+def _check_domain(prob: Problem, values: np.ndarray, escapes: DomainEscape) -> None:
+    """Add the batch rows of ``values`` (on ``prob.grid``) that leave D to
+    ``escapes``, each at its worst node; the 'strict' policy raises at the
+    first such row, located at its worst node (the first one on a tie)."""
     lo, hi = prob.domain.lo, prob.domain.hi
     v = values.reshape(-1, prob.n, prob.N)
     # x - hi and lo - x are monotone in x, so each row's worst excess is that
     # of its extreme values, bit for bit
     worst = np.maximum(v.max(axis=-1) - hi, lo - v.min(axis=-1)).max(axis=-1)
-    rows = np.flatnonzero(worst > _DOMAIN_SLACK)
-    if prob.domain_policy == "strict" and len(rows):
-        row = v[rows[0]]
+    left = worst > _DOMAIN_SLACK  # False on a NaN row
+    if prob.domain_policy == "strict" and left.any():
+        first = np.argmax(left)
+        row = v[first]
         j, k = np.unravel_index(np.argmax(np.maximum(lo[:, None] - row, row - hi[:, None])), row.shape)
         raise DomainEscapeError(
-            f"iterate leaves D by {worst[rows[0]]:.6g} at t={prob.operator.nodes[k]:.6g} "
+            f"iterate leaves D by {worst[first]:.6g} at t={prob.operator.nodes[k]:.6g} "
             f"(component {j + 1}); the convergence theory assumes iterates stay in D"
         )
-    return DomainEscape(rows, worst[rows])
+    escapes.count[left] += 1
+    np.maximum(escapes.excess, worst, out=escapes.excess, where=left)
 
 
 def _interpolant(prob: Problem, op: ProductTrapezoid, chi: np.ndarray) -> np.ndarray:
@@ -110,8 +106,8 @@ def _interpolant(prob: Problem, op: ProductTrapezoid, chi: np.ndarray) -> np.nda
 
 
 def _rhs(prob: Problem, values: np.ndarray) -> np.ndarray:
-    """f along (n, N) or (B, n, N) values on ``prob.grid``, the bits of
-    ``prob.rhs``; exprlang wants components first."""
+    """f along (n, N) or (B, n, N) values on ``prob.grid``; exprlang wants
+    components first."""
     if np.shape(values)[-1] != prob.N:
         raise ValueError(f"values must lie on the problem's grid of {prob.N} nodes, got {np.shape(values)}")
     f = exprlang.evaluate(prob.f_on_grid, prob.operator.nodes, np.moveaxis(values, -2, 0))
@@ -124,26 +120,19 @@ def u0(prob: Problem, chi1) -> GridFunction:
     return GridFunction(op.grid, _interpolant(prob, op, np.atleast_1d(np.asarray(chi1, dtype=float))))
 
 
-def iterate_step(
-    prob: Problem,
-    prev: GridFunction,
-    chi1,
-    *,
-    u0_values: np.ndarray | None = None,
-) -> GridFunction:
+def iterate_step(prob: Problem, prev: GridFunction, chi1, u0_values: np.ndarray) -> GridFunction:
     """One application of the integral operator to the previous iterate.
 
     Evaluates f along ``prev`` and adds the corrected integral term to
-    u_0; ``prev`` is not checked against D (``run_iteration`` checks every
-    iterate it builds).  ``prev`` must lie on ``prob.grid`` (ValueError
-    otherwise).  ``u0_values``, when given, are the values of
-    ``u0(prob, chi1)``, which are then not rebuilt.
+    ``u0_values``, the values of ``u0(prob, chi1)``; ``chi1`` itself is not
+    read (the bench tracer counts steps by it).  ``prev`` is not checked
+    against D (``run_iteration`` checks every iterate it builds) and must lie
+    on ``prob.grid`` (ValueError otherwise).  A step whose values overflow
+    raises DomainEscapeError at the first node that is not finite.
     """
     op = prob.operator
     if prev.grid != op.grid:
         raise ValueError(f"prev lies on {prev.grid}, not on the problem's {op.grid}")
-    if u0_values is None:
-        u0_values = _interpolant(prob, op, np.atleast_1d(np.asarray(chi1, dtype=float)))
     fvals = _rhs(prob, prev.values)
     ip = op.running(fvals.reshape(-1, op.grid.N)).reshape(fvals.shape)
     ip /= op.gamma_p
@@ -151,6 +140,9 @@ def iterate_step(
     vals -= ip[..., -1:] * op.ratio
     vals[..., 0] = prob.alpha1
     vals[..., -1] = prob.alpha2
+    finite = np.isfinite(vals).reshape(-1, op.grid.N).all(axis=0)
+    if not finite.all():
+        raise DomainEscapeError(f"iterate is not finite at t={op.nodes[np.argmin(finite)]:.6g}")
     return GridFunction(op.grid, vals)
 
 
@@ -170,41 +162,35 @@ class ApproxSolution:
         return self.iterates[-1]
 
 
-def run_iteration(
-    prob: Problem,
-    chi1,
-    m_max: int = 10,
-    tol: float | np.ndarray | None = None,
-) -> ApproxSolution:
+def run_iteration(prob: Problem, chi1, m_max: int, tol: float | np.ndarray) -> ApproxSolution:
     """Iterate up to m_max steps or until sup|u_m - u_{m-1}| <= tol.
 
-    ``tol`` defaults to 1e-8 * (1 + |alpha2 - alpha1|); pass 0.0 to run
-    exactly m_max steps (useful when a specific iteration depth m is
-    wanted, e.g. for determining-function probes — the loop still stops
-    early on a bitwise fixed point, which changes nothing downstream).
-    Non-convergence at m_max is reported via ``converged=False``, not an
-    exception.  Every iterate u_0, ..., u_m is checked against D as it is
-    built: the 'strict' policy raises at the first that leaves it, and
-    excursions under 'warn' are returned in ``escapes``, one
-    ``DomainEscape`` record for the whole run.  u_0 is built once and every
-    step adds its integral term to the same values.  A
-    (B, n) stack of slopes stops early only when every row meets ``tol``.
+    With ``tol`` 0.0 it runs exactly m_max steps (as a determining-function
+    probe of depth m does) unless it meets a bitwise fixed point first,
+    which changes nothing downstream.  Non-convergence at m_max is reported
+    via ``converged=False``, not an exception.  Every iterate u_0, ..., u_m
+    is checked against D as it is built: the 'strict' policy raises at the
+    first that leaves it, and excursions under 'warn' are counted in
+    ``escapes``, one ``DomainEscape`` record for the whole run with one
+    entry per row.  u_0 is built once and every step adds its integral
+    term to the same values.  A (B, n) stack of slopes stops early only
+    when every row meets ``tol``.
     """
     if m_max < 0:
         raise ValueError(f"m_max must be >= 0, got {m_max}")
     chi = np.atleast_1d(np.asarray(chi1, dtype=float))
-    if tol is None:
-        tol = 1e-8 * (1.0 + float(np.max(np.abs(prob.alpha2 - prob.alpha1))))
     tol_vec = np.broadcast_to(np.asarray(tol, dtype=float), (prob.n,))
 
     current = u0(prob, chi)
     iterates = [current]
-    checks = [_check_domain(prob, current.values)]
+    rows = chi.size // prob.n
+    escapes = DomainEscape(np.zeros(rows, dtype=int), np.zeros(rows))
+    _check_domain(prob, current.values, escapes)
     sup_diffs: list[np.ndarray] = []
     converged = False
     for _ in range(m_max):
-        nxt = iterate_step(prob, current, chi, u0_values=iterates[0].values)
-        checks.append(_check_domain(prob, nxt.values))
+        nxt = iterate_step(prob, current, chi, iterates[0].values)
+        _check_domain(prob, nxt.values, escapes)
         diff = np.max(np.abs(nxt.values - current.values), axis=-1)
         sup_diffs.append(diff)
         iterates.append(nxt)
@@ -218,5 +204,5 @@ def run_iteration(
         sup_diffs=sup_diffs,
         converged=converged,
         m=len(iterates) - 1,
-        escapes=_concat_escapes(checks),
+        escapes=escapes,
     )

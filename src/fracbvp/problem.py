@@ -150,10 +150,6 @@ class Problem:
         cached on the instance, so copy a Problem with ``dataclasses.replace``."""
         return exprlang.bind(self.f, self.operator.nodes)
 
-    def rhs(self, t, u) -> np.ndarray:
-        """Evaluate f(t, u); exprlang does the vectorization."""
-        return exprlang.evaluate(self.f, t, u)
-
 
 # --- Bound estimation -------------------------------------------------
 
@@ -199,7 +195,7 @@ def estimate_bounds(prob: Problem, seed: int = 0) -> tuple[np.ndarray, np.ndarra
     """
     t, u = _sample_points(prob, seed)
     n = prob.n
-    f = prob.rhs(t, u)
+    f = exprlang.evaluate(prob.f, t, u)
     M = np.max(np.abs(f, out=f).reshape(n, -1), axis=1)
     del f  # the secants below need its memory
     K = np.zeros((n, n))
@@ -210,8 +206,8 @@ def estimate_bounds(prob: Problem, seed: int = 0) -> tuple[np.ndarray, np.ndarra
         up[j] = np.minimum(u[j] + h, prob.domain.hi[j])
         dn[j] = np.maximum(u[j] - h, prob.domain.lo[j])
         spread = up[j] - dn[j]
-        diff = prob.rhs(t, up)
-        diff -= prob.rhs(t, dn)
+        diff = exprlang.evaluate(prob.f, t, up)
+        diff -= exprlang.evaluate(prob.f, t, dn)
         np.abs(diff, out=diff)
         diff /= spread
         K[:, j] = np.max(diff.reshape(n, -1), axis=1)

@@ -86,18 +86,16 @@ def residuals(prob: Problem, approx: ApproxSolution, include_delta: bool = True)
 
 
 def emit_figure_data(
-    prob: Problem, approx: ApproxSolution, report: ResidualReport | None = None
+    prob: Problem, approx: ApproxSolution, report: ResidualReport
 ) -> tuple[str, np.ndarray]:
     """Table behind the standard four plots: iterates, rhs, derivative.
 
     Returns (header, rows).  For scalar problems the header is exactly
     ``t,u_0,...,u_m,f,caputo``; for systems each u/f/caputo column gains
     a ``_cJ`` component suffix.  ``f`` and ``caputo`` refer to the final
-    iterate, as held by ``report``: the ``residuals`` of the same
-    ``approx``, computed here when not given.
+    iterate, as held by ``report``, the ``residuals`` of the same ``approx``.
     """
     grid = _final(approx, "emit_figure_data").grid
-    report = residuals(prob, approx) if report is None else report
     cols = [grid.nodes]
     names = ["t"]
     for k, it in enumerate(approx.iterates):

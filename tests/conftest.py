@@ -123,6 +123,11 @@ def coupled_problem(N=201):
 
 
 def escape_rows(records):
-    """The entries of ``DomainEscape`` records as (probe, excess) tuples of
-    Python scalars, in record order."""
-    return [row for r in records for row in zip(r.probe.tolist(), r.excess.tolist())]
+    """The rows that left D in ``DomainEscape`` records, as (row, count, excess)
+    tuples of Python scalars; rows are numbered across the records in order,
+    as ``delta_at`` appends the records of a stack's chunks."""
+    found, start = [], 0
+    for r in records:
+        found += [(start + int(b), int(r.count[b]), float(r.excess[b])) for b in np.flatnonzero(r.count)]
+        start += len(r.count)
+    return found

@@ -141,7 +141,7 @@ def test_criterion_06_zero_rhs_oracle():
     prob = builtin_problem("zero-rhs")
     res = solve_determining(prob, 1)
     chi = float(res.chi1_star[0])
-    sol = run_iteration(prob, res.chi1_star, m_max=2)
+    sol = run_iteration(prob, res.chi1_star, m_max=2, tol=2e-8)
     t = sol.final.grid.nodes
     line = prob.alpha1[0] + (prob.alpha2[0] - prob.alpha1[0]) * t / prob.T
     sup_err = float(np.max(np.abs(sol.final.values[0] - line)))

@@ -365,10 +365,10 @@ def test_check_manifest(tmp_path):
     assert m["bounds_source"] == "sampled"
     assert m["iterates_source"] is None  # verify's alone says where its iterate columns came from
     assert m["version"] == fracbvp.__version__
-    assert set(m) == {
+    assert list(m) == [
         "command", "source", "grid_n", "m", "tol", "subdiv", "seed", "bounds_source",
         "iterates_source", "version", "timestamp",
-    }
+    ]
 
 
 # --- bounds record ---------------------------------------------------------------
@@ -610,6 +610,47 @@ def test_strict_domain_escape_in_the_shared_scan_is_a_numerical_failure(tmp_path
     assert not (out / "chi_trace.csv").exists()
     assert main(["solve", "--config", str(cfg), "--out", str(out), "--m", "0", "--force"]) == 0
     assert "m=0: chi1 = [3.1090111122546999]" in capsys.readouterr().out
+
+
+# f = 1.7e308 overflows the running integral of the FFT path (N = 1025) in
+# the first step; on the direct path (N <= 801) the iterates stay finite.
+OVERFLOW_CFG = textwrap.dedent(
+    """
+    [problem]
+    p = 1.5
+    T = 1
+    alpha1 = 1
+    alpha2 = 2
+    N = 1025
+    domain_policy = warn
+
+    [domain]
+    lo = 1
+    hi = 2
+
+    [rhs]
+    expr = 1.7e308 + 0*u1
+
+    [omega_box]
+    lo = -3
+    hi = 3
+
+    [bounds]
+    M = 1
+    K = 0
+    """
+)
+
+
+@pytest.mark.parametrize("stage", [["solve", "--m", "1"], ["exclude"], ["verify", "--recompute"]])
+def test_a_non_finite_iterate_is_a_numerical_failure(tmp_path, capsys, stage):
+    cfg = tmp_path / "overflow.ini"
+    cfg.write_text(OVERFLOW_CFG, encoding="utf-8")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main([*stage, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 3
+    # the first interior node, t = 1/1024
+    assert "numerical failure: iterate is not finite at t=0.000976562" in capsys.readouterr().err
 
 
 def test_solve_zero_rhs_exact(tmp_path):

@@ -285,6 +285,27 @@ def test_apriori_list_matches_function_and_truncates():
     assert np.allclose(ratios, REPORT.Q[0, 0], rtol=1e-9)
 
 
+def test_apriori_bounds_are_computed_once_and_only_when_read(monkeypatch):
+    from fracbvp import conditions
+
+    calls = []
+    error = conditions.apriori_error
+
+    def counted(report, M, m):
+        calls.append(m)
+        return error(report, M, m)
+
+    monkeypatch.setattr(conditions, "apriori_error", counted)
+    rep = check_conditions(GYRE)
+    assert calls == []  # the gate and the exclusion tube never read the list
+    bounds = rep.apriori_bounds
+    assert calls == list(range(len(bounds))) and rep.apriori_bounds is bounds
+    assert [b.tobytes() for b in bounds] == [b.tobytes() for b in REPORT.apriori_bounds]
+    # the list ends at the first bound below 1e-12 M, well before 25 entries
+    cap = 1e-12 * float(GYRE.M[0])
+    assert len(bounds) < 25 and bounds[-1][0] < cap <= min(b[0] for b in bounds[:-1])
+
+
 def test_delta_gap_pin():
     got = delta_gap_bound(REPORT, 844.11, 1)
     assert got[0] == pytest.approx(87.61123602234086, rel=1e-12)

@@ -229,7 +229,6 @@ def test_root_trace_pins(gyre, m, root):
     res = solve_determining(gyre, m)
     assert res.chi1_star[0] == pytest.approx(root, rel=1e-12)
     assert res.residual[0] <= 1e-8
-    assert res.iterations_used == m
     # 16 scan probes plus Brent's, one trace entry of shape (1,) each
     assert len(res.solver_trace) == 20
     assert all(chi.shape == val.shape == (1,) for chi, val in res.solver_trace)
@@ -284,6 +283,11 @@ def _recorded(fn, points):
     return f
 
 
+def _brent_of(f, xa, xb, xtol):
+    """``_brent`` given f at the bracket ends, evaluated first as brentq does."""
+    return _brent(f, xa, xb, xtol, f(xa), f(xb))
+
+
 def _test_function(kind, r, a, b, c):
     """A function with a simple root at r and no other in the bracket used below."""
     if kind == "poly":
@@ -318,7 +322,7 @@ def test_brent_is_scipy_brentq_step_for_step(kind, r, left, right, a, b, c, flip
     assert fn(xa) * fn(xb) < 0.0
     want_points, got_points = [], []
     want = brentq(_recorded(fn, want_points), xa, xb, xtol=xtol)
-    got = _brent(_recorded(fn, got_points), xa, xb, xtol)
+    got = _brent_of(_recorded(fn, got_points), xa, xb, xtol)
     assert got == want
     assert got_points == want_points
 
@@ -327,7 +331,7 @@ def test_brent_is_scipy_brentq_step_for_step(kind, r, left, right, a, b, c, flip
 def test_brent_returns_an_endpoint_where_f_is_zero(fn, root):
     want_points, got_points = [], []
     assert brentq(_recorded(fn, want_points), 0.0, 1.0) == root
-    assert _brent(_recorded(fn, got_points), 0.0, 1.0, 2e-12) == root
+    assert _brent_of(_recorded(fn, got_points), 0.0, 1.0, 2e-12) == root
     assert got_points == want_points == [0.0, 1.0]
 
 
@@ -342,16 +346,16 @@ def test_brent_raises_at_the_iteration_cap():
     )
     assert not info.converged and info.iterations == 100
     with pytest.raises(NonConvergenceError, match="100 iterations"):
-        _brent(_recorded(step, got_points), -1.0, 2.0, 5e-324)
+        _brent_of(_recorded(step, got_points), -1.0, 2.0, 5e-324)
     assert got_points == want_points
     assert len(got_points) == 102
 
 
 def test_brent_rejects_a_bracket_without_sign_change():
     with pytest.raises(ValueError, match="different signs"):
-        _brent(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+        _brent_of(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
     with pytest.raises(ValueError, match="xtol"):
-        _brent(lambda x: x, -1.0, 1.0, 0.0)
+        _brent_of(lambda x: x, -1.0, 1.0, 0.0)
 
 
 def test_gyre_root_is_scipy_brentq_bit_for_bit(gyre):
@@ -423,7 +427,6 @@ def test_solve_depths_equal_the_standalone_solves(gyre, zero_rhs, name):
     assert len(shared) == m + 1
     for k, res in enumerate(shared):
         alone = solve_determining(prob, k)
-        assert res.iterations_used == alone.iterations_used == k
         assert res.chi1_star.tobytes() == alone.chi1_star.tobytes()
         assert res.residual.tobytes() == alone.residual.tobytes()
         assert res.residual.tobytes() == np.abs(delta_at(prob, res.chi1_star, k)).tobytes()

@@ -75,7 +75,7 @@ def test_u0_pins_boundaries_for_any_parameter(seed):
 
 def test_iterate_step_zero_rhs_is_fixed_point(zero_rhs):
     prev = u0(zero_rhs, 1.0)
-    nxt = iterate_step(zero_rhs, prev, 1.0)
+    nxt = iterate_step(zero_rhs, prev, 1.0, prev.values)
     assert np.array_equal(nxt.values, prev.values)
 
 
@@ -83,12 +83,13 @@ def test_iterate_step_midpoint_pin(gyre):
     prev = u0(gyre, CHI_FIRST)
     t = gyre.grid.nodes
     assert np.interp(0.5, t, prev.values[0]) == pytest.approx(-45.60994956922515, rel=1e-13)
-    nxt = iterate_step(gyre, prev, CHI_FIRST)
+    nxt = iterate_step(gyre, prev, CHI_FIRST, prev.values)
     assert np.interp(0.5, t, nxt.values[0]) == pytest.approx(-95.5556327872806, rel=1e-12)
 
 
 def test_iterate_step_keeps_boundary_values(gyre):
-    nxt = iterate_step(gyre, u0(gyre, CHI_THIRD), CHI_THIRD)
+    start = u0(gyre, CHI_THIRD)
+    nxt = iterate_step(gyre, start, CHI_THIRD, start.values)
     assert nxt.values[0, 0] == gyre.alpha1[0]
     assert nxt.values[0, -1] == gyre.alpha2[0]
 
@@ -127,7 +128,7 @@ def test_f_is_bound_once_per_grid_next_to_the_operator(gyre):
     # f along one iterate and along a stack: the bits of the unbound f
     stack = np.stack([u0(gyre, chi).values for chi in (-330.0, -325.0, -320.0)])
     for values in (stack[0], stack):
-        want = np.moveaxis(gyre.rhs(op.nodes, np.moveaxis(values, -2, 0)), 0, -2)
+        want = np.moveaxis(exprlang.evaluate(gyre.f, op.nodes, np.moveaxis(values, -2, 0)), 0, -2)
         got = _rhs(gyre, values)
         assert got.shape == values.shape and got.tobytes() == want.tobytes()
     # a copy binds f afresh, on its own grid
@@ -161,9 +162,9 @@ def test_values_off_the_problem_grid_are_rejected(gyre):
     with pytest.raises(ValueError, match="401 nodes"):
         _rhs(gyre, prev.values)
     with pytest.raises(ValueError, match=r"not on the problem's Grid\(N=401"):
-        iterate_step(gyre, prev, CHI_FIRST)
+        iterate_step(gyre, prev, CHI_FIRST, u0(gyre, CHI_FIRST).values)
     with pytest.raises(ValueError, match="401 nodes"):
-        delta_m(gyre, run_iteration(coarse, CHI_FIRST, m_max=1))
+        delta_m(gyre, run_iteration(coarse, CHI_FIRST, m_max=1, tol=0.0))
 
 
 # --- domain policy --------------------------------------------------------
@@ -174,7 +175,7 @@ def test_strict_policy_raises_with_location(zero_rhs):
     prev = u0(zero_rhs, 20.0)
     assert float(np.max(prev.values)) > zero_rhs.domain.hi[0]
     with pytest.raises(DomainEscapeError, match=r"leaves D by .* \(component 1\)"):
-        run_iteration(zero_rhs, 20.0, m_max=1)
+        run_iteration(zero_rhs, 20.0, m_max=1, tol=0.0)
 
 
 def test_strict_run_raises_at_u0_whatever_its_depth(zero_rhs):
@@ -182,7 +183,7 @@ def test_strict_run_raises_at_u0_whatever_its_depth(zero_rhs):
     messages = []
     for m_max in (0, 3):
         with pytest.raises(DomainEscapeError) as err:
-            run_iteration(zero_rhs, 20.0, m_max=m_max)
+            run_iteration(zero_rhs, 20.0, m_max=m_max, tol=0.0)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
     excess = float(np.max(u0(zero_rhs, 20.0).values)) - zero_rhs.domain.hi[0]
@@ -192,29 +193,27 @@ def test_strict_run_raises_at_u0_whatever_its_depth(zero_rhs):
 def test_warn_policy_records_escapes(gyre):
     sol = run_iteration(gyre, CHI_THIRD, m_max=4, tol=0.0)
     assert len(sol.escapes) == 5  # every iterate dips below lo(D) = 1
-    rows = escape_rows([sol.escapes])
-    worst = max(excess for _, excess in rows)
+    [(row, count, worst)] = escape_rows([sol.escapes])
     assert worst == pytest.approx(99.41640324513766, rel=1e-10)
-    # one entry per iterate, in order, at its lowest value
-    for (probe, excess), it in zip(rows, sol.iterates):
-        assert probe == 0
-        assert excess == gyre.domain.lo[0] - np.min(it.values)
+    # the one row left D at all 5 checks; its excess is that of its lowest iterate
+    assert (row, count) == (0, 5)
+    assert worst == max(gyre.domain.lo[0] - np.min(it.values) for it in sol.iterates)
 
 
 def test_run_iteration_returns_escapes_without_warning(gyre):
     sol = run_iteration(gyre, CHI_THIRD, m_max=3, tol=0.0)
     assert len(sol.escapes) == 4  # u_0 .. u_3, the final iterate included
-    assert sol.escapes.probe.tolist() == [0] * 4
+    assert sol.escapes.count.tolist() == [4]
 
 
 def test_collected_runs_log_nothing_even_at_debug(gyre):
     sol = run_iteration(gyre, [[CHI_THIRD], [CHI_FIRST]], m_max=2, tol=0.0)
     assert len(sol.escapes) == 6
-    assert sol.escapes.probe.tolist() == [0, 1] * 3  # both rows at each of 3 checks
+    assert sol.escapes.count.tolist() == [3, 3]  # both rows at each of 3 checks
 
 
 def _record(*rows):
-    """A DomainEscape of (probe, excess) rows."""
+    """A DomainEscape of (count, excess) rows."""
     columns = zip(*rows) if rows else [()] * 2
     return DomainEscape(*(np.array(c, dtype) for c, dtype in zip(columns, (int, float))))
 
@@ -222,7 +221,7 @@ def _record(*rows):
 def test_escape_stats_count_probes_and_take_the_worst_excess():
     assert _escape_stats([]) == (0, 0.0)
     assert _escape_stats([_record()]) == (0, 0.0)
-    records = [_record((0, 1.0), (0, 2.5)), _record(), _record((4, 1.5))]
+    records = [_record((2, 2.5), (0, 0.0)), _record(), _record((0, 0.0), (0, 0.0), (1, 1.5))]
     assert _escape_stats(records) == (2, 2.5)
 
 
@@ -236,6 +235,18 @@ def _domain_problem(lo, hi, N=21, policy="warn"):
         omega=Box(-np.ones(n), np.ones(n)), M=np.zeros(n), K=np.zeros((n, n)), N=N,
         domain_policy=policy,
     )
+
+
+def _fresh(rows):
+    """An escape record for a stack of ``rows`` rows that no check has seen."""
+    return DomainEscape(np.zeros(rows, dtype=int), np.zeros(rows))
+
+
+def _checked(prob, values):
+    """The record of one check of ``values`` against D."""
+    record = _fresh(len(values.reshape(-1, prob.n, prob.N)))
+    _check_domain(prob, values, record)
+    return record
 
 
 def _reference_check(prob, values):
@@ -268,22 +279,22 @@ def test_stacked_domain_check_records_each_row_at_its_worst_node():
         k = int(np.argmax(excess))
         if excess[k] > 1e-9:
             want.append((b, float(nodes[k % N]), k // N + 1, float(excess[k])))
-    got = escape_rows([_check_domain(prob, values)])
-    assert got == [(b, excess) for b, _, _, excess in want] and len(got) == 7
+    got = escape_rows([_checked(prob, values)])
+    assert got == [(b, 1, excess) for b, _, _, excess in want] and len(got) == 7
     # the first row that leaves D is row 1, at its first node, in component 1
     assert want[0][:3] == (1, 0.0, 1)
     _, t, component, excess = want[0]
     strict = dataclasses.replace(prob, domain_policy="strict")
     with pytest.raises(DomainEscapeError, match=f"leaves D by {excess:.6g} at t={t:.6g} "
                        f"\\(component {component}\\)"):
-        _check_domain(strict, values)
+        _checked(strict, values)
     # from row 2 on, row 2 is the first: at the last node, in component 1
     assert want[1][:3] == (2, 1.0, 1)
     with pytest.raises(DomainEscapeError, match=f"leaves D by {want[1][3]:.6g} at t=1 \\(component 1\\)"):
-        _check_domain(strict, values[2:])
+        _checked(strict, values[2:])
     # row 5 alone: its tie is located at the first of the two nodes
     with pytest.raises(DomainEscapeError, match=f"leaves D by 7 at t={nodes[3]:.6g} \\(component 2\\)"):
-        _check_domain(strict, values[5:6])
+        _checked(strict, values[5:6])
 
 
 _SLACK_EDGES = [0.0, _DOMAIN_SLACK, -_DOMAIN_SLACK, np.nextafter(_DOMAIN_SLACK, 1.0),
@@ -310,12 +321,56 @@ def test_domain_check_by_row_reductions_matches_the_full_excess_array(n, rows, b
     want_rows, want_excess, message = _reference_check(prob, values)
     if strict and message is not None:
         with pytest.raises(DomainEscapeError) as err:
-            _check_domain(prob, values)
+            _checked(prob, values)
         assert str(err.value) == message
         return
-    got = _check_domain(prob, values)
-    assert got.probe.tolist() == want_rows.tolist()
-    assert got.excess.tobytes() == want_excess.tobytes()
+    got = _checked(prob, values)
+    assert np.flatnonzero(got.count).tolist() == want_rows.tolist()
+    assert got.excess[want_rows].tobytes() == want_excess.tobytes()
+
+
+@given(
+    n=st.sampled_from([1, 2]),
+    rows=st.integers(1, 5),
+    checks=st.integers(1, 4),
+    bounds=st.lists(st.sampled_from([(-1.0, 0.0), (0.0, 1.0), (-2.0, 2.0), (-1.0, 1.0)]), min_size=2,
+                    max_size=2),
+    cells=st.lists(st.sampled_from(_SLACK_EDGES) | st.floats(-3.0, 3.0), min_size=1, max_size=24),
+    strict=st.booleans(),
+)
+# row 0 leaves D by the same excess at both checks, row 1 by the slack exactly
+@example(n=1, rows=2, checks=2, bounds=[(0.0, 1.0)] * 2,
+         cells=[2.0] + [0.0] * 5 + [-_DOMAIN_SLACK] + [0.0] * 5, strict=False)
+# a NaN row stays out of the record at every check
+@example(n=2, rows=2, checks=3, bounds=[(-1.0, 1.0)] * 2,
+         cells=[np.nan] + [5.0] * 11 + [3.0] + [0.0] * 11, strict=False)
+def test_one_record_per_run_matches_the_per_check_records(n, rows, checks, bounds, cells, strict):
+    # the per-check reference: each check's (row, excess) entries, from the full
+    # excess array; a run's record holds, per row, their count and their maximum
+    lo, hi = zip(*bounds[:n])
+    prob = _domain_problem(lo, hi, N=6, policy="strict" if strict else "warn")
+    size = rows * n * prob.N
+    # each check reads the cells from its own offset: the checks differ but share values
+    stack = [np.resize(np.roll(np.array(cells), c), size).reshape(rows, n, prob.N) for c in range(checks)]
+    per_check = [_reference_check(prob, values) for values in stack]
+    got = _fresh(rows)
+    for values, (_, _, message) in zip(stack, per_check):
+        if strict and message is not None:
+            with pytest.raises(DomainEscapeError) as err:
+                _check_domain(prob, values, got)
+            assert str(err.value) == message
+            return
+        _check_domain(prob, values, got)
+    entries = [(int(b), float(e)) for want_rows, want_excess, _ in per_check
+               for b, e in zip(want_rows, want_excess)]
+    count, excess = np.zeros(rows, dtype=int), np.zeros(rows)
+    for b, e in entries:
+        count[b] += 1
+        excess[b] = max(excess[b], e)
+    assert got.count.tolist() == count.tolist()
+    assert got.excess.tobytes() == excess.tobytes()
+    assert len(got) == len(entries) and bool(got) is bool(entries)
+    assert _escape_stats([got]) == (len({b for b, _ in entries}), max((e for _, e in entries), default=0.0))
 
 
 def test_escapes_are_true_exactly_when_a_row_left_d(gyre, zero_rhs):
@@ -323,7 +378,7 @@ def test_escapes_are_true_exactly_when_a_row_left_d(gyre, zero_rhs):
     assert bool(run_iteration(gyre, CHI_THIRD, m_max=2, tol=0.0).escapes) is True
 
 
-def test_sweep_builds_one_escape_record_per_check_and_chunk(gyre, monkeypatch):
+def test_sweep_builds_one_escape_record_per_run(gyre, monkeypatch):
     records, checks = [], []
     init, check = DomainEscape.__init__, iterate._check_domain
 
@@ -341,8 +396,9 @@ def test_sweep_builds_one_escape_record_per_check_and_chunk(gyre, monkeypatch):
     chunks = -(-2000 // 163)
     assert res.escaped_probes == 2000
     assert len(checks) == 3 * chunks  # u_0, u_1 and u_2 of each chunk's run
-    # one record per check, one per run; one per probe row and check made 12,000
-    assert len(records) <= len(checks) + chunks == 52
+    # one record per run, which each check updates in place; a record per check
+    # and run made 52, one per probe row and check 12,000
+    assert len(records) == chunks == 13
 
 
 # --- full runs -------------------------------------------------------------
@@ -373,13 +429,13 @@ def _chain_case(name, gyre):
 
 @pytest.mark.parametrize("name", ["gyre-401-1", "gyre-401-163", "gyre-1024-1", "coupled"])
 def test_run_iteration_is_u0_and_a_chain_of_steps(gyre, name):
-    # the run builds u_0 once for every step, a standalone step rebuilds it;
+    # the run builds u_0 once for every step, the chain one for each step;
     # 163 rows at N = 401 convolve as a ramp of dots, N = 1024 through the FFT
     prob, chi = _chain_case(name, gyre)
     sol = run_iteration(prob, chi, m_max=3, tol=0.0)
     chain = [u0(prob, chi)]
     for _ in range(3):
-        chain.append(iterate_step(prob, chain[-1], chi))
+        chain.append(iterate_step(prob, chain[-1], chi, u0(prob, chi).values))
     assert sol.m == 3
     assert [u.values.shape for u in sol.iterates] == [u.values.shape for u in chain]
     assert [u.values.tobytes() for u in sol.iterates] == [u.values.tobytes() for u in chain]
@@ -403,11 +459,11 @@ def test_sup_diffs_stay_below_displacement_bounds(gyre):
         assert diff[0] <= bound[0]
 
 
-def test_default_tolerance_converges(gyre):
-    sol = run_iteration(gyre, CHI_THIRD, m_max=12)
+def test_tolerance_stops_at_the_first_step_below_it(gyre):
+    sol = run_iteration(gyre, CHI_THIRD, m_max=12, tol=2e-8)
     assert sol.converged is True
     assert sol.m == 8
-    # default tol = 1e-8 * (1 + |alpha2 - alpha1|) = 2e-8
+    # 2e-8 = 1e-8 * (1 + |alpha2 - alpha1|)
     assert float(sol.sup_diffs[-1][0]) <= 2e-8
     assert float(sol.sup_diffs[-2][0]) > 2e-8
 
@@ -428,7 +484,7 @@ def test_vector_tolerance_accepted(gyre):
 
 
 def test_zero_steps_returns_initial_approximation(gyre):
-    sol = run_iteration(gyre, CHI_THIRD, m_max=0)
+    sol = run_iteration(gyre, CHI_THIRD, m_max=0, tol=0.0)
     assert sol.m == 0
     assert len(sol.iterates) == 1
     assert sol.sup_diffs == []
@@ -438,7 +494,7 @@ def test_zero_steps_returns_initial_approximation(gyre):
 
 def test_negative_steps_rejected(gyre):
     with pytest.raises(ValueError, match="m_max"):
-        run_iteration(gyre, CHI_THIRD, m_max=-1)
+        run_iteration(gyre, CHI_THIRD, m_max=-1, tol=0.0)
 
 
 def test_run_keeps_its_slopes_as_an_array(gyre):
@@ -473,7 +529,7 @@ def test_displacement_bounds_hold_on_random_problems(seed):
 def test_zero_rhs_family_converges_to_line(seed):
     rng = np.random.default_rng(seed)
     prob, chi_star = zero_rhs_problem(rng)
-    sol = run_iteration(prob, chi_star, m_max=3)
+    sol = run_iteration(prob, chi_star, m_max=3, tol=0.0)
     assert sol.converged is True
     t = sol.final.grid.nodes
     line = prob.alpha1[0] + chi_star * t

@@ -122,7 +122,7 @@ def test_problem_rhs_vectorized():
         f=exprlang.parse("t + u1", 1, {}), f_source="t + u1"
     )
     t = np.linspace(0, 1, 5)
-    out = prob.rhs(t, [2 * t])
+    out = exprlang.evaluate(prob.f, t, [2 * t])
     assert np.allclose(out[0], 3 * t)
 
 
@@ -231,7 +231,7 @@ def _dense_bounds(prob, per_axis):
     mesh = np.meshgrid(*axes, indexing="ij")
     t = mesh[0].ravel()
     u = np.stack([m.ravel() for m in mesh[1:]])
-    M = np.max(np.abs(prob.rhs(t, u)), axis=1)
+    M = np.max(np.abs(exprlang.evaluate(prob.f, t, u)), axis=1)
     K = np.zeros((n, n))
     for j in range(n):
         h = prob.domain.width[j] * 2.0**-10
@@ -239,7 +239,7 @@ def _dense_bounds(prob, per_axis):
         dn = u.copy()
         up[j] = np.minimum(u[j] + h, prob.domain.hi[j])
         dn[j] = np.maximum(u[j] - h, prob.domain.lo[j])
-        diff = prob.rhs(t, up) - prob.rhs(t, dn)
+        diff = exprlang.evaluate(prob.f, t, up) - exprlang.evaluate(prob.f, t, dn)
         K[:, j] = np.max(np.abs(diff) / (up[j] - dn[j]), axis=1)
     return M, K
 
@@ -325,7 +325,7 @@ def test_config_with_bounds_and_constants():
     prob = problem_from_config(text)
     assert prob.constants == {"w": 2.0}
     assert float(prob.M[0]) == 2.0
-    assert prob.rhs(0.5, [0.0])[0] == 1.0
+    assert exprlang.evaluate(prob.f, 0.5, [0.0])[0] == 1.0
 
 
 def test_config_vector_fields():

@@ -74,7 +74,7 @@ def test_residual_delta_and_f_are_the_bits_of_delta_m_and_the_unbound_f(gyre, m,
     sol = _gyre_run(gyre, m, chi)
     rep = residuals(gyre, sol)
     assert rep.delta.tobytes() == delta_m(gyre, sol).tobytes()
-    assert rep.rhs.tobytes() == gyre.rhs(sol.final.grid.nodes, sol.final.values).tobytes()
+    assert rep.rhs.tobytes() == exprlang.evaluate(gyre.f, sol.final.grid.nodes, sol.final.values).tobytes()
 
 
 def test_boundary_residuals_are_exact(gyre):
@@ -172,18 +172,19 @@ def test_report_to_dict_keys(gyre):
 
 
 def test_figure_header_scalar_exact(gyre):
-    hdr, rows = emit_figure_data(gyre, _gyre_run(gyre, 2))
+    sol = _gyre_run(gyre, 2)
+    hdr, rows = emit_figure_data(gyre, sol, residuals(gyre, sol))
     assert hdr == "t,u_0,u_1,u_2,f,caputo"
     assert rows.shape == (401, 6)
 
 
 def test_figure_columns_match_iterates(gyre):
     sol = _gyre_run(gyre, 2)
-    hdr, rows = emit_figure_data(gyre, sol)
+    hdr, rows = emit_figure_data(gyre, sol, residuals(gyre, sol))
     assert np.array_equal(rows[:, 0], sol.final.grid.nodes)
     for k in range(3):
         assert np.array_equal(rows[:, 1 + k], sol.iterates[k].values[0])
-    fcol = gyre.rhs(sol.final.grid.nodes, sol.final.values)[0]
+    fcol = exprlang.evaluate(gyre.f, sol.final.grid.nodes, sol.final.values)[0]
     assert np.array_equal(rows[:, 4], fcol)
 
 
@@ -191,7 +192,7 @@ def test_figure_columns_match_iterates(gyre):
 def test_figure_from_the_residual_report_is_the_same_table(gyre, include_delta):
     sol = _gyre_run(gyre, 2)
     report = residuals(gyre, sol, include_delta=include_delta)
-    hdr, rows = emit_figure_data(gyre, sol)
+    hdr, rows = emit_figure_data(gyre, sol, residuals(gyre, sol))
     hdr_shared, rows_shared = emit_figure_data(gyre, sol, report)
     assert hdr_shared == hdr
     assert rows_shared.shape == rows.shape
@@ -200,7 +201,7 @@ def test_figure_from_the_residual_report_is_the_same_table(gyre, include_delta):
 
 def test_figure_iterate_gap_pin(gyre):
     sol = _gyre_run(gyre, 2)
-    _, rows = emit_figure_data(gyre, sol)
+    _, rows = emit_figure_data(gyre, sol, residuals(gyre, sol))
     gap = np.max(np.abs(rows[:, 3] - rows[:, 2]))
     assert gap == pytest.approx(1.1760812183081555, rel=1e-11)
 
@@ -221,7 +222,7 @@ def test_figure_header_two_component_suffixes():
         N=21,
     )
     sol = run_iteration(prob, np.array([1.0, 2.0]), m_max=1, tol=0.0)
-    hdr, rows = emit_figure_data(prob, sol)
+    hdr, rows = emit_figure_data(prob, sol, residuals(prob, sol))
     assert hdr == "t,u_0_c1,u_0_c2,u_1_c1,u_1_c2,f_c1,f_c2,caputo_c1,caputo_c2"
     assert rows.shape == (21, 9)
 
@@ -229,7 +230,7 @@ def test_figure_header_two_component_suffixes():
 def test_figure_caputo_column_near_zero_for_line(zero_rhs):
     # u = line: the split stencil annihilates affine functions
     sol = run_iteration(zero_rhs, 1.0, m_max=1, tol=0.0)
-    hdr, rows = emit_figure_data(zero_rhs, sol)
+    hdr, rows = emit_figure_data(zero_rhs, sol, residuals(zero_rhs, sol))
     cap = rows[:, hdr.split(",").index("caputo")]
     assert np.max(np.abs(cap[2:-2])) <= 1e-8
 
