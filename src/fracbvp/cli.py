@@ -12,6 +12,9 @@ sample them otherwise, and plain ``verify`` needs neither.  ``solve``
 records a run key in ``determining.json``; when ``verify`` runs the same
 iteration on the same ``iterates.csv`` bytes, it takes the rendered t and
 u_k cells of its CSVs from that file instead of formatting them again.
+For n = 1 ``solve`` also records its depth-m probes of Omega's two ends
+under a key of the config text, N and m; ``exclude`` at that depth takes
+its existence sign test from them instead of probing the ends again.
 
 Exit codes: 0 success, 1 config error, 2 solvability conditions failed,
 3 numerical failure (no root bracket, Newton stall, domain escape),
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -42,7 +46,7 @@ from .determine import (
     solve_determining,
 )
 from .exprlang import ExprEvalError, ExprSyntaxError
-from .iterate import DomainEscapeError, run_iteration
+from .iterate import DomainEscape, DomainEscapeError, run_iteration
 from .problem import (
     BUILTIN_PROBLEMS,
     Problem,
@@ -66,8 +70,42 @@ class ConditionFailure(RuntimeError):
 
 
 def _write_json(path: Path, obj) -> None:
-    """``obj`` as JSON indented by 2, with a final newline."""
-    path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+    """``obj`` as JSON indented by 2, with a final newline.
+
+    The bytes are ``json.dumps(obj, indent=2)``'s, a float ndarray in ``obj``
+    standing for its nested lists, but such an array is rendered by one ``%``
+    over a template instead of json's pure-Python indent encoder (a call per
+    value and list); dict keys must be strings.
+    """
+    path.write_text(_json(obj, "") + "\n", encoding="utf-8")
+
+
+def _json(obj, indent: str) -> str:
+    """``json.dumps(obj, indent=2)`` nested at ``indent``."""
+    inner = indent + "  "
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
+        values = obj.ravel().tolist()
+        # json writes a finite float by float.__repr__, NaN and the infinities by name
+        cells = map(float.__repr__ if np.isfinite(obj).all() else json.dumps, values)
+        return _json_template(obj.shape, indent) % tuple(cells)
+    if isinstance(obj, dict) and obj:
+        items = [f"{json.dumps(key)}: {_json(value, inner)}" for key, value in obj.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        items = [_json(value, inner) for value in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    return json.dumps(obj)
+
+
+def _json_template(shape: tuple[int, ...], indent: str) -> str:
+    """The JSON text of nested lists of ``shape`` at ``indent``, a ``%s`` per value."""
+    if not shape:
+        return "%s"
+    if shape[0] == 0:
+        return "[]"
+    inner = indent + "  "
+    item = _json_template(shape[1:], inner)
+    return "[\n" + inner + (",\n" + inner).join([item] * shape[0]) + "\n" + indent + "]"
 
 
 _BLOCK_VALUES = 2**16
@@ -158,6 +196,37 @@ def _run_key(text: str, prob: Problem, chi: np.ndarray, m: int, tol: float, dige
     return _key(__version__, np.__version__, text, prob.N, chi.tolist(), m, tol, digest)
 
 
+def _ends_key(text: str, prob: Problem, m: int, delta, count, excess) -> str:
+    """sha256 over what the depth-m probes of Omega's ends depend on (the package
+    and numpy versions, the config text, N and m) and over their recorded
+    Delta_m, escape counts and worst excesses, as lists."""
+    return _key(__version__, np.__version__, text, prob.N, m, delta, count, excess)
+
+
+def _ends_record(text: str, prob: Problem, m: int, ends) -> dict:
+    """The ``ends`` entry of determining.json: ``solve_depths``' ends as lists, keyed."""
+    delta, escapes = ends
+    rec = {"delta": delta[:, 0].tolist(), "domain_escapes": escapes.count.tolist(),
+           "worst_excess": escapes.excess.tolist()}
+    return {**rec, "key": _ends_key(text, prob, m, *rec.values())}
+
+
+def _solved_ends(out: Path, text: str, prob: Problem, m: int):
+    """The ``ends`` that ``existence_check_scalar`` takes, from the ``ends`` entry
+    of <out>/determining.json when its key is the one of this config text, N
+    and m and of its values; None otherwise.  JSON floats round-trip, so the
+    values have the bits solve's scan computed."""
+    try:
+        rec = json.loads((out / "determining.json").read_text(encoding="utf-8"))["ends"]
+        delta, count, excess = rec["delta"], rec["domain_escapes"], rec["worst_excess"]
+        if rec["key"] != _ends_key(text, prob, m, delta, count, excess):
+            return None
+        return (np.array(delta, dtype=float).reshape(2, 1),
+                DomainEscape(np.array(count, dtype=int).reshape(2), np.array(excess, dtype=float).reshape(2)))
+    except (OSError, ValueError, TypeError, KeyError, OverflowError, RecursionError):
+        return None  # a missing, unreadable or malformed record is a miss, as a stale one is
+
+
 def _resolve(args, prob: Problem, text: str, reuse: bool = True) -> tuple[Problem, str]:
     """prob with M and K, and their source: ``supplied`` by ``[bounds]``, else
     (with ``reuse``) those in <out>/conditions.json if its ``bounds_key`` is
@@ -182,13 +251,13 @@ def _out_dir(args) -> Path:
 
 
 def _write_manifest(args, out: Path, command: str, source: str, prob: Problem, bounds: str,
-                    m=None, tol=None, subdiv=None, iterates=None) -> None:
+                    m=None, tol=None, subdiv=None, iterates=None, ends=None) -> None:
     """<out>/manifest.json: the command, its inputs and effective settings (None
     where the command has no such setting), the version and a UTC timestamp."""
     _write_json(out / "manifest.json", {
         "command": command, "source": source, "grid_n": prob.N, "m": m, "tol": tol,
         "subdiv": subdiv, "seed": args.seed, "bounds_source": bounds, "iterates_source": iterates,
-        "version": __version__, "timestamp": datetime.now(timezone.utc).isoformat(),
+        "ends_source": ends, "version": __version__, "timestamp": datetime.now(timezone.utc).isoformat(),
     })
 
 
@@ -268,8 +337,9 @@ def cmd_solve(args) -> int:
     trace_rows = []
     roots = []
     failure: Exception | None = None
+    ends: list = []
     try:
-        for k, res in enumerate(solve_depths(prob, args.m)):
+        for k, res in enumerate(solve_depths(prob, args.m, ends)):
             roots.append(res)
             trace_rows.append([float(k), *res.chi1_star, *res.residual])
             chi_txt = ", ".join(f"{c:.17g}" for c in res.chi1_star)
@@ -298,19 +368,19 @@ def cmd_solve(args) -> int:
         for k, diff in enumerate(approx.sup_diffs)
     ]
     _write_csv(out / "sup_diffs.csv", sd_header, sd_rows)
-    _write_json(
-        out / "determining.json",
-        {
-            "m": args.m,
-            "chi1_star": final.chi1_star.tolist(),
-            "residual": final.residual.tolist(),
-            "converged": approx.converged,
-            "chi_trace": [r.chi1_star.tolist() for r in roots],
-            "probes": len(final.solver_trace),
-            **_escape_summary(approx),
-            "run_key": _run_key(text, prob, final.chi1_star, args.m, tol, digest),
-        },
-    )
+    record = {
+        "m": args.m,
+        "chi1_star": final.chi1_star.tolist(),
+        "residual": final.residual.tolist(),
+        "converged": approx.converged,
+        "chi_trace": [r.chi1_star.tolist() for r in roots],
+        "probes": len(final.solver_trace),
+        **_escape_summary(approx),
+        "run_key": _run_key(text, prob, final.chi1_star, args.m, tol, digest),
+    }
+    if ends:  # n = 1: the scan's probes of Omega's ends, for exclude's existence check
+        record["ends"] = _ends_record(text, prob, args.m, ends[0])
+    _write_json(out / "determining.json", record)
     _note_escapes(approx)
     return EXIT_OK
 
@@ -319,10 +389,15 @@ def cmd_exclude(args) -> int:
     prob, source, text = _load(args)
     prob, bounds = _resolve(args, prob, text)
     out = _out_dir(args)
-    _gate_conditions(prob, args.force)
-    _write_manifest(args, out, "exclude", source, prob, bounds, m=args.m, subdiv=args.subdiv)
-    result = exclusion_sweep(prob, args.m, args.subdiv)
+    report = _gate_conditions(prob, args.force)
     n = prob.n
+    ends = ends_source = None
+    if n == 1:
+        ends = _solved_ends(out, text, prob, args.m)
+        ends_source = "computed" if ends is None else "determining.json"
+    _write_manifest(args, out, "exclude", source, prob, bounds, m=args.m, subdiv=args.subdiv,
+                    ends=ends_source)
+    result = exclusion_sweep(prob, args.m, args.subdiv, report)
     header = ",".join(
         ["index", *_suffixed("lo", n), *_suffixed("hi", n), *_suffixed("center", n),
          *_suffixed("abs_delta", n), *_suffixed("rhs", n), "keep"]
@@ -336,13 +411,13 @@ def cmd_exclude(args) -> int:
         "subdiv": args.subdiv,
         "boxes": len(result.subsets),
         "kept": len(result.survivors),
-        "survivors": result.survivors.tolist(),
+        "survivors": result.survivors,
         "coefficient": result.coefficient.tolist(),
         "tail": result.tail.tolist(),
         **_domain_summary(result),
     }
     if n == 1:
-        verdict = existence_check_scalar(prob, args.m)
+        verdict = existence_check_scalar(prob, args.m, report, ends)
         summary["existence"] = {
             "certified": verdict.certified,
             "endpoint_deltas": list(verdict.endpoint_deltas),
@@ -444,7 +519,10 @@ def cmd_example_list(_args) -> int:
 
 # --- Argument wiring ----------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call, built once per process: parsing keeps
+    no state, each call gets a new namespace."""
     parser = argparse.ArgumentParser(
         prog="fracbvp",
         description="Successive-approximation solver for Caputo fractional "

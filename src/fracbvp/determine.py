@@ -15,7 +15,9 @@ problems the root search is a bracket scan plus Brent's method (Brent,
 from the scan's values at the bracket ends; ``_brent`` is a
 line-for-line port of SciPy's ``brentq`` (same tolerances, same
 iterates), so no probe path imports SciPy.  ``solve_depths`` solves
-every depth 0..m from one shared scan.  For systems it is a damped
+every depth 0..m from one shared scan, whose first and last rows are the
+probes of Omega's ends that ``existence_check_scalar`` can take instead of
+probing them again.  For systems it is a damped
 Newton with forward-difference Jacobian.  The searches have no options:
 their settings (16 scan points, Brent's xtol 1e-12, Newton down to
 |Delta_m| <= 1e-9, ...) are module constants.  The
@@ -108,8 +110,9 @@ def delta_at(
 ) -> np.ndarray:
     """Delta_m at chi1 (scalar or (n,) -> (n,); a (B, n) stack -> (B, n)).
 
-    Runs the iteration, then evaluates; a stack runs in batches of at most
-    ``_BATCH_VALUES`` values, each row bit-identical to a one-row probe.
+    Runs the iteration, then evaluates; a stack runs in the fewest batches of
+    at most ``_BATCH_VALUES`` values, of equal size to one row, each row
+    bit-identical to a one-row probe.
     With ``every_depth`` the result gains a first axis of length m + 1:
     Delta_k for k = 0..m, each read off the same depth-m run and equal to
     ``delta_at(prob, chi1, k)`` bit for bit.  When ``escapes`` is given,
@@ -120,10 +123,13 @@ def delta_at(
     if stack.ndim != 2 or stack.shape[1] != prob.n:
         raise ValueError(f"chi1 must have shape (n,) or (B, n) with n={prob.n}, got {np.shape(chi1)}")
     depths = range(m + 1) if every_depth else [m]
-    rows = max(1, _BATCH_VALUES // (prob.n * prob.N))
+    # the fewest chunks within the cap, of equal size, the first B % chunks of
+    # them one row larger: full chunks and a tail convolved a tail below
+    # _RAMP_MIN_ROWS row by row, and interleaved sizes raised peak RSS by 1 MB
+    chunks = -(-len(stack) // max(1, _BATCH_VALUES // (prob.n * prob.N)))
     deltas = [np.empty((len(depths), 0, prob.n))]
-    for start in range(0, len(stack), rows):
-        approx = run_iteration(prob, stack[start : start + rows], m_max=m, tol=0.0)
+    for part in np.array_split(stack, chunks) if chunks else []:
+        approx = run_iteration(prob, part, m_max=m, tol=0.0)
         if escapes is not None:
             escapes.append(approx.escapes)
         deltas.append(np.stack([delta_m(prob, approx, k) for k in depths]))
@@ -147,17 +153,27 @@ def solve_determining(prob: Problem, m: int) -> DeterminingResult:
     return _solve(prob, m)
 
 
-def solve_depths(prob: Problem, m: int):
+def solve_depths(prob: Problem, m: int, ends: list | None = None):
     """Yield ``solve_determining(prob, k)`` for k = 0, 1, ..., m.
 
     Each result equals the standalone one field for field, but for n = 1
     one batched depth-m scan gives the scan values of every depth.  A
     depth that fails raises as ``solve_determining`` does, and no deeper
-    depth is solved.
+    depth is solved.  For n = 1 the scan's first and last rows probe
+    Omega's two ends; when ``ends`` is a list, it gets their depth-m
+    values (2, 1) and ``DomainEscape`` record as one pair, the ``ends``
+    that ``existence_check_scalar`` takes, before the first result.
     """
     if m < 0:
         raise ValueError(f"iteration budget m must be >= 0, got {m}")
-    scan = delta_at(prob, _scan_points(prob), m, every_depth=True) if prob.n == 1 else None
+    scan = None
+    if prob.n == 1:
+        escapes: list[DomainEscape] = []
+        scan = delta_at(prob, _scan_points(prob), m, escapes, every_depth=True)
+        if ends is not None:
+            rows = [0, _SCAN_POINTS - 1]
+            ends.append((scan[m][rows], DomainEscape(np.concatenate([r.count for r in escapes])[rows],
+                                                     np.concatenate([r.excess for r in escapes])[rows])))
     for k in range(m + 1):
         yield _solve(prob, k, None if scan is None else scan[k])
 
@@ -363,7 +379,8 @@ def _exclusion_coefficient(report: ConditionsReport) -> np.ndarray:
     ) * np.eye(n)
 
 
-def exclusion_sweep(prob: Problem, m: int, n_subdiv: int) -> ExclusionResult:
+def exclusion_sweep(prob: Problem, m: int, n_subdiv: int,
+                    report: ConditionsReport | None = None) -> ExclusionResult:
     """Split Omega into n_subdiv^n equal boxes and filter by necessity.
 
     A box is kept iff |Delta_m(center)| <= coefficient @ halfwidth
@@ -372,12 +389,14 @@ def exclusion_sweep(prob: Problem, m: int, n_subdiv: int) -> ExclusionResult:
     root-free (up to the quality of M and K) — provided the probe
     iterates stayed in D; ``escaped_probes`` counts the ones that did not.
     All box centers are probed by one stacked ``delta_at`` call.
+    ``report`` is ``check_conditions(prob)``, computed here when not given.
     """
     if m < 0:
         raise ValueError(f"iteration budget m must be >= 0, got {m}")
     if n_subdiv < 1:
         raise ValueError(f"n_subdiv must be >= 1, got {n_subdiv}")
-    report = check_conditions(prob)
+    if report is None:
+        report = check_conditions(prob)
     tail = delta_gap_bound(report, prob.M, m)
     coeff = _exclusion_coefficient(report)
     edges = [np.linspace(a, b, n_subdiv + 1) for a, b in zip(prob.omega.lo, prob.omega.hi)]
@@ -418,7 +437,8 @@ class ExistenceVerdict:
         return self.certified
 
 
-def existence_check_scalar(prob: Problem, m: int) -> ExistenceVerdict:
+def existence_check_scalar(prob: Problem, m: int, report: ConditionsReport | None = None,
+                           ends: tuple[np.ndarray, DomainEscape] | None = None) -> ExistenceVerdict:
     """Endpoint sign test with the iteration tube (scalar problems only).
 
     Existence of a root of the exact determining function inside Omega
@@ -428,17 +448,24 @@ def existence_check_scalar(prob: Problem, m: int) -> ExistenceVerdict:
     degree of a map nonvanishing on the boundary is then +-1.  Anything
     else is inconclusive (certified=False) — not a proof of
     nonexistence.  ``escaped_probes`` counts the endpoint probes whose
-    iterates left D.
+    iterates left D.  ``report`` is ``check_conditions(prob)``, computed
+    here when not given; ``ends`` holds the depth-m probes of Omega's two
+    ends when they already ran (their Delta_m, (2, 1), and ``DomainEscape``
+    record, as ``solve_depths`` gives them), which are probed here otherwise.
     """
     if m < 0:
         raise ValueError(f"iteration budget m must be >= 0, got {m}")
     if prob.n != 1:
         raise NotImplementedError("existence certification is scalar-only (n = 1)")
-    report = check_conditions(prob)
+    if report is None:
+        report = check_conditions(prob)
     tube = float(delta_gap_bound(report, prob.M, m)[0])
-    escapes: list[DomainEscape] = []
-    ends = np.stack([prob.omega.lo, prob.omega.hi])
-    d_lo, d_hi = delta_at(prob, ends, m, escapes)[:, 0].tolist()
+    if ends is None:
+        escapes: list[DomainEscape] = []
+        deltas = delta_at(prob, np.stack([prob.omega.lo, prob.omega.hi]), m, escapes)
+    else:
+        deltas, escapes = ends[0], [ends[1]]
+    d_lo, d_hi = deltas[:, 0].tolist()
     escaped, worst = _escape_stats(escapes)
     cleared = (abs(d_lo) > tube, abs(d_hi) > tube)
     sign_change = (d_lo < 0.0 < d_hi) or (d_hi < 0.0 < d_lo)

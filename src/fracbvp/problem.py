@@ -57,6 +57,9 @@ class Box:
             raise ProblemError("box lo/hi must be vectors of equal length")
         if not (np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi))):
             raise ProblemError("box bounds must be finite")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(self.width)):
+                raise ProblemError(f"box width must be finite, got {self.width.tolist()}")
 
     @property
     def n(self) -> int:

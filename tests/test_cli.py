@@ -289,6 +289,26 @@ def test_non_finite_rhs_constant_is_a_config_error(tmp_path, capsys, value):
     assert not out.exists()
 
 
+def test_an_omega_whose_width_overflows_is_a_config_error(tmp_path):
+    # each bound is finite, but hi - lo is not: the scan's linspace gave NaN
+    # slopes and solve ended in a ValueError traceback from u0
+    text = BUILTIN_PROBLEMS["zero-rhs"][0]
+    assert "[omega_box]\nlo = 0\nhi = 2\n" in text
+    cfg = tmp_path / "wide.ini"
+    cfg.write_text(text.replace("[omega_box]\nlo = 0\nhi = 2\n", "[omega_box]\nlo = -1.7e308\nhi = 1.7e308\n"),
+                   encoding="utf-8")
+    src = str(Path(fracbvp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracbvp.cli", "solve", "--m", "1", "--config", str(cfg), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "config error: box width must be finite, got [inf]" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 # --- check --------------------------------------------------------------------
 
 
@@ -364,10 +384,11 @@ def test_check_manifest(tmp_path):
     assert m["seed"] == 7
     assert m["bounds_source"] == "sampled"
     assert m["iterates_source"] is None  # verify's alone says where its iterate columns came from
+    assert m["ends_source"] is None  # exclude's alone says where its existence probes came from
     assert m["version"] == fracbvp.__version__
     assert list(m) == [
         "command", "source", "grid_n", "m", "tol", "subdiv", "seed", "bounds_source",
-        "iterates_source", "version", "timestamp",
+        "iterates_source", "ends_source", "version", "timestamp",
     ]
 
 
@@ -488,11 +509,14 @@ def test_a_changed_input_is_a_miss(tmp_path, monkeypatch, bound_estimates, chang
     # the stage sampled M and K again, so its verdict and outputs are a clean run's
     for name in ("chi_trace.csv", "iterates.csv", "sup_diffs.csv"):
         assert (out / name).read_bytes() == (clean / name).read_bytes(), name
-    # but for the run key, which covers the config text and the version, not --seed or M
+    # but for the run key and the ends key, which cover the config text and the
+    # version, not --seed or M
     texts = [(d / "determining.json").read_text(encoding="utf-8") for d in (out, clean)]
-    key, clean_key = (json.loads(t)["run_key"] for t in texts)
-    assert (key == clean_key) is (change in ("seed", "recorded-M"))
-    assert texts[0].replace(key, clean_key) == texts[1]
+    keys, clean_keys = ((data["run_key"], data["ends"]["key"]) for data in map(json.loads, texts))
+    for key, clean_key in zip(keys, clean_keys):
+        assert (key == clean_key) is (change in ("seed", "recorded-M"))
+        texts[0] = texts[0].replace(key, clean_key)
+    assert texts[0] == texts[1]
 
 
 @pytest.mark.parametrize(
@@ -926,6 +950,106 @@ def test_exclude_unchanged_after_a_solve_on_another_grid(tmp_path):
     assert (first / "boxes.csv").read_bytes() == (second / "boxes.csv").read_bytes()
 
 
+def _ends_source(out):
+    return json.loads((out / "manifest.json").read_text(encoding="utf-8"))["ends_source"]
+
+
+def _edit_ends(out, **changes):
+    data = json.loads((out / "determining.json").read_text(encoding="utf-8"))
+    data["ends"].update(changes)
+    (out / "determining.json").write_text(json.dumps(data), encoding="utf-8")
+
+
+def _edit_a_recorded_delta(out):
+    delta = json.loads((out / "determining.json").read_text(encoding="utf-8"))["ends"]["delta"]
+    _edit_ends(out, delta=[float(np.nextafter(delta[0], 0.0)), delta[1]])
+
+
+def _three_values_with_their_key(out, argv):
+    args = _build_parser().parse_args(["exclude", *argv, "--out", str(out)])
+    prob, _, text = _load(args)
+    rec = {"delta": [1.0, 2.0, 3.0], "domain_escapes": [0, 0, 0], "worst_excess": [0.0, 0.0, 0.0]}
+    _edit_ends(out, **rec, key=cli._ends_key(text, prob, 2, *rec.values()))
+
+
+# solve fails on this config: Omega lies right of the root chi* = 1 at every depth
+NO_BRACKET_CFG = BUILTIN_PROBLEMS["zero-rhs"][0].replace(
+    "[omega_box]\nlo = 0\nhi = 2\n", "[omega_box]\nlo = 2\nhi = 3\n"
+)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["hit", "edited-delta", "key-not-a-string", "wrong-shape-with-its-key", "solve-m", "grid-n",
+     "config-text", "no-solve", "failed-solve"],
+)
+def test_exclude_takes_the_probes_of_omegas_ends_from_its_solve(tmp_path, monkeypatch, case):
+    from fracbvp import determine
+
+    cfg = tmp_path / "problem.ini"
+    cfg.write_text(NO_BRACKET_CFG if case == "failed-solve" else BUILTIN_PROBLEMS["acc-gyre"][0],
+                   encoding="utf-8")
+    argv = ["--config", str(cfg)]
+    out, ref = tmp_path / "out", tmp_path / "ref"
+    if case != "no-solve":
+        depth = ["--m", "3" if case == "solve-m" else "2"]
+        assert main(["solve", *argv, *depth, "--out", str(out)]) == (3 if case == "failed-solve" else 0)
+    if case == "edited-delta":
+        _edit_a_recorded_delta(out)
+    elif case == "key-not-a-string":
+        _edit_ends(out, key=[1])
+    elif case == "wrong-shape-with-its-key":
+        _three_values_with_their_key(out, argv)
+    elif case == "config-text":
+        _edit_text(cfg)
+    elif case == "grid-n":
+        argv += ["--grid-n", "201"]
+    rows = []
+    run = determine.run_iteration
+
+    def counted(prob, chi1, *args, **kwargs):
+        rows.append(len(np.atleast_2d(chi1)))
+        return run(prob, chi1, *args, **kwargs)
+
+    monkeypatch.setattr(determine, "run_iteration", counted)
+    assert main(["exclude", *argv, "--out", str(out), "--m", "2", "--subdiv", "13"]) == 0
+    # a hit runs the sweep's 13 rows alone; a miss probes the two ends as well
+    hit = case == "hit"
+    assert _ends_source(out) == ("determining.json" if hit else "computed")
+    assert rows == ([13] if hit else [13, 2])
+    # either way the outputs are those of an exclude that found no solve outputs
+    assert main(["exclude", *argv, "--out", str(ref), "--m", "2", "--subdiv", "13"]) == 0
+    assert _ends_source(ref) == "computed"
+    for name in ("boxes.csv", "exclusion.json"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+def test_n2_solve_records_no_ends_and_exclude_no_ends_source(tmp_path):
+    cfg = tmp_path / "n2.ini"
+    cfg.write_text(COUPLED_BOUNDS_CFG, encoding="utf-8")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert "ends" not in json.loads((tmp_path / "determining.json").read_text(encoding="utf-8"))
+    assert main(["exclude", "--config", str(cfg), "--out", str(tmp_path), "--subdiv", "3"]) == 0
+    assert _ends_source(tmp_path) is None
+
+
+def test_exclude_checks_the_conditions_once(tmp_path, monkeypatch):
+    from fracbvp import determine
+
+    calls = []
+    check = cli.check_conditions
+
+    def counted(prob):
+        calls.append(1)
+        return check(prob)
+
+    # the gate, the sweep's coefficient and tube and the existence tube share one report
+    monkeypatch.setattr(cli, "check_conditions", counted)
+    monkeypatch.setattr(determine, "check_conditions", counted)
+    assert main(["exclude", "--builtin", "acc-gyre", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
 # --- verify ---------------------------------------------------------------------
 
 
@@ -1328,3 +1452,45 @@ def test_write_csv_named_rows_are_savetxt_byte_for_byte(tmp_path):
                         dtype=object)
         want = _savetxt_bytes(tmp_path / "ref.csv", "quantity,value", rows, fmt="%s,%.17g")
         assert (out / "conditions.csv").read_bytes() == want, name
+
+
+def _exclusion_like(survivors, n):
+    return {
+        "m": 2, "subdiv": 3, "boxes": 9, "kept": 2, "survivors": survivors,
+        "coefficient": np.eye(n).tolist(), "tail": [0.5] * n, "escaped_probes": 0,
+        "worst_excess": 0.0, "conditional_on_domain": False,
+        "existence": {"certified": True, "endpoint_deltas": [1.5, -1.5], "tube": 0.0, "sign_change": True},
+        "empty": {}, "none": None, "text": "é\"\n",
+    }
+
+
+@pytest.mark.parametrize(
+    "survivors",
+    [
+        np.array([[[-4.0, -4.0], [-4.0 / 3.0, -4.0 / 3.0]], [[0.1, -0.0], [5e-324, 1.7976931348623157e308]]]),
+        np.empty((0, 2, 1)),
+        np.empty((0, 2, 2)),
+        np.array([[[np.nan], [np.inf]], [[-np.inf], [1 / 3]]]),
+        np.empty((3, 0)),
+        np.array(2.5),
+        _spread_table(300, 6).reshape(100, 3, 6),
+    ],
+    ids=["n2", "empty-n1", "empty-n2", "nan-inf", "empty-rows", "zero-d", "spread"],
+)
+def test_write_json_is_json_dumps_byte_for_byte(tmp_path, survivors):
+    # a float array renders as json.dumps renders its nested lists
+    cli._write_json(tmp_path / "a.json", _exclusion_like(survivors, 2))
+    expected = json.dumps(_exclusion_like(survivors.tolist(), 2), indent=2) + "\n"
+    assert (tmp_path / "a.json").read_bytes() == expected.encode("utf-8")
+
+
+def test_successive_main_calls_parse_independently(monkeypatch):
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "exclude", lambda args: seen.append(vars(args)) or 0)
+    assert main(["exclude", "--builtin", "acc-gyre", "--m", "3", "--force", "--subdiv", "5"]) == 0
+    assert main(["exclude", "--config", "x.ini"]) == 0
+    first, second = seen
+    assert (first["m"], first["force"], first["subdiv"], first["builtin"]) == (3, True, 5, "acc-gyre")
+    assert (second["m"], second["force"], second["subdiv"], second["builtin"]) == (1, False, 8, None)
+    assert second["config"] == "x.ini" and first["config"] is None
+    assert cli._build_parser() is cli._build_parser()  # one parser per process

@@ -435,6 +435,27 @@ def test_solve_depths_equal_the_standalone_solves(gyre, zero_rhs, name):
             assert chi.tobytes() == chi_alone.tobytes() and val.tobytes() == val_alone.tobytes()
 
 
+@pytest.mark.parametrize("name", ["gyre-401", "gyre-1024", "gyre-6401", "zero-rhs", "two-component"])
+def test_solve_depths_gives_the_probes_of_omegas_ends(gyre, zero_rhs, name):
+    if name == "gyre-6401":  # the scan runs in two chunks of 8 rows
+        prob, m = dataclasses.replace(gyre, N=6401), 2
+    else:
+        prob, m = _depth_case(name, gyre, zero_rhs)
+    ends = []
+    depths = solve_depths(prob, m, ends)
+    next(depths)
+    if prob.n != 1:
+        assert ends == []  # Newton runs no scan
+        return
+    # the scan's rows 0 and 15, bit for bit those of a 2-row probe of the ends
+    (delta, escapes), = ends
+    alone: list = []
+    assert delta.tobytes() == delta_at(prob, np.stack([prob.omega.lo, prob.omega.hi]), m, alone).tobytes()
+    assert escapes.count.tolist() == alone[0].count.tolist()
+    assert escapes.excess.tobytes() == alone[0].excess.tobytes()
+    assert existence_check_scalar(prob, m, ends=ends[0]) == existence_check_scalar(prob, m)
+
+
 def test_solve_depths_stops_at_the_first_failing_depth(zero_rhs):
     # Omega entirely right of the root chi* = 1, at every depth
     prob = dataclasses.replace(zero_rhs, omega=Box(np.array([2.0]), np.array([3.0])))
@@ -516,26 +537,41 @@ def test_exclusion_sweep_over_many_chunks(gyre):
 
 
 def test_sweep_rows_on_the_chunk_edges_are_one_row_probes(gyre):
-    # 163-row chunks convolve as a ramp of dots, the 44-row tail (rows
-    # 1956-1999) and a one-row probe by np.convolve
+    # 11 chunks of 154 rows and 2 of 153 (rows 0-153 first, 1847-1999 last)
+    # convolve as a ramp of dots, a one-row probe by np.convolve
     res = exclusion_sweep(gyre, 2, 2000)
     centers = 0.5 * (res.subsets[:, 0] + res.subsets[:, 1])
-    for b in (0, 162, 163, 1955, 1956, 1999):
+    for b in (0, 153, 154, 1693, 1694, 1846, 1847, 1999):
         assert res.delta[b].tobytes() == delta_at(gyre, centers[b], 2).tobytes()
 
 
-def test_sweep_convolves_only_its_tail_row_by_row(gyre, monkeypatch):
-    calls = []
-    convolve = np.convolve
+def test_every_chunk_of_the_sweep_takes_the_ramp(gyre, monkeypatch):
+    from fracbvp import fracops
 
-    def counted(*args, **kwargs):
+    calls, rows = [], []
+    convolve, running = np.convolve, fracops.ProductTrapezoid.running
+
+    def counted_convolve(*args, **kwargs):
         calls.append(1)
         return convolve(*args, **kwargs)
 
-    monkeypatch.setattr(np, "convolve", counted)
-    exclusion_sweep(gyre, 2, 2000)
-    # two steps of the 44-row tail; one call per row and step made 4000
-    assert len(calls) == 2 * 44
+    def counted_running(self, values):
+        rows.append(len(values))
+        return running(self, values)
+
+    monkeypatch.setattr(np, "convolve", counted_convolve)
+    monkeypatch.setattr(fracops.ProductTrapezoid, "running", counted_running)
+    res = exclusion_sweep(gyre, 2, 2000)
+    # ceil(2000 / 163) = 13 chunks, larger first, two steps each; 12 full
+    # chunks and a 44-row tail convolved the tail row by row, 88 calls
+    assert rows == [154] * 22 + [153] * 4
+    assert min(rows) >= fracops._RAMP_MIN_ROWS and max(rows) <= _BATCH_VALUES // 401
+    assert calls == []
+    # the bits of chunks of 163 rows and a tail, each probed alone
+    centers = 0.5 * (res.subsets[:, 0] + res.subsets[:, 1])
+    monkeypatch.undo()
+    old = np.concatenate([delta_at(gyre, centers[i : i + 163], 2) for i in range(0, 2000, 163)])
+    assert res.delta.tobytes() == old.tobytes()
 
 
 def test_exclusion_single_box_keeps_everything(gyre):
