@@ -108,37 +108,70 @@ def _json_template(shape: tuple[int, ...], indent: str) -> str:
     return "[\n" + inner + (",\n" + inner).join([item] * shape[0]) + "\n" + indent + "]"
 
 
-_BLOCK_VALUES = 2**16
+_BLOCK_VALUES = 2**12
+_EXACT_MIN = 256  # measured: below this many values one % is quicker than _g17.cells
 
 
-def _write_csv(path: Path, header: str, rows, lead: list[str] | None = None) -> None:
+def _write_csv(path: Path, header: str, rows, lead: tuple[bytes, int] | None = None) -> None:
     """Header line, then one line per row; floats round-trip at 17 digits.
 
     The bytes are ``np.savetxt``'s with ``fmt="%.17g"`` (a 1-D table is
-    one column), but each block of at most ``_BLOCK_VALUES`` values is
-    formatted by one ``%`` over Python floats instead of one per row.
-    ``lead``, one string per row, holds cells already rendered: each line
-    is its string, a comma and the row's values.
+    one column).  Each block of at most ``_BLOCK_VALUES`` values is turned
+    by ``_g17.cells`` into a zero-padded byte matrix, which one compress
+    turns into the block's text; a block of fewer than ``_EXACT_MIN``
+    values, without ``lead``, is formatted by one ``%`` over Python floats.
+    ``lead`` is the body of a CSV with one line per row and a count c: each
+    line starts with the first c cells of that row's line in it (up to its
+    c-th comma or its newline), then a comma and the row's values.
     """
-    table = np.asarray(rows)
+    from . import _g17  # on first use: importing the CLI compiles and runs none of it
+
+    table = np.asarray(rows, dtype=np.float64)
     if table.ndim == 1:
         table = table.reshape(-1, 1)
-    ncols = table.shape[1]
+    nrows, ncols = table.shape
     line = ",".join(["%.17g"] * ncols) + "\n"
-    if lead is not None:
-        line = "%s," + line
-        ncols += 1
+    first = None if lead is None else _lead_cells(*lead)
     block = max(1, _BLOCK_VALUES // ncols)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for start in range(0, len(table), block):
+    with open(path, "wb") as fh:
+        fh.write(header.encode("utf-8") + b"\n")
+        for start in range(0, nrows, block):
             part = table[start : start + block]
-            if lead is not None:
-                cells = np.empty((len(part), ncols), dtype=object)
-                cells[:, 0] = lead[start : start + block]
-                cells[:, 1:] = part
-                part = cells
-            fh.write((line * len(part)) % tuple(part.ravel().tolist()))
+            if first is None and part.size < _EXACT_MIN:
+                fh.write(((line * len(part)) % tuple(part.ravel().tolist())).encode("ascii"))
+                continue
+            cells = _g17.cells(part)
+            if first is not None:
+                cells = np.concatenate((first(start, len(part)), cells), axis=1)
+            fh.write(cells[cells != 0].tobytes())
+
+
+def _lead_cells(data: bytes, count: int):
+    """For the CSV body ``data``, a function of (start, n) giving, for its lines
+    start..start+n-1, the bytes of each line's first ``count`` cells and a
+    comma, zero-padded to one width, as a uint8 matrix."""
+    body = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(body == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    widths = ends - starts
+    if count <= data.split(b"\n", 1)[0].count(b","):  # not whole lines: up to the count-th comma
+        commas = np.flatnonzero(body == ord(","))
+        kth = np.minimum(np.searchsorted(commas, starts) + count - 1, len(commas) - 1)
+        widths = np.minimum(commas[kth], ends) - starts
+    span = int(widths.max(initial=0)) + 1
+    # row r of windows is the span bytes of body from starts[r] on
+    windows = np.lib.stride_tricks.sliding_window_view(np.append(body, np.zeros(span, np.uint8)), span)
+    place = np.arange(span, dtype=np.min_scalar_type(span))  # a narrow compare is quicker
+    widths = widths.astype(place.dtype)
+
+    def rows(start: int, n: int) -> np.ndarray:
+        width = widths[start : start + n]
+        cells = windows[starts[start : start + n]]
+        cells *= (place < width[:, None]).view(np.uint8)
+        cells[np.arange(n), width] = ord(",")
+        return cells
+
+    return rows
 
 
 def _suffixed(base: str, n: int) -> list[str]:
@@ -173,7 +206,11 @@ def _load(args) -> tuple[Problem, str, str]:
 
 
 def _sha256(data: bytes) -> str:
-    import hashlib  # with OpenSSL about 4 ms: only stages that key a record pay it
+    # 2.5-4 ms with OpenSSL on a 2-vCPU Xeon VM.  Every stage of a pipeline
+    # keys a record (check its bounds_key, solve its run_key and ends key,
+    # exclude the bounds and ends keys it checks, verify the run_key), so each
+    # fresh fracbvp call of one pays it; importing fracbvp.cli alone does not.
+    import hashlib
 
     return hashlib.sha256(data).hexdigest()
 
@@ -451,10 +488,10 @@ def _solve_outputs(path: Path, n: int) -> tuple[np.ndarray, int]:
     return chi, m
 
 
-def _solved_lines(out: Path, text: str, prob: Problem, chi: np.ndarray, m: int) -> list[str] | None:
-    """The body lines of <out>/iterates.csv, each the rendered t and u_k cells of
-    one node, when the ``run_key`` in <out>/determining.json is the key of the
-    run at chi1 to depth m with tol 0 and of those bytes; None otherwise."""
+def _solved_lines(out: Path, text: str, prob: Problem, chi: np.ndarray, m: int) -> bytes | None:
+    """The body of <out>/iterates.csv, a line of the rendered t and u_k cells per
+    node, when the ``run_key`` in <out>/determining.json is the key of the run
+    at chi1 to depth m with tol 0 and of its bytes; None otherwise."""
     try:
         recorded = json.loads((out / "determining.json").read_text(encoding="utf-8"))["run_key"]
         data = (out / "iterates.csv").read_bytes()
@@ -462,7 +499,7 @@ def _solved_lines(out: Path, text: str, prob: Problem, chi: np.ndarray, m: int) 
         return None  # a missing, unreadable or malformed record is a miss, as a stale one is
     if recorded != _run_key(text, prob, chi, m, 0.0, _sha256(data)):
         return None
-    return data.decode("utf-8").split("\n")[1:-1]
+    return data[data.index(b"\n") + 1 :]
 
 
 def cmd_verify(args) -> int:
@@ -485,22 +522,22 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return EXIT_CONFIG
-    lines = _solved_lines(out, text, prob, chi, m)
-    iterates = "computed" if lines is None else "iterates.csv"
+    body = _solved_lines(out, text, prob, chi, m)
+    iterates = "computed" if body is None else "iterates.csv"
     _write_manifest(args, out, "verify", source, prob, bounds, m=m, iterates=iterates)
     approx = run_iteration(prob, chi, m_max=m, tol=0.0)
     report = residuals(prob, approx, include_delta=not args.no_delta)
     header, table = emit_figure_data(prob, approx, report)
     res_header = ",".join(["t", *_suffixed("residual", prob.n)])
     res_table = np.column_stack([report.residual_grid.grid.nodes, report.residual_grid.values.T])
-    if lines is None:
+    if body is None:
         _write_csv(out / "figure.csv", header, table)
         _write_csv(out / "residuals.csv", res_header, res_table)
     else:
-        # solve rendered this run's t and u_k in those lines; residuals.csv takes their t cells
-        _write_csv(out / "figure.csv", header, table[:, 1 + prob.n * len(approx.iterates) :], lines)
-        _write_csv(out / "residuals.csv", res_header, res_table[:, 1:],
-                   [line.partition(",")[0] for line in lines])
+        # solve rendered this run's t and u_k in that body; residuals.csv takes their t cells
+        solved = 1 + prob.n * len(approx.iterates)
+        _write_csv(out / "figure.csv", header, table[:, solved:], (body, solved))
+        _write_csv(out / "residuals.csv", res_header, res_table[:, 1:], (body, 1))
     _write_json(out / "verify.json",
                 {"m": m, "chi1": chi.tolist(), **report.to_dict(), **_escape_summary(approx)})
     print(f"sup interior residual at m={m}: {np.max(report.sup_residual):.6g} "

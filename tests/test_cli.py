@@ -1401,6 +1401,21 @@ def _spread_table(rows, cols, seed=0):
 _EDGE = np.array([[-0.0, 5e-324, 1.7976931348623157e308], [0.1, 1.0, 1e16], [1 / 3, -2.5, 123456789.0]])
 
 
+def _iterates_like(rows):
+    """t from 0 to 1 and three iterate-like columns, as iterates.csv holds them."""
+    t = np.linspace(0.0, 1.0, rows)
+    return np.column_stack([t, 1.0 + t, 1.0 + t + np.sin(7 * t) / 3, -332.30179286902836 * t * (1 - t)])
+
+
+def _boxes_like(rows):
+    """An integer index, lo, hi, center, |Delta| and rhs, and a 0/1 keep column, as in boxes.csv."""
+    edges = np.linspace(-335.0, -318.0, rows + 1)
+    lo, hi = edges[:-1], edges[1:]
+    delta = np.abs(0.5 * (lo + hi) + 332.30179286902836) * 0.3
+    return np.column_stack([np.arange(rows), lo, hi, 0.5 * (lo + hi), delta, np.full(rows, 0.0125),
+                            delta <= 0.0125])
+
+
 @pytest.mark.parametrize(
     "rows",
     [
@@ -1416,10 +1431,12 @@ _EDGE = np.array([[-0.0, 5e-324, 1.7976931348623157e308], [0.1, 1.0, 1e16], [1 /
         _spread_table(_BLOCK_VALUES // 4, 4),
         _spread_table(_BLOCK_VALUES // 4 + 1, 4),
         _spread_table(2 * (_BLOCK_VALUES // 3) + 1, 3),
+        _iterates_like(2 * (_BLOCK_VALUES // 4) + 3),
+        _boxes_like(2000),
     ],
     ids=["edge", "nan-inf", "one-column", "one-d", "list-of-lists", "empty",
          "block-minus-1", "block", "block-plus-1", "block-4-cols", "block-4-cols-plus-row",
-         "three-blocks-3-cols"],
+         "three-blocks-3-cols", "iterates-like", "boxes-like"],
 )
 def test_write_csv_is_savetxt_byte_for_byte(tmp_path, rows):
     header = ",".join(f"c{j}" for j in range(np.shape(rows)[-1] if np.ndim(rows) == 2 else 1))
@@ -1430,12 +1447,15 @@ def test_write_csv_is_savetxt_byte_for_byte(tmp_path, rows):
 @pytest.mark.parametrize("rows, lead_cols", [(_EDGE, 1), (_spread_table(_BLOCK_VALUES // 3 + 1, 5), 2)],
                          ids=["edge", "block-plus-1"])
 def test_write_csv_lead_cells_precede_the_values(tmp_path, rows, lead_cols):
-    # lead is the rendered first columns of savetxt's lines; the rest is formatted
+    # lead is a CSV body and the count of each line's first cells to take, as
+    # verify takes t from iterates.csv's lines (savetxt's body here) or whole
+    # lines (the body of the lead columns alone); the rest is formatted
     header = ",".join(f"c{j}" for j in range(rows.shape[1]))
     want = _savetxt_bytes(tmp_path / "ref.csv", header, rows)
-    lead = [",".join(line.split(",")[:lead_cols]) for line in want.decode().split("\n")[1:-1]]
-    _write_csv(tmp_path / "t.csv", header, rows[:, lead_cols:], lead)
-    assert (tmp_path / "t.csv").read_bytes() == want
+    lines = _savetxt_bytes(tmp_path / "lead.csv", "lead", rows[:, :lead_cols])
+    for body in (want, lines):
+        _write_csv(tmp_path / "t.csv", header, rows[:, lead_cols:], (body.split(b"\n", 1)[1], lead_cols))
+        assert (tmp_path / "t.csv").read_bytes() == want
 
 
 def test_write_csv_named_rows_are_savetxt_byte_for_byte(tmp_path):
