@@ -8,10 +8,7 @@ payloads contain no clocks).  Without ``[bounds]``, ``check`` samples
 M and K and records them in ``conditions.json`` under a key of the
 config text and --seed; ``solve``, ``exclude`` and ``verify
 --recompute`` in the same --out reuse them when the key matches and
-sample them otherwise, and plain ``verify`` needs neither.  ``solve``
-records a run key in ``determining.json``; when ``verify`` runs the same
-iteration on the same ``iterates.csv`` bytes, it takes the rendered t and
-u_k cells of its CSVs from that file instead of formatting them again.
+sample them otherwise, and plain ``verify`` needs neither.
 For n = 1 ``solve`` also records its depth-m probes of Omega's two ends
 under a key of the config text, N and m; ``exclude`` at that depth takes
 its existence sign test from them instead of probing the ends again.
@@ -112,17 +109,14 @@ _BLOCK_VALUES = 2**12
 _EXACT_MIN = 256  # measured: below this many values one % is quicker than _g17.cells
 
 
-def _write_csv(path: Path, header: str, rows, lead: tuple[bytes, int] | None = None) -> None:
+def _write_csv(path: Path, header: str, rows) -> None:
     """Header line, then one line per row; floats round-trip at 17 digits.
 
     The bytes are ``np.savetxt``'s with ``fmt="%.17g"`` (a 1-D table is
     one column).  Each block of at most ``_BLOCK_VALUES`` values is turned
     by ``_g17.cells`` into a zero-padded byte matrix, which one compress
     turns into the block's text; a block of fewer than ``_EXACT_MIN``
-    values, without ``lead``, is formatted by one ``%`` over Python floats.
-    ``lead`` is the body of a CSV with one line per row and a count c: each
-    line starts with the first c cells of that row's line in it (up to its
-    c-th comma or its newline), then a comma and the row's values.
+    values is formatted by one ``%`` over Python floats.
     """
     from . import _g17  # on first use: importing the CLI compiles and runs none of it
 
@@ -131,47 +125,16 @@ def _write_csv(path: Path, header: str, rows, lead: tuple[bytes, int] | None = N
         table = table.reshape(-1, 1)
     nrows, ncols = table.shape
     line = ",".join(["%.17g"] * ncols) + "\n"
-    first = None if lead is None else _lead_cells(*lead)
     block = max(1, _BLOCK_VALUES // ncols)
     with open(path, "wb") as fh:
         fh.write(header.encode("utf-8") + b"\n")
         for start in range(0, nrows, block):
             part = table[start : start + block]
-            if first is None and part.size < _EXACT_MIN:
+            if part.size < _EXACT_MIN:
                 fh.write(((line * len(part)) % tuple(part.ravel().tolist())).encode("ascii"))
                 continue
             cells = _g17.cells(part)
-            if first is not None:
-                cells = np.concatenate((first(start, len(part)), cells), axis=1)
             fh.write(cells[cells != 0].tobytes())
-
-
-def _lead_cells(data: bytes, count: int):
-    """For the CSV body ``data``, a function of (start, n) giving, for its lines
-    start..start+n-1, the bytes of each line's first ``count`` cells and a
-    comma, zero-padded to one width, as a uint8 matrix."""
-    body = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(body == ord("\n"))
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    widths = ends - starts
-    if count <= data.split(b"\n", 1)[0].count(b","):  # not whole lines: up to the count-th comma
-        commas = np.flatnonzero(body == ord(","))
-        kth = np.minimum(np.searchsorted(commas, starts) + count - 1, len(commas) - 1)
-        widths = np.minimum(commas[kth], ends) - starts
-    span = int(widths.max(initial=0)) + 1
-    # row r of windows is the span bytes of body from starts[r] on
-    windows = np.lib.stride_tricks.sliding_window_view(np.append(body, np.zeros(span, np.uint8)), span)
-    place = np.arange(span, dtype=np.min_scalar_type(span))  # a narrow compare is quicker
-    widths = widths.astype(place.dtype)
-
-    def rows(start: int, n: int) -> np.ndarray:
-        width = widths[start : start + n]
-        cells = windows[starts[start : start + n]]
-        cells *= (place < width[:, None]).view(np.uint8)
-        cells[np.arange(n), width] = ord(",")
-        return cells
-
-    return rows
 
 
 def _suffixed(base: str, n: int) -> list[str]:
@@ -206,10 +169,10 @@ def _load(args) -> tuple[Problem, str, str]:
 
 
 def _sha256(data: bytes) -> str:
-    # 2.5-4 ms with OpenSSL on a 2-vCPU Xeon VM.  Every stage of a pipeline
-    # keys a record (check its bounds_key, solve its run_key and ends key,
-    # exclude the bounds and ends keys it checks, verify the run_key), so each
-    # fresh fracbvp call of one pays it; importing fracbvp.cli alone does not.
+    # 2.5-4 ms with OpenSSL on a 2-vCPU Xeon VM.  check keys its bounds_key,
+    # solve and exclude the bounds and ends keys they write or check, so each
+    # fresh call of those stages pays it; plain verify keys nothing and never
+    # imports it, nor does importing fracbvp.cli.
     import hashlib
 
     return hashlib.sha256(data).hexdigest()
@@ -224,13 +187,6 @@ def _bounds_key(seed: int, text: str, M, K) -> str:
     """sha256 over what sampled M and K depend on (the version, --seed and the
     config text, but not --grid-n) and over M and K themselves, as lists."""
     return _key(__version__, seed, text, M, K)
-
-
-def _run_key(text: str, prob: Problem, chi: np.ndarray, m: int, tol: float, digest: str) -> str:
-    """sha256 over what the iterates of one run depend on (the package and numpy
-    versions, the config text, N, chi1, m and tol) and over ``digest``, the
-    sha256 of the iterates.csv bytes that run wrote."""
-    return _key(__version__, np.__version__, text, prob.N, chi.tolist(), m, tol, digest)
 
 
 def _ends_key(text: str, prob: Problem, m: int, delta, count, excess) -> str:
@@ -288,13 +244,13 @@ def _out_dir(args) -> Path:
 
 
 def _write_manifest(args, out: Path, command: str, source: str, prob: Problem, bounds: str,
-                    m=None, tol=None, subdiv=None, iterates=None, ends=None) -> None:
+                    m=None, tol=None, subdiv=None, ends=None) -> None:
     """<out>/manifest.json: the command, its inputs and effective settings (None
     where the command has no such setting), the version and a UTC timestamp."""
     _write_json(out / "manifest.json", {
         "command": command, "source": source, "grid_n": prob.N, "m": m, "tol": tol,
-        "subdiv": subdiv, "seed": args.seed, "bounds_source": bounds, "iterates_source": iterates,
-        "ends_source": ends, "version": __version__, "timestamp": datetime.now(timezone.utc).isoformat(),
+        "subdiv": subdiv, "seed": args.seed, "bounds_source": bounds, "ends_source": ends,
+        "version": __version__, "timestamp": datetime.now(timezone.utc).isoformat(),
     })
 
 
@@ -397,7 +353,6 @@ def cmd_solve(args) -> int:
         iter_header += _suffixed(f"u{k}", n)
     cols = [approx.final.grid.nodes] + [it.values[j] for it in approx.iterates for j in range(n)]
     _write_csv(out / "iterates.csv", ",".join(iter_header), np.column_stack(cols))
-    digest = _sha256((out / "iterates.csv").read_bytes())
     # next to each sup|u_k - u_(k-1)| its a-priori bound Q^(k-1) beta
     sd_header = ",".join(["m", *_suffixed("sup_diff", n), *_suffixed("bound", n)])
     sd_rows = [
@@ -413,7 +368,6 @@ def cmd_solve(args) -> int:
         "chi_trace": [r.chi1_star.tolist() for r in roots],
         "probes": len(final.solver_trace),
         **_escape_summary(approx),
-        "run_key": _run_key(text, prob, final.chi1_star, args.m, tol, digest),
     }
     if ends:  # n = 1: the scan's probes of Omega's ends, for exclude's existence check
         record["ends"] = _ends_record(text, prob, args.m, ends[0])
@@ -488,20 +442,6 @@ def _solve_outputs(path: Path, n: int) -> tuple[np.ndarray, int]:
     return chi, m
 
 
-def _solved_lines(out: Path, text: str, prob: Problem, chi: np.ndarray, m: int) -> bytes | None:
-    """The body of <out>/iterates.csv, a line of the rendered t and u_k cells per
-    node, when the ``run_key`` in <out>/determining.json is the key of the run
-    at chi1 to depth m with tol 0 and of its bytes; None otherwise."""
-    try:
-        recorded = json.loads((out / "determining.json").read_text(encoding="utf-8"))["run_key"]
-        data = (out / "iterates.csv").read_bytes()
-    except (OSError, ValueError, TypeError, KeyError, RecursionError):
-        return None  # a missing, unreadable or malformed record is a miss, as a stale one is
-    if recorded != _run_key(text, prob, chi, m, 0.0, _sha256(data)):
-        return None
-    return data[data.index(b"\n") + 1 :]
-
-
 def cmd_verify(args) -> int:
     prob, source, text = _load(args)
     out = _out_dir(args)
@@ -522,22 +462,14 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return EXIT_CONFIG
-    body = _solved_lines(out, text, prob, chi, m)
-    iterates = "computed" if body is None else "iterates.csv"
-    _write_manifest(args, out, "verify", source, prob, bounds, m=m, iterates=iterates)
+    _write_manifest(args, out, "verify", source, prob, bounds, m=m)
     approx = run_iteration(prob, chi, m_max=m, tol=0.0)
     report = residuals(prob, approx, include_delta=not args.no_delta)
     header, table = emit_figure_data(prob, approx, report)
     res_header = ",".join(["t", *_suffixed("residual", prob.n)])
     res_table = np.column_stack([report.residual_grid.grid.nodes, report.residual_grid.values.T])
-    if body is None:
-        _write_csv(out / "figure.csv", header, table)
-        _write_csv(out / "residuals.csv", res_header, res_table)
-    else:
-        # solve rendered this run's t and u_k in that body; residuals.csv takes their t cells
-        solved = 1 + prob.n * len(approx.iterates)
-        _write_csv(out / "figure.csv", header, table[:, solved:], (body, solved))
-        _write_csv(out / "residuals.csv", res_header, res_table[:, 1:], (body, 1))
+    _write_csv(out / "figure.csv", header, table)
+    _write_csv(out / "residuals.csv", res_header, res_table)
     _write_json(out / "verify.json",
                 {"m": m, "chi1": chi.tolist(), **report.to_dict(), **_escape_summary(approx)})
     print(f"sup interior residual at m={m}: {np.max(report.sup_residual):.6g} "

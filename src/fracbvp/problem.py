@@ -172,12 +172,11 @@ def _sample_points(prob: Problem, seed: int) -> tuple[np.ndarray, list]:
         axes += [np.linspace(lo, hi, _MESH_PER_AXIS) for lo, hi in zip(prob.domain.lo, prob.domain.hi)]
         t, *u = np.meshgrid(*axes, indexing="ij", sparse=True)
         return t, u
-    from scipy.stats import qmc
-
-    raw = qmc.LatinHypercube(d=n + 1, seed=seed).random(_LHS_POINTS)
-    t = raw[:, 0] * prob.T
-    u = (prob.domain.lo[:, None] + raw[:, 1:].T * prob.domain.width[:, None])
-    return t, list(u)
+    # a Latin hypercube: each axis puts one point in each of its P strata, at a
+    # uniform offset inside it, and the strata of the axes pair up at random
+    rng = np.random.default_rng(seed)
+    t, *raw = ((rng.permutation(_LHS_POINTS) + rng.random(_LHS_POINTS)) / _LHS_POINTS for _ in range(n + 1))
+    return t * prob.T, [lo + r * w for lo, w, r in zip(prob.domain.lo, prob.domain.width, raw)]
 
 
 def estimate_bounds(prob: Problem, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:

@@ -383,12 +383,11 @@ def test_check_manifest(tmp_path):
     assert m["grid_n"] == 401
     assert m["seed"] == 7
     assert m["bounds_source"] == "sampled"
-    assert m["iterates_source"] is None  # verify's alone says where its iterate columns came from
     assert m["ends_source"] is None  # exclude's alone says where its existence probes came from
     assert m["version"] == fracbvp.__version__
     assert list(m) == [
         "command", "source", "grid_n", "m", "tol", "subdiv", "seed", "bounds_source",
-        "iterates_source", "ends_source", "version", "timestamp",
+        "ends_source", "version", "timestamp",
     ]
 
 
@@ -509,14 +508,12 @@ def test_a_changed_input_is_a_miss(tmp_path, monkeypatch, bound_estimates, chang
     # the stage sampled M and K again, so its verdict and outputs are a clean run's
     for name in ("chi_trace.csv", "iterates.csv", "sup_diffs.csv"):
         assert (out / name).read_bytes() == (clean / name).read_bytes(), name
-    # but for the run key and the ends key, which cover the config text and the
-    # version, not --seed or M
+    # but for the ends key, which covers the config text and the version, not
+    # --seed or M
     texts = [(d / "determining.json").read_text(encoding="utf-8") for d in (out, clean)]
-    keys, clean_keys = ((data["run_key"], data["ends"]["key"]) for data in map(json.loads, texts))
-    for key, clean_key in zip(keys, clean_keys):
-        assert (key == clean_key) is (change in ("seed", "recorded-M"))
-        texts[0] = texts[0].replace(key, clean_key)
-    assert texts[0] == texts[1]
+    key, clean_key = (json.loads(text)["ends"]["key"] for text in texts)
+    assert (key == clean_key) is (change in ("seed", "recorded-M"))
+    assert texts[0].replace(key, clean_key) == texts[1]
 
 
 @pytest.mark.parametrize(
@@ -1165,10 +1162,6 @@ def test_verify_rejects_malformed_solve_outputs(tmp_path, capsys, text, message)
     assert not (tmp_path / "verify.json").exists()
 
 
-def _iterates_source(out):
-    return json.loads((out / "manifest.json").read_text(encoding="utf-8"))["iterates_source"]
-
-
 def _verify_outputs(out):
     return {name: (out / name).read_bytes() for name in ("figure.csv", "residuals.csv", "verify.json")}
 
@@ -1178,38 +1171,6 @@ def _source_argv(tmp_path, source):
         (tmp_path / "n2.ini").write_text(COUPLED_BOUNDS_CFG, encoding="utf-8")
         return ["--config", str(tmp_path / "n2.ini")]
     return ["--builtin", "acc-gyre", *(["--grid-n", "6401"] if source == "fft-6401" else [])]
-
-
-def _solve_and_verify_twice(tmp_path, solve_argv, verify_argv, edit=None):
-    """Solve into <tmp>/out and apply ``edit``; copy out to <tmp>/ref without its
-    iterates.csv, then verify both: out as the case under test, ref as a miss."""
-    out, ref = tmp_path / "out", tmp_path / "ref"
-    assert main(["solve", *solve_argv, "--out", str(out)]) == 0
-    if edit is not None:
-        edit(out)
-    shutil.copytree(out, ref)
-    (ref / "iterates.csv").unlink()
-    for d in (out, ref):
-        assert main(["verify", *verify_argv, "--out", str(d)]) == 0
-    assert _iterates_source(ref) == "computed"
-    return out, ref
-
-
-@pytest.mark.parametrize(
-    "source, extra",
-    [("acc-gyre", []), ("acc-gyre", ["--recompute"]), ("fft-6401", []), ("n2", [])],
-    ids=["acc-gyre", "recompute", "fft-6401", "n2"],
-)
-def test_verify_takes_the_iterate_cells_of_its_solve(tmp_path, source, extra):
-    # N = 401 convolves directly, N = 6401 by FFT; --recompute finds the same chi1
-    argv = _source_argv(tmp_path, source)
-    hit, miss = _solve_and_verify_twice(tmp_path, argv, [*argv, *extra])
-    assert _iterates_source(hit) == "iterates.csv"
-    assert _verify_outputs(hit) == _verify_outputs(miss)
-    # the figure's first cells of each line are the iterates.csv line
-    lines = (hit / "iterates.csv").read_text(encoding="utf-8").split("\n")[1:-1]
-    figure = (hit / "figure.csv").read_text(encoding="utf-8").split("\n")[1:-1]
-    assert all(f.startswith(line + ",") for f, line in zip(figure, lines)) and len(figure) == len(lines)
 
 
 def _edit_a_digit(out):
@@ -1222,86 +1183,27 @@ def _edit_a_digit(out):
     path.write_text("\n".join(lines), encoding="utf-8")
 
 
-def _edit_record(out, **changes):
-    path = out / "determining.json"
-    data = json.loads(path.read_text(encoding="utf-8"))
-    data.update(changes)
-    path.write_text(json.dumps(data), encoding="utf-8")
-
-
-def _hand_written_record(out):
-    # the form of test_verify_rejects_malformed_solve_outputs, valid but without a key
-    (out / "determining.json").write_text(f'{{"m": 2, "chi1_star": [{GYRE_ROOTS[2]!r}]}}', encoding="utf-8")
-
-
-def _chi_edit(out):
-    data = json.loads((out / "determining.json").read_text(encoding="utf-8"))
-    _edit_record(out, chi1_star=[float(np.nextafter(data["chi1_star"][0], 0.0))])
-
-
-def _key_at_another_chi(out):
-    # the key a solve at the next double towards 0 would have written over these bytes
-    data = json.loads((out / "determining.json").read_text(encoding="utf-8"))
-    args = _build_parser().parse_args(["verify", "--builtin", "acc-gyre", "--out", str(out)])
-    prob, _, text = _load(args)
-    chi = np.nextafter(np.array(data["chi1_star"]), 0.0)
-    digest = cli._sha256((out / "iterates.csv").read_bytes())
-    assert data["run_key"] == cli._run_key(text, prob, np.array(data["chi1_star"]), 2, 0.0, digest)
-    _edit_record(out, run_key=cli._run_key(text, prob, chi, 2, 0.0, digest))
-
-
-GYRE = ["--builtin", "acc-gyre"]
-
-
 @pytest.mark.parametrize(
-    "solve_argv, verify_argv, edit",
-    [
-        (GYRE, GYRE, _edit_a_digit),
-        (GYRE, GYRE, _chi_edit),
-        (GYRE, GYRE, _hand_written_record),
-        (GYRE, GYRE, lambda out: _edit_record(out, run_key=[1])),
-        (GYRE, [*GYRE, "--recompute"], _key_at_another_chi),
-        ([*GYRE, "--m", "6", "--tol", "0.05"], GYRE, None),
-        (GYRE, [*GYRE, "--m", "1"], None),
-        (GYRE, [*GYRE, "--grid-n", "801"], None),
-    ],
-    ids=["edited-digit", "edited-chi1", "hand-written-without-key", "key-not-a-string", "recompute-at-another-chi1",
-         "solve-tol", "verify-m", "grid-n"],
+    "source, extra",
+    [("acc-gyre", []), ("acc-gyre", ["--recompute"]), ("fft-6401", []), ("n2", [])],
+    ids=["acc-gyre", "recompute", "fft-6401", "n2"],
 )
-def test_verify_formats_every_cell_on_a_miss(tmp_path, solve_argv, verify_argv, edit):
-    # any mismatch recomputes, never an error: the outputs are those of a verify
-    # that found no iterates.csv, so an edited file is not copied
-    out, ref = _solve_and_verify_twice(tmp_path, solve_argv, verify_argv, edit)
-    assert _iterates_source(out) == "computed"
-    assert _verify_outputs(out) == _verify_outputs(ref)
-
-
-def test_another_config_text_is_a_miss(tmp_path):
-    cfg = tmp_path / "gyre.ini"
-    cfg.write_text(BUILTIN_PROBLEMS["acc-gyre"][0], encoding="utf-8")
-    argv = ["--config", str(cfg)]
-    out, ref = _solve_and_verify_twice(tmp_path, argv, argv, lambda _: _edit_text(cfg))
-    assert _iterates_source(out) == "computed"
-    assert _verify_outputs(out) == _verify_outputs(ref)  # the same problem, from another text
-
-
-def test_a_hit_formats_only_the_values_verify_computes(tmp_path, monkeypatch):
-    assert main(["solve", *GYRE, "--out", str(tmp_path)]) == 0
-    formatted = {}
-    write = cli._write_csv
-
-    def counted(path, header, rows, lead=None):
-        formatted[path.name] = np.size(rows)
-        write(path, header, rows, lead)
-
-    monkeypatch.setattr(cli, "_write_csv", counted)
-    assert main(["verify", *GYRE, "--out", str(tmp_path)]) == 0
-    assert _iterates_source(tmp_path) == "iterates.csv"
-    assert formatted == {"figure.csv": 2 * 401, "residuals.csv": 401}  # f and caputo; residual
-    (tmp_path / "iterates.csv").unlink()
-    assert main(["verify", *GYRE, "--out", str(tmp_path)]) == 0
-    # t, u_0, u_1, u_2, f and caputo; t and residual
-    assert formatted == {"figure.csv": 6 * 401, "residuals.csv": 2 * 401}
+def test_verify_outputs_do_not_depend_on_iterates_csv(tmp_path, source, extra):
+    # N = 401 convolves directly, N = 6401 by FFT; --recompute finds the same chi1
+    argv = _source_argv(tmp_path, source)
+    solved = tmp_path / "solved"
+    assert main(["solve", *argv, "--out", str(solved)]) == 0
+    outputs = {}
+    for case, edit in (("present", None), ("missing", lambda out: (out / "iterates.csv").unlink()),
+                       ("edited-digit", _edit_a_digit)):
+        out = tmp_path / case
+        shutil.copytree(solved, out)
+        if edit is not None:
+            edit(out)
+        assert main(["verify", *argv, *extra, "--out", str(out)]) == 0
+        outputs[case] = _verify_outputs(out)
+    assert (tmp_path / "edited-digit" / "iterates.csv").read_bytes() != (solved / "iterates.csv").read_bytes()
+    assert outputs["present"] == outputs["missing"] == outputs["edited-digit"]
 
 
 def test_verify_without_solve_outputs(tmp_path, capsys):
@@ -1442,20 +1344,6 @@ def test_write_csv_is_savetxt_byte_for_byte(tmp_path, rows):
     header = ",".join(f"c{j}" for j in range(np.shape(rows)[-1] if np.ndim(rows) == 2 else 1))
     _write_csv(tmp_path / "t.csv", header, rows)
     assert (tmp_path / "t.csv").read_bytes() == _savetxt_bytes(tmp_path / "ref.csv", header, rows)
-
-
-@pytest.mark.parametrize("rows, lead_cols", [(_EDGE, 1), (_spread_table(_BLOCK_VALUES // 3 + 1, 5), 2)],
-                         ids=["edge", "block-plus-1"])
-def test_write_csv_lead_cells_precede_the_values(tmp_path, rows, lead_cols):
-    # lead is a CSV body and the count of each line's first cells to take, as
-    # verify takes t from iterates.csv's lines (savetxt's body here) or whole
-    # lines (the body of the lead columns alone); the rest is formatted
-    header = ",".join(f"c{j}" for j in range(rows.shape[1]))
-    want = _savetxt_bytes(tmp_path / "ref.csv", header, rows)
-    lines = _savetxt_bytes(tmp_path / "lead.csv", "lead", rows[:, :lead_cols])
-    for body in (want, lines):
-        _write_csv(tmp_path / "t.csv", header, rows[:, lead_cols:], (body.split(b"\n", 1)[1], lead_cols))
-        assert (tmp_path / "t.csv").read_bytes() == want
 
 
 def test_write_csv_named_rows_are_savetxt_byte_for_byte(tmp_path):

@@ -1,9 +1,10 @@
 """A fresh interpreter runs the whole pipeline without importing scipy.
 
-For n <= 2 the package needs only numpy: the FFT convolution uses
-``numpy.fft`` and the root search ports Brent's method, so no stage pays
-scipy's import time.  Only the bound sampling of n > 2 systems imports
-``scipy.stats.qmc``.  No timing is asserted; the module list is the check.
+The package needs only numpy: the FFT convolution uses ``numpy.fft``, the
+root search ports Brent's method and the bound sampling of n > 2 systems
+draws its Latin hypercube from ``numpy.random``, so no stage pays scipy's
+import time.  A plain ``verify`` keys no record, so it does not import
+``hashlib`` either.  No timing is asserted; the module lists are the check.
 """
 
 import json
@@ -46,6 +47,32 @@ COUPLED_CFG = textwrap.dedent(
     """
 )
 
+# Three uncoupled components without [bounds]: check samples M and K on
+# Latin-hypercube points, and the later stages reuse its record.
+THREE_CFG = textwrap.dedent(
+    """
+    [problem]
+    p = 1.5
+    T = 1
+    alpha1 = 0 0 0
+    alpha2 = 1 1 1
+    N = 51
+
+    [domain]
+    lo = -2 -2 -2
+    hi = 2 2 2
+
+    [rhs]
+    expr = 0.1*u1; 0.1*u2; 0.1*u3
+
+    [omega_box]
+    lo = -3 -3 -3
+    hi = 3 3 3
+    """
+)
+
+# argv: the src directory, then JSON lists of the sources and of the stages
+# each source runs, in order
 CHILD = textwrap.dedent(
     """
     import contextlib, io, json, sys
@@ -54,32 +81,56 @@ CHILD = textwrap.dedent(
     codes = []
     for source in json.loads(sys.argv[2]):
         with contextlib.redirect_stdout(io.StringIO()):
-            for stage, extra in (("check", []), ("solve", []), ("exclude", ["--subdiv", "13"]), ("verify", [])):
-                codes.append(main([stage, *source, *extra]))
-    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-    print(json.dumps({"codes": codes, "scipy": loaded, "fracbvp": sys.modules["fracbvp"].__file__}))
+            for stage in json.loads(sys.argv[3]):
+                codes.append(main([*stage, *source]))
+    loaded = sorted(m for m in sys.modules if m.partition(".")[0] in ("scipy", "hashlib"))
+    print(json.dumps({"codes": codes, "modules": loaded, "fracbvp": sys.modules["fracbvp"].__file__}))
     """
 )
 
+PIPELINE = [["check"], ["solve"], ["exclude", "--subdiv", "13"], ["verify"]]
 
-def test_pipeline_imports_no_scipy(tmp_path):
-    cfg = tmp_path / "coupled.ini"
-    cfg.write_text(COUPLED_CFG, encoding="utf-8")
-    sources = [
-        ["--builtin", "acc-gyre", "--out", str(tmp_path / "gyre")],
-        # 1024 nodes: the running integral goes through the FFT path
-        ["--builtin", "acc-gyre", "--grid-n", "1024", "--out", str(tmp_path / "gyre_fft")],
-        ["--config", str(cfg), "--out", str(tmp_path / "coupled")],
-    ]
+
+def _child(sources: list, stages: list) -> dict:
+    """Run ``stages`` on each of ``sources`` in a fresh interpreter; its exit
+    codes and the scipy and hashlib modules it imported."""
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, str(SRC), json.dumps(sources)],
+        [sys.executable, "-c", CHILD, str(SRC), json.dumps(sources), json.dumps(stages)],
         capture_output=True,
         text=True,
         check=True,
     )
     result = json.loads(proc.stdout)
     assert Path(result["fracbvp"]).resolve().parents[1] == SRC
-    assert result["codes"] == [0] * 12
-    assert result["scipy"] == []
-    for out in ("gyre", "gyre_fft", "coupled"):
+    return result
+
+
+def test_pipeline_imports_no_scipy(tmp_path):
+    cfg, three = tmp_path / "coupled.ini", tmp_path / "three.ini"
+    cfg.write_text(COUPLED_CFG, encoding="utf-8")
+    three.write_text(THREE_CFG, encoding="utf-8")
+    sources = [
+        ["--builtin", "acc-gyre", "--out", str(tmp_path / "gyre")],
+        # 1024 nodes: the running integral goes through the FFT path
+        ["--builtin", "acc-gyre", "--grid-n", "1024", "--out", str(tmp_path / "gyre_fft")],
+        ["--config", str(cfg), "--out", str(tmp_path / "coupled")],
+        ["--config", str(three), "--out", str(tmp_path / "three")],
+    ]
+    result = _child(sources, PIPELINE)
+    assert result["codes"] == [0] * 16
+    assert not [m for m in result["modules"] if m.partition(".")[0] == "scipy"]
+    for out in ("gyre", "gyre_fft", "coupled", "three"):
         assert (tmp_path / out / "verify.json").is_file()
+    # the n = 3 check sampled M and K on its Latin-hypercube points
+    conditions = json.loads((tmp_path / "three" / "conditions.json").read_text(encoding="utf-8"))
+    assert conditions["bounds_source"] == "sampled"
+
+
+def test_plain_verify_imports_no_hashlib(tmp_path):
+    # the solve child keys its records; the verify child reads only chi1* and m
+    source = ["--builtin", "acc-gyre", "--out", str(tmp_path)]
+    assert _child([source], [["solve"]])["codes"] == [0]
+    result = _child([source], [["verify"]])
+    assert result["codes"] == [0]
+    assert result["modules"] == []
+    assert (tmp_path / "verify.json").is_file()
