@@ -14,13 +14,16 @@ problems the root search is a bracket scan plus Brent's method (Brent,
 *Algorithms for Minimization without Derivatives*, 1973), which starts
 from the scan's values at the bracket ends; ``_brent`` is a
 line-for-line port of SciPy's ``brentq`` (same tolerances, same
-iterates), so no probe path imports SciPy.  ``solve_depths`` solves
-every depth 0..m from one shared scan, whose first and last rows are the
-probes of Omega's ends that ``existence_check_scalar`` can take instead of
-probing them again.  For systems it is a damped
+iterates), so no probe path imports SciPy.  The scan is lazy: it probes
+its first block of points and Omega's hi end, then further blocks from
+the left only until the leftmost exact zero or sign change shows.
+``solve_depths`` solves every depth 0..m from one shared scan, extended
+deepest depth first, whose first batch holds the probes of Omega's ends
+that ``existence_check_scalar`` can take instead of probing them again.
+For systems it is a damped
 Newton with forward-difference Jacobian.  The searches have no options:
-their settings (16 scan points, Brent's xtol 1e-12, Newton down to
-|Delta_m| <= 1e-9, ...) are module constants.  The
+their settings (16 scan points in blocks of 4, Brent's xtol 1e-12, Newton
+down to |Delta_m| <= 1e-9, ...) are module constants.  The
 exclusion sweep applies the necessary-condition filter: a parameter box
 can be discarded once |Delta_m| at its center exceeds what the
 Lipschitz coefficient over the box plus the iteration tube can explain.
@@ -142,8 +145,10 @@ def delta_at(
 def solve_determining(prob: Problem, m: int) -> DeterminingResult:
     """Solve Delta_m(chi1) = 0 over the parameter box Omega.
 
-    n = 1: scan Omega with ``_SCAN_POINTS`` probes, take the leftmost
-    sign change and polish with Brent to ``_XTOL``.  n > 1: damped
+    n = 1: scan ``_SCAN_POINTS`` equally spaced points of Omega lazily
+    (``_scan``), take the leftmost exact zero or sign change and polish
+    with Brent to ``_XTOL``; ``solver_trace`` opens with the scan pairs
+    read, left to right, the hi end last.  n > 1: damped
     Newton from the box center with a forward-difference Jacobian down
     to ``_RESIDUAL_TOL``, falling back to a coarse-grid restart once
     before giving up.  Raises NoRootBracketError / NonConvergenceError
@@ -157,33 +162,75 @@ def solve_depths(prob: Problem, m: int, ends: list | None = None):
     """Yield ``solve_determining(prob, k)`` for k = 0, 1, ..., m.
 
     Each result equals the standalone one field for field, but for n = 1
-    one batched depth-m scan gives the scan values of every depth.  A
-    depth that fails raises as ``solve_determining`` does, and no deeper
-    depth is solved.  For n = 1 the scan's first and last rows probe
-    Omega's two ends; when ``ends`` is a list, it gets their depth-m
-    values (2, 1) and ``DomainEscape`` record as one pair, the ``ends``
-    that ``existence_check_scalar`` takes, before the first result.
+    one lazy scan serves every depth, deepest first, and runs before the
+    first result.  A depth that fails raises as ``solve_determining`` does,
+    and no deeper depth is solved.  For n = 1 the scan's first batch probes
+    Omega's two ends; when ``ends`` is a list, it gets their depth-m values
+    (2, 1) and ``DomainEscape`` record as one pair, the ``ends`` that
+    ``existence_check_scalar`` takes, before the first result.
     """
     if m < 0:
         raise ValueError(f"iteration budget m must be >= 0, got {m}")
-    scan = None
+    scans = None
     if prob.n == 1:
         escapes: list[DomainEscape] = []
-        scan = delta_at(prob, _scan_points(prob), m, escapes, every_depth=True)
+        scans = _scan(prob, m, True, escapes)
         if ends is not None:
-            rows = [0, _SCAN_POINTS - 1]
-            ends.append((scan[m][rows], DomainEscape(np.concatenate([r.count for r in escapes])[rows],
-                                                     np.concatenate([r.excess for r in escapes])[rows])))
+            rows = [0, _SCAN_BLOCK]  # the first batch's lo and hi end
+            ends.append((scans[m][[0, -1]], DomainEscape(np.concatenate([r.count for r in escapes])[rows],
+                                                         np.concatenate([r.excess for r in escapes])[rows])))
     for k in range(m + 1):
-        yield _solve(prob, k, None if scan is None else scan[k])
+        yield _solve(prob, k, None if scans is None else scans[k])
 
 
 def _scan_points(prob: Problem) -> np.ndarray:
     return np.linspace(prob.omega.lo[0], prob.omega.hi[0], _SCAN_POINTS)[:, np.newaxis]
 
 
+def _scan(prob: Problem, m: int, every_depth: bool, escapes: list | None = None) -> dict:
+    """The n = 1 bracket scan of Omega at depth m, and with ``every_depth`` at
+    each depth k = m, m - 1, ..., 0, probed lazily.
+
+    The first batch probes the first ``_SCAN_BLOCK`` scan points and Omega's
+    hi end at depth m; ``escapes`` gets its record.  Then each depth k,
+    deepest first, reads blocks of ``_SCAN_BLOCK`` further points from the
+    left, probed at depth k (a run that gives every shallower depth too)
+    unless a deeper run gave them, until its leading points hold an exact
+    zero or a sign change or every point is known.  Entry k holds depth k's
+    values at the leading points it read, then at the hi end, (L + 1, 1):
+    the blocks a scan of depth k alone probes.
+    """
+    xs = _scan_points(prob)
+
+    def run(part: np.ndarray, k: int, escapes: list | None = None) -> dict:
+        """Delta at part by depth: k, and with every_depth each depth below k."""
+        out = delta_at(prob, part, k, escapes, every_depth=every_depth)
+        return dict(enumerate(out)) if every_depth else {k: out}
+
+    first = run(xs[np.r_[:_SCAN_BLOCK, -1]], m, escapes)
+    lead = {k: vals[:-1] for k, vals in first.items()}
+    scans = {}
+    for k in sorted(lead, reverse=True):
+        n = _SCAN_BLOCK
+        while n < _SCAN_POINTS - 1 and _leftmost(lead[k][:n, 0]) is None:
+            n = min(n + _SCAN_BLOCK, _SCAN_POINTS - 1)
+            if n > len(lead[k]):
+                for j, vals in run(xs[len(lead[k]):n], k).items():
+                    lead[j] = np.concatenate([lead[j], vals])
+        scans[k] = np.concatenate([lead[k][:n], first[k][-1:]])
+    return scans
+
+
+def _leftmost(vals: np.ndarray) -> int | None:
+    """Index of the leftmost exact zero or sign change (its left end) in vals."""
+    for i, v in enumerate(vals):
+        if v == 0.0 or (i + 1 < len(vals) and v * vals[i + 1] < 0.0):
+            return i
+    return None
+
+
 def _solve(prob: Problem, m: int, scan=None) -> DeterminingResult:
-    """The root search at depth m; ``scan`` holds the n = 1 scan's values when known."""
+    """The root search at depth m; ``scan`` holds the n = 1 scan's entry of ``_scan`` when known."""
     if m < 0:
         raise ValueError(f"iteration budget m must be >= 0, got {m}")
     trace: list[tuple[np.ndarray, np.ndarray]] = []
@@ -196,7 +243,7 @@ def _solve(prob: Problem, m: int, scan=None) -> DeterminingResult:
         return val
 
     if prob.n == 1:
-        root = _solve_scalar(prob, probe, trace, scan)
+        root = _solve_scalar(prob, probe, trace, _scan(prob, m, False)[m] if scan is None else scan)
     else:
         root = _solve_newton(prob, probe, trace)
     # every probe is deterministic, so the trace's value at the root is its residual
@@ -204,27 +251,24 @@ def _solve(prob: Problem, m: int, scan=None) -> DeterminingResult:
     return DeterminingResult(chi1_star=root, residual=residual, solver_trace=trace)
 
 
-def _solve_scalar(prob: Problem, probe, trace: list, scan) -> np.ndarray:
+def _solve_scalar(prob: Problem, probe, trace: list, scan: np.ndarray) -> np.ndarray:
     lo, hi = float(prob.omega.lo[0]), float(prob.omega.hi[0])
-    scan_xs = _scan_points(prob)
-    scan = probe(scan_xs, scan)
+    points = _scan_points(prob)
+    scan_xs = np.concatenate([points[: len(scan) - 1], points[-1:]])
+    probe(scan_xs, scan)
     xs, vals = scan_xs[:, 0], scan[:, 0]
-    bracket = None
-    for i in range(len(xs) - 1):
-        if vals[i] == 0.0:
-            return np.array([xs[i]])
-        if vals[i] * vals[i + 1] < 0.0:
-            bracket = i
-            break
-    if vals[-1] == 0.0:
-        return np.array([xs[-1]])
-    if bracket is None:
+    # a scan that stops short of the last block has its zero or sign change
+    # among the leading points, before the hi end
+    i = _leftmost(vals)
+    if i is None:
         raise NoRootBracketError(
             f"no sign change of Delta_m over Omega=[{lo}, {hi}]: "
             f"endpoint values {vals[0]:.6g} and {vals[-1]:.6g}"
         )
+    if vals[i] == 0.0:
+        return np.array([xs[i]])
     # Brent opens with both bracket ends; it consumes the scan's values there
-    ends = slice(bracket, bracket + 2)
+    ends = slice(i, i + 2)
     probe(scan_xs[ends], scan[ends])
     try:
         root = _brent(lambda x: probe(np.array([x]))[0], *xs[ends], _XTOL, *vals[ends])
@@ -235,6 +279,7 @@ def _solve_scalar(prob: Problem, probe, trace: list, scan) -> np.ndarray:
 
 # Root-search settings: the n = 1 bracket scan and Brent, the n > 1 Newton.
 _SCAN_POINTS = 16  # equally spaced probes of Omega in the bracket scan
+_SCAN_BLOCK = 4  # scan points per batch, probed from the left as needed
 _XTOL = 1e-12  # Brent's absolute tolerance in chi1
 _BRENT_RTOL = 4.0 * np.finfo(float).eps
 _BRENT_MAXITER = 100

@@ -20,7 +20,8 @@ p = 1 and loses no accuracy to the singularity itself.
 ``ProductTrapezoid`` is the package's one integral operator (weights,
 nodes, (t/T)^p, Gamma(p)).  ``operator(grid, p)`` builds it and keeps the
 ``_OPERATOR_CACHE`` most recently used, so every problem, iterate and probe
-on one (N, T, p) shares one read-only instance (``Problem.operator``).  Its running integral is
+on one (N, T, p) shares one instance (``Problem.operator``), whose arrays
+are read-only.  Its running integral is
 a convolution with fixed weights: direct below ``_FFT_MIN_N`` nodes, from
 there on an O(N log N) ``numpy.fft`` real FFT against the cached weight
 spectrum (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985),
@@ -157,8 +158,11 @@ class ProductTrapezoid:
 
     Moments are raw (no 1/Gamma(p)); ``gamma_p`` = Gamma(p), ``nodes``
     and ``ratio`` = (t/T)^p complete the boundary-corrected operator
-    I^p g - (t/T)^p I^p g(T).  Every array it holds is read-only; build
-    one through ``operator``, which shares it.
+    I^p g - (t/T)^p I^p g(T).  Every array it publishes is read-only; build
+    one through ``operator``, which shares it.  The FFT path keeps private
+    scratch for its transforms (32 N bytes per row of the largest stack),
+    so one operator serves one ``running`` call at a time; the package
+    starts no threads.
     """
 
     def __init__(self, grid: Grid, p: float) -> None:
@@ -194,6 +198,7 @@ class ProductTrapezoid:
         self._corr = corr
         self._wrev = np.ascontiguousarray(w[::-1])
         self._spectrum = None
+        self._scratch = None  # the FFT path's two transforms, kept for the next call
         if N >= _FFT_MIN_N:
             self._fft_len = _fast_len(2 * N - 1)
             self._spectrum = np.fft.rfft(w, self._fft_len)
@@ -225,9 +230,15 @@ class ProductTrapezoid:
                 for i, row in enumerate(rows):
                     out[i] = np.convolve(row, self._w)[:N]
             else:
-                spec = np.fft.rfft(rows, self._fft_len, axis=-1) * self._spectrum
-                out = np.fft.irfft(spec, self._fft_len, axis=-1)[:, :N]
-            out = out - self._corr * rows[:, :1]
+                # into buffers kept across calls: a fresh pair on every call
+                # took page faults whenever glibc had trimmed the heap
+                B, L = len(rows), self._fft_len
+                if self._scratch is None or len(self._scratch[0]) < B:
+                    self._scratch = (np.empty((B, L // 2 + 1), dtype=complex), np.empty((B, L)))
+                spec = np.fft.rfft(rows, L, axis=-1, out=self._scratch[0][:B])
+                spec *= self._spectrum
+                out = np.fft.irfft(spec, L, axis=-1, out=self._scratch[1][:B])[:, :N]
+            out = out - self._corr * rows[:, :1]  # a fresh array, never the scratch
         out[:, 0] = 0.0
         return out[0] if single else out
 
@@ -244,8 +255,10 @@ class ProductTrapezoid:
 def operator(grid: Grid, p: float) -> ProductTrapezoid:
     """The integral operator of kernel order p on ``grid``, built once per
     (N, T, p) while it stays among the ``_OPERATOR_CACHE`` most recently used.
-    Each holds about 56 N bytes, so a full cache pins up to 0.45 GB at
-    N = 10**6 until ``operator.cache_clear()``, which ``cli.main`` calls first."""
+    Each holds about 56 N bytes, and from its first FFT-path ``running`` call
+    32 N bytes per row of its largest stack (one row of probes above 2**16
+    nodes), so a full cache pins up to 0.7 GB at N = 10**6 until
+    ``operator.cache_clear()``, which ``cli.main`` calls first."""
     return ProductTrapezoid(grid, p)
 
 

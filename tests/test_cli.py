@@ -584,10 +584,11 @@ def test_solve_runs_one_scan_for_every_depth(tmp_path, monkeypatch):
     monkeypatch.setattr(determine, "run_iteration", counted)
     monkeypatch.setattr(cli, "run_iteration", counted)
     assert main(["solve", "--builtin", "acc-gyre", "--m", "2", "--out", str(tmp_path)]) == 0
-    # one 16-row scan for depths 0..2, two Brent points per depth, the final
-    # run at chi1*; three scans, four Brent points and a fresh residual
-    # probe per depth made 64 rows
-    assert rows == [16] + [1] * 6 + [1]
+    # one lazy scan for depths 0..2: its first batch (points 0-3 and Omega's
+    # hi end) at depth 2 brackets depths 2 and 1, and depth 0, whose root lies
+    # between points 14 and 15, probes the three further blocks at depth 0;
+    # then two Brent points per depth and the final run at chi1*
+    assert rows == [5, 4, 4, 3] + [1] * 6 + [1]
 
 
 # The depth-0 root exists, but every u_1 leaves D = [-1, 1].

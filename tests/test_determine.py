@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -229,8 +230,11 @@ def test_root_trace_pins(gyre, m, root):
     res = solve_determining(gyre, m)
     assert res.chi1_star[0] == pytest.approx(root, rel=1e-12)
     assert res.residual[0] <= 1e-8
-    # 16 scan probes plus Brent's, one trace entry of shape (1,) each
-    assert len(res.solver_trace) == 20
+    # the scan's probes, the two bracket ends again and Brent's two new points,
+    # one trace entry of shape (1,) each: depth 0 brackets between scan points
+    # 14 and 15, so its scan reads all 16 points; depths 1 and 2 bracket within
+    # the first batch (points 0-3 and the hi end)
+    assert len(res.solver_trace) == (16 if m == 0 else 5) + 4
     assert all(chi.shape == val.shape == (1,) for chi, val in res.solver_trace)
 
 
@@ -360,8 +364,10 @@ def test_brent_rejects_a_bracket_without_sign_change():
 
 def test_gyre_root_is_scipy_brentq_bit_for_bit(gyre):
     res = solve_determining(gyre, 2)
-    scan = res.solver_trace[:16]
-    i = next(k for k in range(15) if scan[k][1][0] * scan[k + 1][1][0] < 0.0)
+    # the scan's first batch: points 0-3, then the hi end; the bracket lies in 0-3
+    scan = res.solver_trace[:5]
+    assert scan[4][0][0] == gyre.omega.hi[0]
+    i = next(k for k in range(3) if scan[k][1][0] * scan[k + 1][1][0] < 0.0)
     points = []
     root = brentq(
         _recorded(lambda x: delta_at(gyre, [x], 2)[0], points),
@@ -370,14 +376,15 @@ def test_gyre_root_is_scipy_brentq_bit_for_bit(gyre):
         xtol=determine._XTOL,
     )
     assert res.chi1_star[0] == root
-    assert [chi[0] for chi, _ in res.solver_trace[16:]] == points
+    assert [chi[0] for chi, _ in res.solver_trace[5:]] == points
 
 
 def test_brent_nonconvergence_carries_the_solver_trace(gyre, monkeypatch):
     monkeypatch.setattr(determine, "_BRENT_MAXITER", 1)
     with pytest.raises(NonConvergenceError, match="Brent") as exc_info:
         solve_determining(gyre, 0)
-    # 16 scan probes, both bracket ends again, one Brent step
+    # 16 scan probes (depth 0 brackets between points 14 and 15, so its lazy
+    # scan reads every point), both bracket ends again, one Brent step
     assert len(exc_info.value.trace) == 19
 
 
@@ -399,20 +406,44 @@ def test_the_root_search_probes_each_value_once(gyre, monkeypatch):
 
     monkeypatch.setattr(determine, "delta_at", counted)
     res = solve_determining(gyre, 2)
-    # the 16-point scan, then Brent's two new points: the bracket ends and
-    # the residual at the root are values the solver already has
-    assert rows == [16, 1, 1]
-    assert len(res.solver_trace) == 20
+    # the scan's first batch (points 0-3 and the hi end) holds the bracket,
+    # then Brent's two new points: the bracket ends and the residual at the
+    # root are values the solver already has
+    assert rows == [5, 1, 1]
+    assert len(res.solver_trace) == 9
     assert res.residual.tobytes() == np.abs(delta_at(gyre, res.chi1_star, 2)).tobytes()
     rows.clear()
-    # every depth: one scan of 16 rows in all, two Brent points per depth
+    # every depth: the first batch at depth 2 brackets depths 2 and 1; depth 0
+    # probes the three further blocks at depth 0; two Brent points per depth
     assert len(list(solve_depths(gyre, 2))) == 3
-    assert rows == [16] + [1] * 6
+    assert rows == [5, 4, 4, 3] + [1] * 6
+
+
+def _roots_move_right():
+    """f = -3 u1: the depth-0 root 2.18 lies between scan points 2 and 3 of
+    Omega = [1.9, 3.4], the roots of depths 1-3 (2.50-2.55) between points 6
+    and 7, so the deeper depths read a block that depth 0 does not."""
+    return Problem(
+        p=1.5,
+        T=1.0,
+        alpha1=np.array([0.0]),
+        alpha2=np.array([1.0]),
+        domain=Box(np.array([-50.0]), np.array([50.0])),
+        f=exprlang.parse("-3*u1", 1, {}),
+        f_source="-3*u1",
+        constants={},
+        omega=Box(np.array([1.9]), np.array([3.4])),
+        M=np.array([1.0]),
+        K=np.array([[3.0]]),
+        N=101,
+    )
 
 
 def _depth_case(name, gyre, zero_rhs):
     if name == "gyre-401":
         return gyre, 3
+    if name == "roots-move-right":
+        return _roots_move_right(), 3
     if name == "gyre-1024":
         return dataclasses.replace(gyre, N=1024), 3
     if name == "zero-rhs":
@@ -420,11 +451,19 @@ def _depth_case(name, gyre, zero_rhs):
     return _two_component(), 2
 
 
-@pytest.mark.parametrize("name", ["gyre-401", "gyre-1024", "zero-rhs", "two-component"])
+@pytest.mark.parametrize("name", ["gyre-401", "gyre-1024", "roots-move-right", "zero-rhs", "two-component"])
 def test_solve_depths_equal_the_standalone_solves(gyre, zero_rhs, name):
     prob, m = _depth_case(name, gyre, zero_rhs)
     shared = list(solve_depths(prob, m))
     assert len(shared) == m + 1
+    if name == "roots-move-right":
+        # depth 3 probed points 4-7 at depth 3, which gave depth 0 those values
+        # too; depth 0's trace still holds only the first batch it reads, then
+        # its bracket's ends (points 2 and 3), the other depths' points 6 and 7
+        xs = np.linspace(1.9, 3.4, 16)
+        for res, read, left in zip(shared, (4, 8, 8, 8), (2, 6, 6, 6)):
+            chis = [chi[0] for chi, _ in res.solver_trace]
+            assert chis[: read + 3] == [*xs[:read], xs[-1], xs[left], xs[left + 1]]
     for k, res in enumerate(shared):
         alone = solve_determining(prob, k)
         assert res.chi1_star.tobytes() == alone.chi1_star.tobytes()
@@ -435,10 +474,13 @@ def test_solve_depths_equal_the_standalone_solves(gyre, zero_rhs, name):
             assert chi.tobytes() == chi_alone.tobytes() and val.tobytes() == val_alone.tobytes()
 
 
-@pytest.mark.parametrize("name", ["gyre-401", "gyre-1024", "gyre-6401", "zero-rhs", "two-component"])
+@pytest.mark.parametrize("name", ["gyre-401", "gyre-1024", "gyre-6401", "gyre-25601", "zero-rhs", "two-component"])
 def test_solve_depths_gives_the_probes_of_omegas_ends(gyre, zero_rhs, name):
-    if name == "gyre-6401":  # the scan runs in two chunks of 8 rows
-        prob, m = dataclasses.replace(gyre, N=6401), 2
+    # at N = 6401 the scan's first batch of 5 rows runs in one chunk (of at
+    # most 10); at N = 25601 in chunks of 2, 2 and 1, so lo and hi come from
+    # two records
+    if name in ("gyre-6401", "gyre-25601"):
+        prob, m = dataclasses.replace(gyre, N=int(name.split("-")[1])), 2
     else:
         prob, m = _depth_case(name, gyre, zero_rhs)
     ends = []
@@ -447,7 +489,7 @@ def test_solve_depths_gives_the_probes_of_omegas_ends(gyre, zero_rhs, name):
     if prob.n != 1:
         assert ends == []  # Newton runs no scan
         return
-    # the scan's rows 0 and 15, bit for bit those of a 2-row probe of the ends
+    # the first batch's lo and hi rows, bit for bit those of a 2-row probe of the ends
     (delta, escapes), = ends
     alone: list = []
     assert delta.tobytes() == delta_at(prob, np.stack([prob.omega.lo, prob.omega.hi]), m, alone).tobytes()
@@ -463,6 +505,92 @@ def test_solve_depths_stops_at_the_first_failing_depth(zero_rhs):
     with pytest.raises(NoRootBracketError):
         next(depths)
     assert list(depths) == []
+
+
+def _eager_root(prob, m):
+    """The root search on an eager scan: all 16 scan points in one ``delta_at``
+    call, the leftmost exact zero or sign change, then ``_brent``.  Gives
+    (chi1*, residual), or the endpoint values of the no-bracket message."""
+    xs = np.linspace(prob.omega.lo[0], prob.omega.hi[0], 16)
+    vals = delta_at(prob, xs[:, np.newaxis], m)[:, 0]
+    for i in range(16):
+        if vals[i] == 0.0:
+            return np.array([xs[i]]), np.abs(vals[i : i + 1])
+        if i < 15 and vals[i] * vals[i + 1] < 0.0:
+            root = _brent(lambda x: delta_at(prob, [x], m)[0], xs[i], xs[i + 1], determine._XTOL,
+                          vals[i], vals[i + 1])
+            return np.array([root]), np.abs(delta_at(prob, [root], m))
+    return f"endpoint values {vals[0]:.6g} and {vals[-1]:.6g}"
+
+
+def _zero_rhs_over(zero_rhs, lo, hi):
+    """zero-rhs (root chi* = 1) with Omega = [lo, hi] and room in D for every probe."""
+    wide = Box(np.array([-50.0]), np.array([50.0]))
+    return dataclasses.replace(zero_rhs, omega=Box(np.array([lo]), np.array([hi])), domain=wide)
+
+
+@pytest.mark.parametrize(
+    "name", ["gyre-401", "gyre-1024", "gyre-m0", "roots-move-right", "zero-rhs", "no-sign-change",
+             "last-block", "hi-end-bracket", "interior-zero"],
+)
+def test_the_lazy_scan_finds_the_root_of_the_eager_scan(gyre, zero_rhs, name, monkeypatch):
+    omegas = {
+        "no-sign-change": (5.0, 6.0),  # Delta keeps one sign: every point is probed
+        "last-block": (-2.0, 1.6),  # chi* = 1 between scan points 12 and 13
+        "hi-end-bracket": (-2.0, 1.1),  # between point 14 and the hi end
+        "interior-zero": (0.0, 1.5),  # scan point 10 is 1.0 exactly, Delta_m there 0.0
+    }
+    if name in omegas:
+        prob, m = _zero_rhs_over(zero_rhs, *omegas[name]), 2
+    elif name == "zero-rhs":
+        prob, m = zero_rhs, 3
+    elif name == "gyre-m0":
+        prob, m = gyre, 0
+    elif name == "roots-move-right":
+        prob, m = _roots_move_right(), 3
+    else:
+        prob, m = dataclasses.replace(gyre, N=int(name.split("-")[1])), 3
+    want = [_eager_root(prob, k) for k in range(m + 1)]
+    rows = []
+
+    def counted(prob, chi, m, *args, **kwargs):
+        rows.append(len(np.atleast_2d(chi)))
+        return delta_at(prob, chi, m, *args, **kwargs)
+
+    monkeypatch.setattr(determine, "delta_at", counted)
+    if name == "no-sign-change":
+        for k in range(m + 1):
+            rows.clear()
+            with pytest.raises(NoRootBracketError, match=re.escape(want[k])):
+                solve_determining(prob, k)
+            assert rows == [5, 4, 4, 3]  # every point once, the hi end in the first batch
+        with pytest.raises(NoRootBracketError, match=re.escape(want[0])):
+            next(solve_depths(prob, m))
+        return
+    if name == "interior-zero":
+        assert want[m][0][0] == 1.0 and want[m][1][0] == 0.0
+    for k, res in enumerate(solve_depths(prob, m)):
+        for got in (res, solve_determining(prob, k)):
+            assert got.chi1_star.tobytes() == want[k][0].tobytes()
+            assert got.residual.tobytes() == want[k][1].tobytes()
+
+
+def test_a_zero_at_omegas_hi_end_does_not_beat_an_earlier_sign_change(zero_rhs, monkeypatch):
+    # Delta = (chi - r)(chi - x_15): a sign change between scan points 1 and 2
+    # and an exact zero at point 15, Omega's hi end; the leftmost one is the root
+    xs = np.linspace(zero_rhs.omega.lo[0], zero_rhs.omega.hi[0], 16)
+    r = 0.5 * (xs[1] + xs[2])
+
+    def fake(prob, chi, m, escapes=None, every_depth=False):
+        chi = np.asarray(chi, dtype=float)
+        val = (chi - r) * (chi - xs[-1])
+        return np.stack([val] * (m + 1)) if every_depth else val
+
+    assert fake(zero_rhs, xs[-1:], 1)[0] == 0.0 and fake(zero_rhs, xs[1:2], 1)[0] > 0.0 > fake(zero_rhs, xs[2:3], 1)[0]
+    monkeypatch.setattr(determine, "delta_at", fake)
+    res = solve_determining(zero_rhs, 1)
+    assert res.chi1_star[0] == pytest.approx(r, abs=1e-12)
+    assert xs[1] < res.chi1_star[0] < xs[2]
 
 
 # --- Newton path (n = 2) -----------------------------------------------------

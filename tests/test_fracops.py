@@ -251,6 +251,21 @@ def test_frac_integral_of_one_on_the_fft_path():
     assert np.max(np.abs(res[0] - g.nodes**1.5 / gamma(2.5))) <= 1e-13
 
 
+def test_the_fft_scratch_never_reaches_a_result():
+    # a later call reuses the scratch rows of an earlier, larger stack; the
+    # earlier result keeps its values and every result has a fresh operator's bits
+    N = _FFT_MIN_N
+    quad = ProductTrapezoid(Grid(N, 1.0), 1.5)
+    rng = np.random.default_rng(9)
+    big, small = rng.standard_normal((5, N)), rng.standard_normal((2, N))
+    first = quad.running(big)
+    kept = first.copy()
+    second = quad.running(small)
+    assert first.tobytes() == kept.tobytes()
+    assert second.tobytes() == ProductTrapezoid(Grid(N, 1.0), 1.5).running(small).tobytes()
+    assert quad.running(big).tobytes() == kept.tobytes()
+
+
 def test_cached_weight_arrays_are_read_only():
     for N in (_FFT_MIN_N, 6401):
         quad = ProductTrapezoid(Grid(N, 1.0), 1.5)
