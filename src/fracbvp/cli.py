@@ -8,10 +8,9 @@ payloads contain no clocks).  Without ``[bounds]``, ``check`` samples
 M and K and records them in ``conditions.json`` under a key of the
 config text and --seed; ``solve``, ``exclude`` and ``verify
 --recompute`` in the same --out reuse them when the key matches and
-sample them otherwise, and plain ``verify`` needs neither.
-For n = 1 ``solve`` also records its depth-m probes of Omega's two ends
-under a key of the config text, N and m; ``exclude`` at that depth takes
-its existence sign test from them instead of probing the ends again.
+sample them otherwise, and plain ``verify`` needs neither.  No stage
+reads another's probes: for n = 1 ``exclude`` probes Omega's two ends for
+its existence sign test in the sweep's batch.
 
 Exit codes: 0 success, 1 config error, 2 solvability conditions failed,
 3 numerical failure (no root bracket, Newton stall, domain escape),
@@ -43,7 +42,7 @@ from .determine import (
     solve_determining,
 )
 from .exprlang import ExprEvalError, ExprSyntaxError
-from .iterate import DomainEscape, DomainEscapeError, run_iteration
+from .iterate import DomainEscapeError, run_iteration
 from .problem import (
     BUILTIN_PROBLEMS,
     Problem,
@@ -170,54 +169,18 @@ def _load(args) -> tuple[Problem, str, str]:
 
 def _sha256(data: bytes) -> str:
     # 2.5-4 ms with OpenSSL on a 2-vCPU Xeon VM.  check keys its bounds_key,
-    # solve and exclude the bounds and ends keys they write or check, so each
-    # fresh call of those stages pays it; plain verify keys nothing and never
-    # imports it, nor does importing fracbvp.cli.
+    # solve and exclude the bounds key they check, so each fresh call of those
+    # stages pays it; plain verify keys nothing and never imports it, nor does
+    # importing fracbvp.cli.
     import hashlib
 
     return hashlib.sha256(data).hexdigest()
 
 
-def _key(*parts) -> str:
-    """sha256 over ``parts`` as one JSON list."""
-    return _sha256(json.dumps(list(parts)).encode("utf-8"))
-
-
 def _bounds_key(seed: int, text: str, M, K) -> str:
     """sha256 over what sampled M and K depend on (the version, --seed and the
-    config text, but not --grid-n) and over M and K themselves, as lists."""
-    return _key(__version__, seed, text, M, K)
-
-
-def _ends_key(text: str, prob: Problem, m: int, delta, count, excess) -> str:
-    """sha256 over what the depth-m probes of Omega's ends depend on (the package
-    and numpy versions, the config text, N and m) and over their recorded
-    Delta_m, escape counts and worst excesses, as lists."""
-    return _key(__version__, np.__version__, text, prob.N, m, delta, count, excess)
-
-
-def _ends_record(text: str, prob: Problem, m: int, ends) -> dict:
-    """The ``ends`` entry of determining.json: ``solve_depths``' ends as lists, keyed."""
-    delta, escapes = ends
-    rec = {"delta": delta[:, 0].tolist(), "domain_escapes": escapes.count.tolist(),
-           "worst_excess": escapes.excess.tolist()}
-    return {**rec, "key": _ends_key(text, prob, m, *rec.values())}
-
-
-def _solved_ends(out: Path, text: str, prob: Problem, m: int):
-    """The ``ends`` that ``existence_check_scalar`` takes, from the ``ends`` entry
-    of <out>/determining.json when its key is the one of this config text, N
-    and m and of its values; None otherwise.  JSON floats round-trip, so the
-    values have the bits solve's scan computed."""
-    try:
-        rec = json.loads((out / "determining.json").read_text(encoding="utf-8"))["ends"]
-        delta, count, excess = rec["delta"], rec["domain_escapes"], rec["worst_excess"]
-        if rec["key"] != _ends_key(text, prob, m, delta, count, excess):
-            return None
-        return (np.array(delta, dtype=float).reshape(2, 1),
-                DomainEscape(np.array(count, dtype=int).reshape(2), np.array(excess, dtype=float).reshape(2)))
-    except (OSError, ValueError, TypeError, KeyError, OverflowError, RecursionError):
-        return None  # a missing, unreadable or malformed record is a miss, as a stale one is
+    config text, but not --grid-n) and over M and K themselves, as one JSON list."""
+    return _sha256(json.dumps([__version__, seed, text, M, K]).encode("utf-8"))
 
 
 def _resolve(args, prob: Problem, text: str, reuse: bool = True) -> tuple[Problem, str]:
@@ -244,12 +207,12 @@ def _out_dir(args) -> Path:
 
 
 def _write_manifest(args, out: Path, command: str, source: str, prob: Problem, bounds: str,
-                    m=None, tol=None, subdiv=None, ends=None) -> None:
+                    m=None, tol=None, subdiv=None) -> None:
     """<out>/manifest.json: the command, its inputs and effective settings (None
     where the command has no such setting), the version and a UTC timestamp."""
     _write_json(out / "manifest.json", {
         "command": command, "source": source, "grid_n": prob.N, "m": m, "tol": tol,
-        "subdiv": subdiv, "seed": args.seed, "bounds_source": bounds, "ends_source": ends,
+        "subdiv": subdiv, "seed": args.seed, "bounds_source": bounds,
         "version": __version__, "timestamp": datetime.now(timezone.utc).isoformat(),
     })
 
@@ -330,9 +293,8 @@ def cmd_solve(args) -> int:
     trace_rows = []
     roots = []
     failure: Exception | None = None
-    ends: list = []
     try:
-        for k, res in enumerate(solve_depths(prob, args.m, ends)):
+        for k, res in enumerate(solve_depths(prob, args.m)):
             roots.append(res)
             trace_rows.append([float(k), *res.chi1_star, *res.residual])
             chi_txt = ", ".join(f"{c:.17g}" for c in res.chi1_star)
@@ -369,8 +331,6 @@ def cmd_solve(args) -> int:
         "probes": len(final.solver_trace),
         **_escape_summary(approx),
     }
-    if ends:  # n = 1: the scan's probes of Omega's ends, for exclude's existence check
-        record["ends"] = _ends_record(text, prob, args.m, ends[0])
     _write_json(out / "determining.json", record)
     _note_escapes(approx)
     return EXIT_OK
@@ -382,12 +342,7 @@ def cmd_exclude(args) -> int:
     out = _out_dir(args)
     report = _gate_conditions(prob, args.force)
     n = prob.n
-    ends = ends_source = None
-    if n == 1:
-        ends = _solved_ends(out, text, prob, args.m)
-        ends_source = "computed" if ends is None else "determining.json"
-    _write_manifest(args, out, "exclude", source, prob, bounds, m=args.m, subdiv=args.subdiv,
-                    ends=ends_source)
+    _write_manifest(args, out, "exclude", source, prob, bounds, m=args.m, subdiv=args.subdiv)
     result = exclusion_sweep(prob, args.m, args.subdiv, report)
     header = ",".join(
         ["index", *_suffixed("lo", n), *_suffixed("hi", n), *_suffixed("center", n),
@@ -408,7 +363,7 @@ def cmd_exclude(args) -> int:
         **_domain_summary(result),
     }
     if n == 1:
-        verdict = existence_check_scalar(prob, args.m, report, ends)
+        verdict = existence_check_scalar(prob, args.m, report, result.ends)
         summary["existence"] = {
             "certified": verdict.certified,
             "endpoint_deltas": list(verdict.endpoint_deltas),

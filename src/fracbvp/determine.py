@@ -18,15 +18,15 @@ iterates), so no probe path imports SciPy.  The scan is lazy: it probes
 its first block of points and Omega's hi end, then further blocks from
 the left only until the leftmost exact zero or sign change shows.
 ``solve_depths`` solves every depth 0..m from one shared scan, extended
-deepest depth first, whose first batch holds the probes of Omega's ends
-that ``existence_check_scalar`` can take instead of probing them again.
-For systems it is a damped
-Newton with forward-difference Jacobian.  The searches have no options:
+deepest depth first.  For systems it is a damped Newton with
+forward-difference Jacobian.  The searches have no options:
 their settings (16 scan points in blocks of 4, Brent's xtol 1e-12, Newton
 down to |Delta_m| <= 1e-9, ...) are module constants.  The
 exclusion sweep applies the necessary-condition filter: a parameter box
 can be discarded once |Delta_m| at its center exceeds what the
 Lipschitz coefficient over the box plus the iteration tube can explain.
+For n = 1 the sweep's one stacked probe also holds Omega's two ends, the
+rows that ``existence_check_scalar``'s sign test takes.
 """
 
 from __future__ import annotations
@@ -158,27 +158,17 @@ def solve_determining(prob: Problem, m: int) -> DeterminingResult:
     return _solve(prob, m)
 
 
-def solve_depths(prob: Problem, m: int, ends: list | None = None):
+def solve_depths(prob: Problem, m: int):
     """Yield ``solve_determining(prob, k)`` for k = 0, 1, ..., m.
 
     Each result equals the standalone one field for field, but for n = 1
     one lazy scan serves every depth, deepest first, and runs before the
     first result.  A depth that fails raises as ``solve_determining`` does,
-    and no deeper depth is solved.  For n = 1 the scan's first batch probes
-    Omega's two ends; when ``ends`` is a list, it gets their depth-m values
-    (2, 1) and ``DomainEscape`` record as one pair, the ``ends`` that
-    ``existence_check_scalar`` takes, before the first result.
+    and no deeper depth is solved.
     """
     if m < 0:
         raise ValueError(f"iteration budget m must be >= 0, got {m}")
-    scans = None
-    if prob.n == 1:
-        escapes: list[DomainEscape] = []
-        scans = _scan(prob, m, True, escapes)
-        if ends is not None:
-            rows = [0, _SCAN_BLOCK]  # the first batch's lo and hi end
-            ends.append((scans[m][[0, -1]], DomainEscape(np.concatenate([r.count for r in escapes])[rows],
-                                                         np.concatenate([r.excess for r in escapes])[rows])))
+    scans = _scan(prob, m, True) if prob.n == 1 else None
     for k in range(m + 1):
         yield _solve(prob, k, None if scans is None else scans[k])
 
@@ -187,27 +177,27 @@ def _scan_points(prob: Problem) -> np.ndarray:
     return np.linspace(prob.omega.lo[0], prob.omega.hi[0], _SCAN_POINTS)[:, np.newaxis]
 
 
-def _scan(prob: Problem, m: int, every_depth: bool, escapes: list | None = None) -> dict:
+def _scan(prob: Problem, m: int, every_depth: bool) -> dict:
     """The n = 1 bracket scan of Omega at depth m, and with ``every_depth`` at
     each depth k = m, m - 1, ..., 0, probed lazily.
 
     The first batch probes the first ``_SCAN_BLOCK`` scan points and Omega's
-    hi end at depth m; ``escapes`` gets its record.  Then each depth k,
-    deepest first, reads blocks of ``_SCAN_BLOCK`` further points from the
-    left, probed at depth k (a run that gives every shallower depth too)
-    unless a deeper run gave them, until its leading points hold an exact
-    zero or a sign change or every point is known.  Entry k holds depth k's
-    values at the leading points it read, then at the hi end, (L + 1, 1):
-    the blocks a scan of depth k alone probes.
+    hi end at depth m.  Then each depth k, deepest first, reads blocks of
+    ``_SCAN_BLOCK`` further points from the left, probed at depth k (a run
+    that gives every shallower depth too) unless a deeper run gave them,
+    until its leading points hold an exact zero or a sign change or every
+    point is known.  Entry k holds depth k's values at the leading points it
+    read, then at the hi end, (L + 1, 1): the blocks a scan of depth k alone
+    probes.
     """
     xs = _scan_points(prob)
 
-    def run(part: np.ndarray, k: int, escapes: list | None = None) -> dict:
+    def run(part: np.ndarray, k: int) -> dict:
         """Delta at part by depth: k, and with every_depth each depth below k."""
-        out = delta_at(prob, part, k, escapes, every_depth=every_depth)
+        out = delta_at(prob, part, k, every_depth=every_depth)
         return dict(enumerate(out)) if every_depth else {k: out}
 
-    first = run(xs[np.r_[:_SCAN_BLOCK, -1]], m, escapes)
+    first = run(xs[np.r_[:_SCAN_BLOCK, -1]], m)
     lead = {k: vals[:-1] for k, vals in first.items()}
     scans = {}
     for k in sorted(lead, reverse=True):
@@ -405,6 +395,7 @@ class ExclusionResult:
     n_subdiv: int
     escaped_probes: int
     worst_excess: float
+    ends: tuple[np.ndarray, DomainEscape] | None  # n = 1: Delta_m (2, 1) and record of Omega's ends
 
     @property
     def survivors(self) -> np.ndarray:
@@ -433,7 +424,9 @@ def exclusion_sweep(prob: Problem, m: int, n_subdiv: int,
     the true root must satisfy, so discarded boxes are certified
     root-free (up to the quality of M and K) — provided the probe
     iterates stayed in D; ``escaped_probes`` counts the ones that did not.
-    All box centers are probed by one stacked ``delta_at`` call.
+    All box centers are probed by one stacked ``delta_at`` call; for n = 1
+    its last two rows are Omega's ends, whose Delta_m (2, 1) and
+    ``DomainEscape`` record are ``ends``, the existence sign test's input.
     ``report`` is ``check_conditions(prob)``, computed here when not given.
     """
     if m < 0:
@@ -447,11 +440,17 @@ def exclusion_sweep(prob: Problem, m: int, n_subdiv: int,
     edges = [np.linspace(a, b, n_subdiv + 1) for a, b in zip(prob.omega.lo, prob.omega.hi)]
     lo = np.stack(np.meshgrid(*[e[:-1] for e in edges], indexing="ij"), -1).reshape(-1, prob.n)
     hi = np.stack(np.meshgrid(*[e[1:] for e in edges], indexing="ij"), -1).reshape(-1, prob.n)
+    ends = np.stack([prob.omega.lo, prob.omega.hi]) if prob.n == 1 else np.empty((0, prob.n))
     escapes: list[DomainEscape] = []
-    delta = delta_at(prob, 0.5 * (lo + hi), m, escapes)
+    probes = delta_at(prob, np.concatenate([0.5 * (lo + hi), ends]), m, escapes)
+    # one entry per row of the stack, the boxes first
+    count = np.concatenate([r.count for r in escapes])
+    excess = np.concatenate([r.excess for r in escapes])
+    boxes = len(lo)
+    delta = probes[:boxes]
     # per box coeff @ halfwidth; a stack of (n, 1) products keeps its bits
     rhs = np.matmul(coeff, (0.5 * (hi - lo))[..., np.newaxis])[..., 0] + tail
-    escaped, worst = _escape_stats(escapes)
+    escaped, worst = int(np.count_nonzero(count[:boxes])), float(excess[:boxes].max(initial=0.0))
     return ExclusionResult(
         subsets=np.stack([lo, hi], axis=1),
         delta=delta,
@@ -463,6 +462,7 @@ def exclusion_sweep(prob: Problem, m: int, n_subdiv: int,
         n_subdiv=n_subdiv,
         escaped_probes=escaped,
         worst_excess=worst,
+        ends=(probes[boxes:], DomainEscape(count[boxes:], excess[boxes:])) if prob.n == 1 else None,
     )
 
 
@@ -496,7 +496,7 @@ def existence_check_scalar(prob: Problem, m: int, report: ConditionsReport | Non
     iterates left D.  ``report`` is ``check_conditions(prob)``, computed
     here when not given; ``ends`` holds the depth-m probes of Omega's two
     ends when they already ran (their Delta_m, (2, 1), and ``DomainEscape``
-    record, as ``solve_depths`` gives them), which are probed here otherwise.
+    record, as ``exclusion_sweep`` gives them), which are probed here otherwise.
     """
     if m < 0:
         raise ValueError(f"iteration budget m must be >= 0, got {m}")

@@ -383,11 +383,9 @@ def test_check_manifest(tmp_path):
     assert m["grid_n"] == 401
     assert m["seed"] == 7
     assert m["bounds_source"] == "sampled"
-    assert m["ends_source"] is None  # exclude's alone says where its existence probes came from
     assert m["version"] == fracbvp.__version__
     assert list(m) == [
-        "command", "source", "grid_n", "m", "tol", "subdiv", "seed", "bounds_source",
-        "ends_source", "version", "timestamp",
+        "command", "source", "grid_n", "m", "tol", "subdiv", "seed", "bounds_source", "version", "timestamp",
     ]
 
 
@@ -506,14 +504,8 @@ def test_a_changed_input_is_a_miss(tmp_path, monkeypatch, bound_estimates, chang
     assert _stage("solve", out, *extra, source=source) == "sampled"
     assert len(bound_estimates) == 3
     # the stage sampled M and K again, so its verdict and outputs are a clean run's
-    for name in ("chi_trace.csv", "iterates.csv", "sup_diffs.csv"):
+    for name in ("chi_trace.csv", "iterates.csv", "sup_diffs.csv", "determining.json"):
         assert (out / name).read_bytes() == (clean / name).read_bytes(), name
-    # but for the ends key, which covers the config text and the version, not
-    # --seed or M
-    texts = [(d / "determining.json").read_text(encoding="utf-8") for d in (out, clean)]
-    key, clean_key = (json.loads(text)["ends"]["key"] for text in texts)
-    assert (key == clean_key) is (change in ("seed", "recorded-M"))
-    assert texts[0].replace(key, clean_key) == texts[1]
 
 
 @pytest.mark.parametrize(
@@ -948,60 +940,34 @@ def test_exclude_unchanged_after_a_solve_on_another_grid(tmp_path):
     assert (first / "boxes.csv").read_bytes() == (second / "boxes.csv").read_bytes()
 
 
-def _ends_source(out):
-    return json.loads((out / "manifest.json").read_text(encoding="utf-8"))["ends_source"]
-
-
-def _edit_ends(out, **changes):
-    data = json.loads((out / "determining.json").read_text(encoding="utf-8"))
-    data["ends"].update(changes)
-    (out / "determining.json").write_text(json.dumps(data), encoding="utf-8")
-
-
-def _edit_a_recorded_delta(out):
-    delta = json.loads((out / "determining.json").read_text(encoding="utf-8"))["ends"]["delta"]
-    _edit_ends(out, delta=[float(np.nextafter(delta[0], 0.0)), delta[1]])
-
-
-def _three_values_with_their_key(out, argv):
-    args = _build_parser().parse_args(["exclude", *argv, "--out", str(out)])
-    prob, _, text = _load(args)
-    rec = {"delta": [1.0, 2.0, 3.0], "domain_escapes": [0, 0, 0], "worst_excess": [0.0, 0.0, 0.0]}
-    _edit_ends(out, **rec, key=cli._ends_key(text, prob, 2, *rec.values()))
-
-
 # solve fails on this config: Omega lies right of the root chi* = 1 at every depth
 NO_BRACKET_CFG = BUILTIN_PROBLEMS["zero-rhs"][0].replace(
     "[omega_box]\nlo = 0\nhi = 2\n", "[omega_box]\nlo = 2\nhi = 3\n"
 )
 
 
-@pytest.mark.parametrize(
-    "case",
-    ["hit", "edited-delta", "key-not-a-string", "wrong-shape-with-its-key", "solve-m", "grid-n",
-     "config-text", "no-solve", "failed-solve"],
-)
-def test_exclude_takes_the_probes_of_omegas_ends_from_its_solve(tmp_path, monkeypatch, case):
+def _edit_determining(out):
+    """Give determining.json an ``ends`` entry whose values would flip the existence verdict."""
+    data = json.loads((out / "determining.json").read_text(encoding="utf-8"))
+    data["ends"] = {"delta": [-1e6, 1e6], "domain_escapes": [0, 0], "worst_excess": [0.0, 0.0], "key": "0" * 64}
+    (out / "determining.json").write_text(json.dumps(data), encoding="utf-8")
+
+
+@pytest.mark.parametrize("grid", [401, 6401])
+@pytest.mark.parametrize("case", ["solve-m2", "solve-m3", "failed-solve", "edited-determining", "no-solve"])
+def test_exclude_outputs_do_not_depend_on_what_ran_before(tmp_path, monkeypatch, case, grid):
     from fracbvp import determine
 
     cfg = tmp_path / "problem.ini"
     cfg.write_text(NO_BRACKET_CFG if case == "failed-solve" else BUILTIN_PROBLEMS["acc-gyre"][0],
                    encoding="utf-8")
-    argv = ["--config", str(cfg)]
+    argv = ["--config", str(cfg), "--grid-n", str(grid)]
     out, ref = tmp_path / "out", tmp_path / "ref"
     if case != "no-solve":
-        depth = ["--m", "3" if case == "solve-m" else "2"]
+        depth = ["--m", "3" if case == "solve-m3" else "2"]
         assert main(["solve", *argv, *depth, "--out", str(out)]) == (3 if case == "failed-solve" else 0)
-    if case == "edited-delta":
-        _edit_a_recorded_delta(out)
-    elif case == "key-not-a-string":
-        _edit_ends(out, key=[1])
-    elif case == "wrong-shape-with-its-key":
-        _three_values_with_their_key(out, argv)
-    elif case == "config-text":
-        _edit_text(cfg)
-    elif case == "grid-n":
-        argv += ["--grid-n", "201"]
+    if case == "edited-determining":
+        _edit_determining(out)
     rows = []
     run = determine.run_iteration
 
@@ -1010,25 +976,15 @@ def test_exclude_takes_the_probes_of_omegas_ends_from_its_solve(tmp_path, monkey
         return run(prob, chi1, *args, **kwargs)
 
     monkeypatch.setattr(determine, "run_iteration", counted)
-    assert main(["exclude", *argv, "--out", str(out), "--m", "2", "--subdiv", "13"]) == 0
-    # a hit runs the sweep's 13 rows alone; a miss probes the two ends as well
-    hit = case == "hit"
-    assert _ends_source(out) == ("determining.json" if hit else "computed")
-    assert rows == ([13] if hit else [13, 2])
-    # either way the outputs are those of an exclude that found no solve outputs
-    assert main(["exclude", *argv, "--out", str(ref), "--m", "2", "--subdiv", "13"]) == 0
-    assert _ends_source(ref) == "computed"
+    # the 13 centres and Omega's two ends run as one stack, in chunks of at
+    # most 163 rows at N = 401 and 10 at N = 6401; never a 2-row probe of the ends
+    chunks = [15] if grid == 401 else [8, 7]
+    for directory in (out, ref):
+        rows.clear()
+        assert main(["exclude", *argv, "--out", str(directory), "--m", "2", "--subdiv", "13"]) == 0
+        assert rows == chunks
     for name in ("boxes.csv", "exclusion.json"):
         assert (out / name).read_bytes() == (ref / name).read_bytes(), name
-
-
-def test_n2_solve_records_no_ends_and_exclude_no_ends_source(tmp_path):
-    cfg = tmp_path / "n2.ini"
-    cfg.write_text(COUPLED_BOUNDS_CFG, encoding="utf-8")
-    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    assert "ends" not in json.loads((tmp_path / "determining.json").read_text(encoding="utf-8"))
-    assert main(["exclude", "--config", str(cfg), "--out", str(tmp_path), "--subdiv", "3"]) == 0
-    assert _ends_source(tmp_path) is None
 
 
 def test_exclude_checks_the_conditions_once(tmp_path, monkeypatch):

@@ -476,26 +476,29 @@ def test_solve_depths_equal_the_standalone_solves(gyre, zero_rhs, name):
 
 @pytest.mark.parametrize("name", ["gyre-401", "gyre-1024", "gyre-6401", "gyre-25601", "zero-rhs", "two-component"])
 def test_solve_depths_gives_the_probes_of_omegas_ends(gyre, zero_rhs, name):
-    # at N = 6401 the scan's first batch of 5 rows runs in one chunk (of at
-    # most 10); at N = 25601 in chunks of 2, 2 and 1, so lo and hi come from
-    # two records
+    # the sweep's stack ends in Omega's lo and hi rows: at N = 401 its 2002
+    # rows run in 13 ramp chunks of 154, the ends in the last; at N = 1024
+    # (FFT) its 15 rows in one chunk, at N = 6401 in chunks of 8 and 7, and
+    # at N = 25601 in chunks of 2 and one of 1, so lo and hi come from two records
     if name in ("gyre-6401", "gyre-25601"):
         prob, m = dataclasses.replace(gyre, N=int(name.split("-")[1])), 2
     else:
         prob, m = _depth_case(name, gyre, zero_rhs)
-    ends = []
-    depths = solve_depths(prob, m, ends)
-    next(depths)
+    res = exclusion_sweep(prob, m, 2000 if name == "gyre-401" else 13)
     if prob.n != 1:
-        assert ends == []  # Newton runs no scan
+        assert res.ends is None  # no existence test, no end rows
         return
-    # the first batch's lo and hi rows, bit for bit those of a 2-row probe of the ends
-    (delta, escapes), = ends
+    # the batch's lo and hi rows, bit for bit those of a 2-row probe of the ends
+    delta, escapes = res.ends
     alone: list = []
     assert delta.tobytes() == delta_at(prob, np.stack([prob.omega.lo, prob.omega.hi]), m, alone).tobytes()
     assert escapes.count.tolist() == alone[0].count.tolist()
     assert escapes.excess.tobytes() == alone[0].excess.tobytes()
-    assert existence_check_scalar(prob, m, ends=ends[0]) == existence_check_scalar(prob, m)
+    assert existence_check_scalar(prob, m, ends=res.ends) == existence_check_scalar(prob, m)
+    # and those of the depth-m root search's scan, which opens at lo and reads hi
+    *_, deepest = solve_depths(prob, m)
+    scan = {chi[0]: val for chi, val in deepest.solver_trace}
+    assert np.concatenate([scan[prob.omega.lo[0]], scan[prob.omega.hi[0]]]).tobytes() == delta[:, 0].tobytes()
 
 
 def test_solve_depths_stops_at_the_first_failing_depth(zero_rhs):
@@ -665,12 +668,14 @@ def test_exclusion_sweep_over_many_chunks(gyre):
 
 
 def test_sweep_rows_on_the_chunk_edges_are_one_row_probes(gyre):
-    # 11 chunks of 154 rows and 2 of 153 (rows 0-153 first, 1847-1999 last)
-    # convolve as a ramp of dots, a one-row probe by np.convolve
+    # 13 chunks of 154 rows (rows 0-153 first, 1848-2001 last, its last two
+    # Omega's ends) convolve as a ramp of dots, a one-row probe by np.convolve
     res = exclusion_sweep(gyre, 2, 2000)
     centers = 0.5 * (res.subsets[:, 0] + res.subsets[:, 1])
-    for b in (0, 153, 154, 1693, 1694, 1846, 1847, 1999):
+    for b in (0, 153, 154, 1693, 1694, 1847, 1848, 1999):
         assert res.delta[b].tobytes() == delta_at(gyre, centers[b], 2).tobytes()
+    for row, end in zip(res.ends[0], (gyre.omega.lo, gyre.omega.hi)):
+        assert row.tobytes() == delta_at(gyre, end, 2).tobytes()
 
 
 def test_every_chunk_of_the_sweep_takes_the_ramp(gyre, monkeypatch):
@@ -690,9 +695,10 @@ def test_every_chunk_of_the_sweep_takes_the_ramp(gyre, monkeypatch):
     monkeypatch.setattr(np, "convolve", counted_convolve)
     monkeypatch.setattr(fracops.ProductTrapezoid, "running", counted_running)
     res = exclusion_sweep(gyre, 2, 2000)
-    # ceil(2000 / 163) = 13 chunks, larger first, two steps each; 12 full
-    # chunks and a 44-row tail convolved the tail row by row, 88 calls
-    assert rows == [154] * 22 + [153] * 4
+    # the 2000 centres and Omega's two ends: ceil(2002 / 163) = 13 chunks of
+    # 154 rows, two steps each; 12 full chunks and a 46-row tail would convolve
+    # the tail row by row, 92 calls
+    assert rows == [154] * 26
     assert min(rows) >= fracops._RAMP_MIN_ROWS and max(rows) <= _BATCH_VALUES // 401
     assert calls == []
     # the bits of chunks of 163 rows and a tail, each probed alone

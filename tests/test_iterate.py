@@ -393,12 +393,13 @@ def test_sweep_builds_one_escape_record_per_run(gyre, monkeypatch):
     monkeypatch.setattr(DomainEscape, "__init__", counted_init)
     monkeypatch.setattr(iterate, "_check_domain", counted_check)
     res = exclusion_sweep(gyre, 2, 2000)
-    chunks = -(-2000 // 163)
+    chunks = -(-(2000 + 2) // 163)  # the centres and Omega's two ends
     assert res.escaped_probes == 2000
     assert len(checks) == 3 * chunks  # u_0, u_1 and u_2 of each chunk's run
-    # one record per run, which each check updates in place; a record per check
-    # and run made 52, one per probe row and check 12,000
-    assert len(records) == chunks == 13
+    # one record per run, which each check updates in place, and one of Omega's
+    # two ends' rows; a record per check and run made 52, one per probe row and
+    # check 12,000
+    assert len(records) == chunks + 1 == 14
 
 
 # --- full runs -------------------------------------------------------------
