@@ -5,12 +5,13 @@ run writes a ``manifest.json`` next to its outputs recording the
 command, the config source, all effective numeric settings and where
 M and K came from, so a run can be reproduced bit-for-bit (CSV
 payloads contain no clocks).  Without ``[bounds]``, ``check`` samples
-M and K and records them in ``conditions.json`` under a key of the
-config text and --seed; ``solve``, ``exclude`` and ``verify
---recompute`` in the same --out reuse them when the key matches and
-sample them otherwise, and plain ``verify`` needs neither.  No stage
-reads another's probes: for n = 1 ``exclude`` probes Omega's two ends for
-its existence sign test in the sweep's batch.
+M and K and records them in ``conditions.json`` with ``bounds_key``,
+the list of the version, --seed and config text they were sampled for
+and of M and K themselves; ``solve``, ``exclude`` and ``verify
+--recompute`` in the same --out reuse them when that list equals their
+own and sample them otherwise, and plain ``verify`` needs neither.  No
+stage reads another's probes: for n = 1 ``exclude`` probes Omega's two
+ends for its existence sign test in the sweep's batch.
 
 Exit codes: 0 success, 1 config error, 2 solvability conditions failed,
 3 numerical failure (no root bracket, Newton stall, domain escape),
@@ -160,32 +161,22 @@ def _load(args) -> tuple[Problem, str, str]:
         source, text = f"builtin:{args.builtin}", BUILTIN_PROBLEMS[args.builtin][0]
     else:
         text = _read_config(args.config)
-        prob = problem_from_config(text, name=str(Path(args.config)))
+        prob = problem_from_config(text)
         source = str(args.config)
     if args.grid_n is not None:
         prob = dataclasses.replace(prob, N=args.grid_n)
     return prob, source, text
 
 
-def _sha256(data: bytes) -> str:
-    # 2.5-4 ms with OpenSSL on a 2-vCPU Xeon VM.  check keys its bounds_key,
-    # solve and exclude the bounds key they check, so each fresh call of those
-    # stages pays it; plain verify keys nothing and never imports it, nor does
-    # importing fracbvp.cli.
-    import hashlib
-
-    return hashlib.sha256(data).hexdigest()
-
-
-def _bounds_key(seed: int, text: str, M, K) -> str:
-    """sha256 over what sampled M and K depend on (the version, --seed and the
-    config text, but not --grid-n) and over M and K themselves, as one JSON list."""
-    return _sha256(json.dumps([__version__, seed, text, M, K]).encode("utf-8"))
+def _bounds_key(seed: int, text: str, M, K) -> list:
+    """What sampled M and K depend on (the version, --seed and the config text,
+    but not --grid-n) and M and K themselves, as one JSON list."""
+    return [__version__, seed, text, M, K]
 
 
 def _resolve(args, prob: Problem, text: str, reuse: bool = True) -> tuple[Problem, str]:
     """prob with M and K, and their source: ``supplied`` by ``[bounds]``, else
-    (with ``reuse``) those in <out>/conditions.json if its ``bounds_key`` is
+    (with ``reuse``) those in <out>/conditions.json if its ``bounds_key`` equals
     the one of this config text, --seed and those M and K, else ``sampled``
     here.  JSON floats round-trip, so reused M and K have the sampled bits."""
     if prob.M is not None and prob.K is not None:

@@ -391,8 +391,6 @@ class ExclusionResult:
     keep: np.ndarray             # (B,) bool: |delta| <= rhs componentwise
     coefficient: np.ndarray
     tail: np.ndarray
-    m: int
-    n_subdiv: int
     escaped_probes: int
     worst_excess: float
     ends: tuple[np.ndarray, DomainEscape] | None  # n = 1: Delta_m (2, 1) and record of Omega's ends
@@ -458,8 +456,6 @@ def exclusion_sweep(prob: Problem, m: int, n_subdiv: int,
         keep=np.all(np.abs(delta) <= rhs, axis=1),
         coefficient=coeff,
         tail=tail,
-        m=m,
-        n_subdiv=n_subdiv,
         escaped_probes=escaped,
         worst_excess=worst,
         ends=(probes[boxes:], DomainEscape(count[boxes:], excess[boxes:])) if prob.n == 1 else None,

@@ -7,8 +7,10 @@ problem for a Caputo system of order p in (1, 2]:
 
 together with the parameter box Omega that brackets the unknown initial
 slope chi1 = u'(0).  Configs arrive as INI-style text (see README for
-the exact grammar); when the sup bound M or the Lipschitz matrix K is
-not supplied, both are estimated by dense sampling over [0,T] x D.
+the exact grammar); a Problem keeps f parsed, with each ``[rhs]``
+constant folded into it as a ``ConstRef``, and not the text it came
+from.  When the sup bound M or the Lipschitz matrix K is not
+supplied, both are estimated by dense sampling over [0,T] x D.
 """
 
 from __future__ import annotations
@@ -86,14 +88,11 @@ class Problem:
     alpha2: np.ndarray
     domain: Box
     f: tuple[Expr, ...]
-    f_source: str
-    constants: dict[str, float]
     omega: Box
     M: np.ndarray | None = None
     K: np.ndarray | None = None
     N: int = 401
     domain_policy: str = "strict"
-    name: str = ""
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.p) and 1.0 < self.p <= 2.0):
@@ -253,7 +252,7 @@ def _get_float(cfg: configparser.ConfigParser, section: str, key: str) -> float:
         raise ProblemError(f"field {key!r} in [{section}]: not a number: {text!r}") from exc
 
 
-def problem_from_config(text: str, name: str = "") -> Problem:
+def problem_from_config(text: str) -> Problem:
     """Build a Problem from INI-format config text (see README grammar)."""
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
@@ -303,8 +302,8 @@ def problem_from_config(text: str, name: str = "") -> Problem:
         K = _parse_vector(_get(cfg, "bounds", "K"), "bounds.K")
 
     return Problem(
-        p=p, T=T, alpha1=a1, alpha2=a2, domain=domain, f=f, f_source=source,
-        constants=constants, omega=omega, M=M, K=K, N=N, domain_policy=policy, name=name,
+        p=p, T=T, alpha1=a1, alpha2=a2, domain=domain, f=f, omega=omega, M=M, K=K, N=N,
+        domain_policy=policy,
     )
 
 
@@ -322,7 +321,7 @@ def load_problem(path: str | Path, resolve: bool = True) -> Problem:
     With ``resolve=True`` (the default) missing M/K bounds are estimated
     immediately so downstream condition checks always have data.
     """
-    prob = problem_from_config(_read_config(path), name=str(Path(path)))
+    prob = problem_from_config(_read_config(path))
     return resolve_bounds(prob) if resolve else prob
 
 
@@ -393,5 +392,5 @@ def builtin_problem(name: str, resolve: bool = True) -> Problem:
     if name not in BUILTIN_PROBLEMS:
         known = ", ".join(sorted(BUILTIN_PROBLEMS))
         raise ProblemError(f"unknown builtin {name!r} (known: {known})")
-    prob = problem_from_config(BUILTIN_PROBLEMS[name][0], name=name)
+    prob = problem_from_config(BUILTIN_PROBLEMS[name][0])
     return resolve_bounds(prob) if resolve else prob

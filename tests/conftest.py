@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -67,8 +70,6 @@ def random_scalar_problem(rng, N=101, r_cap=0.45):
         alpha2=np.array([float(rng.uniform(-1, 1))]),
         domain=Box(np.array([-50.0]), np.array([50.0])),
         f=exprlang.parse(source, 1, {}),
-        f_source=source,
-        constants={},
         omega=Box(np.array([-2.0]), np.array([2.0])),
         M=np.array([abs(a) + abs(b)]),
         K=np.array([[abs(b * c)]]),
@@ -92,8 +93,6 @@ def zero_rhs_problem(rng, N=51):
         alpha2=np.array([a2]),
         domain=Box(np.array([-1e6]), np.array([1e6])),
         f=exprlang.parse("0", 1, {}),
-        f_source="0",
-        constants={},
         omega=Box(np.array([lo]), np.array([lo + width])),
         M=np.array([0.0]),
         K=np.array([[0.0]]),
@@ -112,14 +111,95 @@ def coupled_problem(N=201):
         alpha2=np.array([1.0, -0.5]),
         domain=Box(np.array([-1.2, -1.2]), np.array([1.2, 1.2])),
         f=exprlang.parse(source, 2, {}),
-        f_source=source,
-        constants={},
         omega=Box(np.array([-8.0, -8.0]), np.array([8.0, 8.0])),
         M=np.array([2.0, 2.0]),
         K=np.array([[0.0, 1.0], [1.0, 0.5]]),
         N=N,
         domain_policy="warn",
     )
+
+
+def const_refs(exprs) -> dict:
+    """Name -> value of every ``ConstRef`` in the exprlang trees ``exprs``."""
+    found = {}
+    for node in exprs:
+        if isinstance(node, exprlang.ConstRef):
+            found[node.name] = node.value
+        elif dataclasses.is_dataclass(node):
+            for field in dataclasses.fields(node):
+                value = getattr(node, field.name)
+                found.update(const_refs(value if isinstance(value, tuple) else (value,)))
+    return found
+
+
+def _affine_parts(prob):
+    """(A, b) with f(t_k, u) = A[:, :, k] @ u(t_k) + b[:, k] on the operator's
+    nodes, read off f at u = 0 and at the unit vectors; AssertionError unless
+    f is affine in u at random points of D."""
+    nodes, n = prob.operator.nodes, prob.n
+    b = exprlang.evaluate(prob.f, nodes, np.zeros((n, 1)))
+    A = np.stack([exprlang.evaluate(prob.f, nodes, np.eye(n)[:, j : j + 1]) - b for j in range(n)], axis=1)
+    u = prob.domain.lo[:, None] + prob.domain.width[:, None] * np.random.default_rng(0).random((n, prob.N))
+    want = exprlang.evaluate(prob.f, nodes, u)
+    got = np.einsum("ijk,jk->ik", A, u) + b
+    assert np.allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max(initial=1.0)), "f is not affine in u"
+    return A, b
+
+
+class ExactDiscrete:
+    """The exact fixed point of the discrete iteration for f = A(t) u + b(t).
+
+    With W the boundary-corrected operator one iteration step applies per
+    component, W = (R - R[:, -1:] * ratio)^T for R = running(I) / Gamma(p)
+    and rows 0 and N-1 zeroed (those nodes are pinned to the boundary data),
+    the discrete solution at slope chi solves (I - W diag(A)) u = u_0(chi) + W b
+    (the Nystrom system of the product-trapezoid rule; Kress, *Linear Integral
+    Equations*).  Delta of that u is affine in chi, so n + 1 probes give its
+    root.  numpy only; W is N x N, so keep N <= 401.
+    """
+
+    def __init__(self, prob):
+        op, n, N = prob.operator, prob.n, prob.N
+        self.prob, self.op = prob, op
+        self.A, self.b = _affine_parts(prob)
+        self.R = op.running(np.eye(N)) / op.gamma_p
+        W = (self.R - self.R[:, -1:] * op.ratio).T
+        W[[0, -1]] = 0.0
+        self.W = np.kron(np.eye(n), W)
+        blocks = np.zeros((n, N, n, N))
+        for i in range(n):
+            for j in range(n):
+                blocks[i, :, j, :] = np.diag(self.A[i, j])
+        self.lhs = np.eye(n * N) - self.W @ blocks.reshape(n * N, n * N)
+
+    def u0(self, chi) -> np.ndarray:
+        """u_0 at slope chi, (n, N)."""
+        prob, chi = self.prob, np.atleast_1d(np.asarray(chi, dtype=float))
+        u = prob.alpha1[:, None] + chi[:, None] * self.op.nodes
+        u += (prob.alpha2 - prob.alpha1 - chi * prob.T)[:, None] * self.op.ratio
+        u[:, 0], u[:, -1] = prob.alpha1, prob.alpha2
+        return u
+
+    def solution(self, chi) -> np.ndarray:
+        """The discrete fixed point u at slope chi, (n, N)."""
+        rhs = self.u0(chi).ravel() + self.W @ self.b.ravel()
+        return np.linalg.solve(self.lhs, rhs).reshape(self.prob.n, self.prob.N)
+
+    def delta(self, chi) -> np.ndarray:
+        """Delta(chi) = Gamma(p+1)/T^p (alpha2 - alpha1 - chi T) - p/T^p int_0^T (T-s)^(p-1) f ds."""
+        prob, chi = self.prob, np.atleast_1d(np.asarray(chi, dtype=float))
+        u = self.solution(chi)
+        f = np.einsum("ijk,jk->ik", self.A, u) + self.b
+        raw_T = self.op.gamma_p * (f @ self.R[:, -1])
+        return (math.gamma(prob.p + 1.0) * (prob.alpha2 - prob.alpha1 - chi * prob.T)
+                - prob.p * raw_T) / prob.T**prob.p
+
+    def root(self) -> np.ndarray:
+        """The chi with Delta(chi) = 0, from Delta at Omega's center and one unit step per axis."""
+        center = self.prob.omega.center
+        d0 = self.delta(center)
+        jac = np.stack([self.delta(center + e) - d0 for e in np.eye(self.prob.n)], axis=1)
+        return center - np.linalg.solve(jac, d0)
 
 
 def escape_rows(records):

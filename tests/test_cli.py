@@ -180,6 +180,26 @@ def test_malformed_config_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, edit, message",
+    [
+        ("[omega_box]\nlo = 0\nhi = 2\n", "[omega_box]\nlo = 0\nhi = -2\n", "omega box is empty"),
+        ("expr = 0\n", "expr = 0 +\n  tanh(t)\n", "[rhs] expr: unknown function 'tanh' (line 2, column 1)"),
+    ],
+    ids=["empty-omega", "unknown-function"],
+)
+def test_a_problem_error_is_a_config_error_in_process(tmp_path, capsys, line, edit, message):
+    text = BUILTIN_PROBLEMS["zero-rhs"][0]
+    assert text.count(line) == 1
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text.replace(line, edit), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["check", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_missing_config_file(tmp_path, capsys):
     missing = tmp_path / "absent.ini"
     assert main(["check", "--config", str(missing), "--out", str(tmp_path)]) == 1

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from conftest import coupled_problem, escape_rows, random_scalar_problem, zero_rhs_problem
+from conftest import const_refs, coupled_problem, escape_rows, random_scalar_problem, zero_rhs_problem
 from fracbvp.conditions import check_conditions, delta_gap_bound
 from fracbvp import determine
 from fracbvp.determine import (
@@ -41,8 +41,6 @@ def _two_component(omega_lo=(-1.0, -1.0), omega_hi=(3.0, 3.0)):
         alpha2=np.array([1.0, 2.0]),
         domain=Box(np.array([-5.0, -5.0]), np.array([5.0, 5.0])),
         f=exprlang.parse("0; 0", 2, {}),
-        f_source="0; 0",
-        constants={},
         omega=Box(np.array(omega_lo), np.array(omega_hi)),
         M=np.array([0.0, 0.0]),
         K=np.zeros((2, 2)),
@@ -74,7 +72,7 @@ def test_delta_depth_zero_pins(gyre):
 def test_delta_depth_zero_against_adaptive_quadrature(gyre):
     # independent oracle: adaptive quadrature of the weak singularity
     # (substituted away via w = T - s) along the closed-form u0
-    p, T, om = 1.5, 1.0, gyre.constants["omega"]
+    p, T, om = 1.5, 1.0, const_refs(gyre.f)["omega"]
 
     def f(t, u):
         et = np.exp(t)
@@ -430,8 +428,6 @@ def _roots_move_right():
         alpha2=np.array([1.0]),
         domain=Box(np.array([-50.0]), np.array([50.0])),
         f=exprlang.parse("-3*u1", 1, {}),
-        f_source="-3*u1",
-        constants={},
         omega=Box(np.array([1.9]), np.array([3.4])),
         M=np.array([1.0]),
         K=np.array([[3.0]]),
@@ -710,7 +706,6 @@ def test_every_chunk_of_the_sweep_takes_the_ramp(gyre, monkeypatch):
 
 def test_exclusion_single_box_keeps_everything(gyre):
     res = exclusion_sweep(gyre, 2, 1)
-    assert res.n_subdiv == 1
     assert len(res.subsets) == 1
     assert bool(res.keep[0]) is True
     assert res.survivors[0, 0, 0] == gyre.omega.lo[0]

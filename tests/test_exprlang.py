@@ -1,6 +1,7 @@
 """Expression-language tests: grammar, resolution, evaluation, printing."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,14 @@ def test_syntax_error_has_position():
         parse("(1 + 2", 1, {})
     with pytest.raises(ExprSyntaxError):
         parse("1 2", 1, {})
+    for source, message, line, col in [
+        ("t + $", "unexpected character '$'", 1, 5),
+        ("t +\n  2*tanh(t)", "unknown function 'tanh'", 2, 5),
+        ("2 * sin(t u1)", "expected ')' closing call", 1, 11),
+    ]:
+        with pytest.raises(ExprSyntaxError, match=re.escape(f"{message} (line {line}, column {col})")) as err:
+            parse(source, 1, {})
+        assert (err.value.line, err.value.col) == (line, col)
 
 
 def test_call_arity_checked():

@@ -137,7 +137,7 @@ def test_f_is_bound_once_per_grid_next_to_the_operator(gyre):
 
 
 def test_problems_on_one_grid_share_one_operator(gyre, operator_builds):
-    twin = dataclasses.replace(gyre, name="twin")
+    twin = dataclasses.replace(gyre)
     for prob in (gyre, twin):
         run_iteration(prob, CHI_FIRST, m_max=2, tol=0.0)
     assert operator_builds == [(401, 1.0, 1.5)]
@@ -231,7 +231,7 @@ def _domain_problem(lo, hi, N=21, policy="warn"):
     source = "; ".join(["0"] * n)
     return Problem(
         p=1.5, T=1.0, alpha1=np.zeros(n), alpha2=np.zeros(n), domain=Box(np.array(lo), np.array(hi)),
-        f=exprlang.parse(source, n, {}), f_source=source, constants={},
+        f=exprlang.parse(source, n, {}),
         omega=Box(-np.ones(n), np.ones(n)), M=np.zeros(n), K=np.zeros((n, n)), N=N,
         domain_policy=policy,
     )

@@ -6,6 +6,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from conftest import const_refs
 from fracbvp.problem import (
     BUILTIN_PROBLEMS,
     Box,
@@ -51,8 +52,6 @@ def _problem(**overrides):
         alpha2=np.array([1.0]),
         domain=Box(np.array([-2.0]), np.array([2.0])),
         f=exprlang.parse("0", 1, {}),
-        f_source="0",
-        constants={},
         omega=Box(np.array([-1.0]), np.array([3.0])),
         N=51,
     )
@@ -119,7 +118,7 @@ def test_problem_rejects_small_grid_and_bad_policy():
 
 def test_problem_rhs_vectorized():
     prob = _problem(
-        f=exprlang.parse("t + u1", 1, {}), f_source="t + u1"
+        f=exprlang.parse("t + u1", 1, {})
     )
     t = np.linspace(0, 1, 5)
     out = exprlang.evaluate(prob.f, t, [2 * t])
@@ -146,7 +145,7 @@ def test_estimate_bounds_gyre_pins(gyre):
 
 
 def test_estimate_bounds_of_cos_u1_approach_one():
-    prob = _problem(f=exprlang.parse("cos(u1)", 1, {}), f_source="cos(u1)")
+    prob = _problem(f=exprlang.parse("cos(u1)", 1, {}))
     M0, K0 = estimate_bounds(prob)
     # lattice misses u=0 slightly, so max|cos| lands just under 1
     assert M0[0] == pytest.approx(1.0, abs=1e-3)
@@ -154,7 +153,7 @@ def test_estimate_bounds_of_cos_u1_approach_one():
 
 
 def test_estimate_bounds_deterministic_given_seed():
-    prob = _problem(f=exprlang.parse("sin(3*t)*u1", 1, {}), f_source="sin(3*t)*u1")
+    prob = _problem(f=exprlang.parse("sin(3*t)*u1", 1, {}))
     assert estimate_bounds(prob, seed=5)[0] == estimate_bounds(prob, seed=5)[0]
 
 
@@ -245,7 +244,7 @@ def _dense_bounds(prob, per_axis):
 
 
 def _scalar(source):
-    return _problem(f=exprlang.parse(source, 1, {}), f_source=source)
+    return _problem(f=exprlang.parse(source, 1, {}))
 
 
 @pytest.mark.parametrize(
@@ -323,7 +322,7 @@ def test_config_with_bounds_and_constants():
         """
     )
     prob = problem_from_config(text)
-    assert prob.constants == {"w": 2.0}
+    assert const_refs(prob.f) == {"w": 2.0}
     assert float(prob.M[0]) == 2.0
     assert exprlang.evaluate(prob.f, 0.5, [0.0])[0] == 1.0
 
@@ -368,6 +367,19 @@ def test_config_vector_fields():
         (lambda s: s.replace("1.5", "one.five"), "not a number"),
         (lambda s: s.replace("expr = 0", "expr = 0 +"), "expr"),
         (lambda s: "not an ini file", "parse failure"),
+        (lambda s: s.replace("hi = 2.0", "hi = 2.0 2.0"), "box lo/hi must be vectors of equal length"),
+        (lambda s: s.replace("hi = 2.0", "hi = inf"), "box bounds must be finite"),
+        (lambda s: s.replace("lo = -2.0", "lo = -2.0 -2.0").replace("hi = 2.0", "hi = 2.0 2.0"),
+         "domain box dimension must match alpha1"),
+        (lambda s: s.replace("lo = -1.0", "lo = -1.0 -1.0").replace("hi = 3.0", "hi = 3.0 3.0"),
+         "omega box dimension must match alpha1"),
+        (lambda s: s.replace("lo = -2.0", "lo = 2.0"), "domain requires lo < hi componentwise"),
+        (lambda s: s.replace("hi = 3.0", "hi = -3.0"), "omega box is empty"),
+        (lambda s: s.replace("alpha1 = 0.0", "alpha1 = zero"), "field 'alpha1': cannot parse vector from 'zero'"),
+        (lambda s: s.replace("expr = 0", "expr = w * t\nw = two"), "constant 'w' in \\[rhs\\]: not a number: 'two'"),
+        # configparser joins a continued value's lines with a newline
+        (lambda s: s.replace("expr = 0", "expr = t +\n    2 $ 1"),
+         "\\[rhs\\] expr: unexpected character '\\$' \\(line 2, column 3\\)"),
     ],
 )
 def test_config_errors(mangle, message):
@@ -400,7 +412,7 @@ def test_builtin_gyre_shape(gyre):
     assert gyre.T == 1.0
     assert gyre.N == 401
     assert gyre.domain_policy == "warn"
-    assert gyre.constants == {"omega": 4649.56}
+    assert const_refs(gyre.f) == {"omega": 4649.56}
     assert np.all(gyre.omega.lo == [-333.0])
     assert np.all(gyre.omega.hi == [-320.0])
 

@@ -3,8 +3,10 @@
 The package needs only numpy: the FFT convolution uses ``numpy.fft``, the
 root search ports Brent's method and the bound sampling of n > 2 systems
 draws its Latin hypercube from ``numpy.random``, so no stage pays scipy's
-import time.  A plain ``verify`` keys no record, so it does not import
-``hashlib`` either.  No timing is asserted; the module lists are the check.
+import time.  The M and K record's ``bounds_key`` is the list of its inputs,
+compared for equality, so keying it loads no ``hashlib`` and OpenSSL either:
+only ``numpy.random``, which a check that samples an n >= 3 system imports,
+loads them.  No timing is asserted; the module lists are the check.
 """
 
 import json
@@ -78,12 +80,16 @@ CHILD = textwrap.dedent(
     import contextlib, io, json, sys
     sys.path.insert(0, sys.argv[1])
     from fracbvp.cli import main
-    codes = []
+    def watched():
+        return {m for m in sys.modules
+                if m.partition(".")[0] in ("scipy", "hashlib", "_hashlib") or m == "numpy.random"}
+    codes, loaded = [], []
     for source in json.loads(sys.argv[2]):
         with contextlib.redirect_stdout(io.StringIO()):
             for stage in json.loads(sys.argv[3]):
+                before = watched()
                 codes.append(main([*stage, *source]))
-    loaded = sorted(m for m in sys.modules if m.partition(".")[0] in ("scipy", "hashlib"))
+                loaded.append(sorted(watched() - before))
     print(json.dumps({"codes": codes, "modules": loaded, "fracbvp": sys.modules["fracbvp"].__file__}))
     """
 )
@@ -93,7 +99,8 @@ PIPELINE = [["check"], ["solve"], ["exclude", "--subdiv", "13"], ["verify"]]
 
 def _child(sources: list, stages: list) -> dict:
     """Run ``stages`` on each of ``sources`` in a fresh interpreter; its exit
-    codes and the scipy and hashlib modules it imported."""
+    codes and, per stage, the scipy, hashlib, _hashlib and numpy.random
+    modules that stage imported first."""
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, str(SRC), json.dumps(sources), json.dumps(stages)],
         capture_output=True,
@@ -118,19 +125,15 @@ def test_pipeline_imports_no_scipy(tmp_path):
     ]
     result = _child(sources, PIPELINE)
     assert result["codes"] == [0] * 16
-    assert not [m for m in result["modules"] if m.partition(".")[0] == "scipy"]
+    # the keyed check, solve and exclude of every run load no hashlib; only the
+    # n = 3 check's Latin hypercube imports numpy.random, whose bit generators
+    # load hashlib through secrets and hmac
+    expected = [[]] * 16
+    expected[12] = ["_hashlib", "hashlib", "numpy.random"]
+    assert result["modules"] == expected
     for out in ("gyre", "gyre_fft", "coupled", "three"):
         assert (tmp_path / out / "verify.json").is_file()
     # the n = 3 check sampled M and K on its Latin-hypercube points
     conditions = json.loads((tmp_path / "three" / "conditions.json").read_text(encoding="utf-8"))
     assert conditions["bounds_source"] == "sampled"
 
-
-def test_plain_verify_imports_no_hashlib(tmp_path):
-    # the solve child keys its records; the verify child reads only chi1* and m
-    source = ["--builtin", "acc-gyre", "--out", str(tmp_path)]
-    assert _child([source], [["solve"]])["codes"] == [0]
-    result = _child([source], [["verify"]])
-    assert result["codes"] == [0]
-    assert result["modules"] == []
-    assert (tmp_path / "verify.json").is_file()

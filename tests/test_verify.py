@@ -214,8 +214,6 @@ def test_figure_header_two_component_suffixes():
         alpha2=np.array([1.0, 2.0]),
         domain=Box(np.array([-5.0, -5.0]), np.array([5.0, 5.0])),
         f=exprlang.parse("0; 0", 2, {}),
-        f_source="0; 0",
-        constants={},
         omega=Box(np.array([-1.0, -1.0]), np.array([3.0, 3.0])),
         M=np.array([0.0, 0.0]),
         K=np.zeros((2, 2)),
