@@ -38,7 +38,7 @@ from .determine import (
     solve_depths,
     solve_determining,
 )
-from .exprlang import ExprEvalError, ExprSyntaxError, evaluate, parse, pretty, pretty_source
+from .exprlang import ExprEvalError, ExprSyntaxError, evaluate, parse
 from .fracops import (
     Grid,
     GridFunction,
@@ -105,8 +105,6 @@ __all__ = [
     "kernel_constant",
     "load_problem",
     "parse",
-    "pretty",
-    "pretty_source",
     "problem_from_config",
     "residuals",
     "resolve_bounds",

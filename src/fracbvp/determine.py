@@ -38,7 +38,7 @@ import numpy as np
 
 from .conditions import ConditionsReport, _resolvent, check_conditions, delta_gap_bound
 from .fracops import gamma
-from .iterate import ApproxSolution, DomainEscape, _escape_stats, _rhs, run_iteration
+from .iterate import ApproxSolution, DomainEscape, _rhs, run_iteration
 from .problem import Problem
 
 __all__ = [
@@ -173,10 +173,6 @@ def solve_depths(prob: Problem, m: int):
         yield _solve(prob, k, None if scans is None else scans[k])
 
 
-def _scan_points(prob: Problem) -> np.ndarray:
-    return np.linspace(prob.omega.lo[0], prob.omega.hi[0], _SCAN_POINTS)[:, np.newaxis]
-
-
 def _scan(prob: Problem, m: int, every_depth: bool) -> dict:
     """The n = 1 bracket scan of Omega at depth m, and with ``every_depth`` at
     each depth k = m, m - 1, ..., 0, probed lazily.
@@ -186,11 +182,11 @@ def _scan(prob: Problem, m: int, every_depth: bool) -> dict:
     ``_SCAN_BLOCK`` further points from the left, probed at depth k (a run
     that gives every shallower depth too) unless a deeper run gave them,
     until its leading points hold an exact zero or a sign change or every
-    point is known.  Entry k holds depth k's values at the leading points it
-    read, then at the hi end, (L + 1, 1): the blocks a scan of depth k alone
-    probes.
+    point is known.  Entry k is (points, values), each (L + 1, 1): the
+    leading points depth k read, then the hi end, and depth k's values
+    there, the blocks a scan of depth k alone probes.
     """
-    xs = _scan_points(prob)
+    xs = np.linspace(prob.omega.lo[0], prob.omega.hi[0], _SCAN_POINTS)[:, np.newaxis]
 
     def run(part: np.ndarray, k: int) -> dict:
         """Delta at part by depth: k, and with every_depth each depth below k."""
@@ -207,7 +203,7 @@ def _scan(prob: Problem, m: int, every_depth: bool) -> dict:
             if n > len(lead[k]):
                 for j, vals in run(xs[len(lead[k]):n], k).items():
                     lead[j] = np.concatenate([lead[j], vals])
-        scans[k] = np.concatenate([lead[k][:n], first[k][-1:]])
+        scans[k] = xs[np.r_[:n, -1]], np.concatenate([lead[k][:n], first[k][-1:]])
     return scans
 
 
@@ -232,21 +228,23 @@ def _solve(prob: Problem, m: int, scan=None) -> DeterminingResult:
         trace.extend(zip(np.atleast_2d(chi).copy(), np.atleast_2d(val).copy()))
         return val
 
-    if prob.n == 1:
-        root = _solve_scalar(prob, probe, trace, _scan(prob, m, False)[m] if scan is None else scan)
-    else:
-        root = _solve_newton(prob, probe, trace)
+    try:
+        if prob.n == 1:
+            root = _solve_scalar(prob, probe, _scan(prob, m, False)[m] if scan is None else scan)
+        else:
+            root = _solve_newton(prob, probe)
+    except NonConvergenceError as exc:
+        raise NonConvergenceError(str(exc), trace) from None
     # every probe is deterministic, so the trace's value at the root is its residual
     residual = np.abs(next(val for chi, val in reversed(trace) if np.array_equal(chi, root)))
     return DeterminingResult(chi1_star=root, residual=residual, solver_trace=trace)
 
 
-def _solve_scalar(prob: Problem, probe, trace: list, scan: np.ndarray) -> np.ndarray:
+def _solve_scalar(prob: Problem, probe, scan: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     lo, hi = float(prob.omega.lo[0]), float(prob.omega.hi[0])
-    points = _scan_points(prob)
-    scan_xs = np.concatenate([points[: len(scan) - 1], points[-1:]])
-    probe(scan_xs, scan)
-    xs, vals = scan_xs[:, 0], scan[:, 0]
+    scan_xs, scan_vals = scan
+    probe(scan_xs, scan_vals)
+    xs, vals = scan_xs[:, 0], scan_vals[:, 0]
     # a scan that stops short of the last block has its zero or sign change
     # among the leading points, before the hi end
     i = _leftmost(vals)
@@ -259,12 +257,8 @@ def _solve_scalar(prob: Problem, probe, trace: list, scan: np.ndarray) -> np.nda
         return np.array([xs[i]])
     # Brent opens with both bracket ends; it consumes the scan's values there
     ends = slice(i, i + 2)
-    probe(scan_xs[ends], scan[ends])
-    try:
-        root = _brent(lambda x: probe(np.array([x]))[0], *xs[ends], _XTOL, *vals[ends])
-    except NonConvergenceError as exc:
-        raise NonConvergenceError(str(exc), trace) from None
-    return np.array([root])
+    probe(scan_xs[ends], scan_vals[ends])
+    return np.array([_brent(lambda x: probe(np.array([x]))[0], *xs[ends], _XTOL, *vals[ends])])
 
 
 # Root-search settings: the n = 1 bracket scan and Brent, the n > 1 Newton.
@@ -335,7 +329,7 @@ def _brent(f, xa: float, xb: float, xtol: float, fa: float, fb: float) -> float:
     )
 
 
-def _solve_newton(prob: Problem, probe, trace: list) -> np.ndarray:
+def _solve_newton(prob: Problem, probe) -> np.ndarray:
     n = prob.n
     starts = [prob.omega.center]
     for attempt, x in enumerate(starts):
@@ -377,7 +371,7 @@ def _solve_newton(prob: Problem, probe, trace: list) -> np.ndarray:
     raise NonConvergenceError(
         f"Newton stalled at residual {np.max(np.abs(fx)):.6g} "
         f"(tolerance {_RESIDUAL_TOL:g})",
-        trace,
+        [],
     )
 
 
@@ -491,8 +485,8 @@ def existence_check_scalar(prob: Problem, m: int, report: ConditionsReport | Non
     nonexistence.  ``escaped_probes`` counts the endpoint probes whose
     iterates left D.  ``report`` is ``check_conditions(prob)``, computed
     here when not given; ``ends`` holds the depth-m probes of Omega's two
-    ends when they already ran (their Delta_m, (2, 1), and ``DomainEscape``
-    record, as ``exclusion_sweep`` gives them), which are probed here otherwise.
+    ends (their Delta_m, (2, 1), and ``DomainEscape`` record), as
+    ``exclusion_sweep`` gives them, taken from a one-box sweep when not given.
     """
     if m < 0:
         raise ValueError(f"iteration budget m must be >= 0, got {m}")
@@ -501,13 +495,9 @@ def existence_check_scalar(prob: Problem, m: int, report: ConditionsReport | Non
     if report is None:
         report = check_conditions(prob)
     tube = float(delta_gap_bound(report, prob.M, m)[0])
-    if ends is None:
-        escapes: list[DomainEscape] = []
-        deltas = delta_at(prob, np.stack([prob.omega.lo, prob.omega.hi]), m, escapes)
-    else:
-        deltas, escapes = ends[0], [ends[1]]
+    deltas, escapes = exclusion_sweep(prob, m, 1, report).ends if ends is None else ends
     d_lo, d_hi = deltas[:, 0].tolist()
-    escaped, worst = _escape_stats(escapes)
+    escaped, worst = int(np.count_nonzero(escapes.count)), float(escapes.excess.max(initial=0.0))
     cleared = (abs(d_lo) > tube, abs(d_hi) > tube)
     sign_change = (d_lo < 0.0 < d_hi) or (d_hi < 0.0 < d_lo)
     certified = cleared[0] and cleared[1] and sign_change and escaped == 0

@@ -44,8 +44,6 @@ __all__ = [
     "bind",
     "evaluate",
     "parse",
-    "pretty",
-    "pretty_source",
 ]
 
 # the functions f may call, each a ufunc that takes ``nin`` arguments
@@ -394,57 +392,3 @@ def bind(exprs: tuple[Expr, ...], t) -> tuple[Expr, ...]:
     with np.errstate(all="ignore"):
         return tuple(_bind(e, t_arr)[0] for e in exprs)
 
-
-# --- Pretty-printer --------------------------------------------------
-
-_LEVEL_SUM, _LEVEL_TERM, _LEVEL_UNARY, _LEVEL_POWER, _LEVEL_ATOM = 1, 2, 3, 4, 5
-
-
-def _level(node: Expr) -> int:
-    if isinstance(node, BinOp):
-        if node.op in "+-":
-            return _LEVEL_SUM
-        if node.op in "*/":
-            return _LEVEL_TERM
-        return _LEVEL_POWER
-    if isinstance(node, Neg):
-        return _LEVEL_UNARY
-    return _LEVEL_ATOM
-
-
-def _fmt(node: Expr, min_level: int) -> str:
-    if isinstance(node, Num):
-        text = repr(node.value)
-        return text[:-2] if text.endswith(".0") else text
-    if isinstance(node, TimeVar):
-        text = "t"
-    elif isinstance(node, Comp):
-        text = f"u{node.index + 1}"
-    elif isinstance(node, ConstRef):
-        text = node.name
-    elif isinstance(node, Neg):
-        text = "-" + _fmt(node.operand, _LEVEL_UNARY)
-    elif isinstance(node, BinOp):
-        lvl = _level(node)
-        if node.op == "^":
-            # right-associative; a Neg exponent needs no parens (2^-3)
-            text = _fmt(node.left, _LEVEL_ATOM) + "^" + _fmt(node.right, _LEVEL_UNARY)
-        else:
-            text = _fmt(node.left, lvl) + node.op + _fmt(node.right, lvl + 1)
-    elif isinstance(node, Call):
-        text = node.fn + "(" + ",".join(_fmt(a, _LEVEL_SUM) for a in node.args) + ")"
-    else:
-        raise TypeError(f"not an expression node: {node!r}")
-    if _level(node) < min_level:
-        return "(" + text + ")"
-    return text
-
-
-def pretty(expr: Expr) -> str:
-    """Render one expression tree back to parseable source."""
-    return _fmt(expr, _LEVEL_SUM)
-
-
-def pretty_source(exprs: tuple[Expr, ...]) -> str:
-    """Render a component tuple back to a single ';'-separated source."""
-    return "; ".join(pretty(e) for e in exprs)

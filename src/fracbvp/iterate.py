@@ -65,13 +65,6 @@ class DomainEscape:
         return int(self.count.sum())
 
 
-def _escape_stats(records: list[DomainEscape]) -> tuple[int, float]:
-    """(number of rows that left D, worst excess) of records of distinct rows,
-    such as those ``delta_at`` appends for the chunks of one stack."""
-    return (sum(int(np.count_nonzero(r.count)) for r in records),
-            max((float(r.excess.max(initial=0.0)) for r in records), default=0.0))
-
-
 def _check_domain(prob: Problem, values: np.ndarray, escapes: DomainEscape) -> None:
     """Add the batch rows of ``values`` (on ``prob.grid``) that leave D to
     ``escapes``, each at its worst node; the 'strict' policy raises at the

@@ -99,6 +99,12 @@ class Problem:
             raise ProblemError(f"p outside (1,2]: {self.p!r}")
         if not (math.isfinite(self.T) and self.T > 0.0):
             raise ProblemError(f"horizon T must be positive: {self.T!r}")
+        try:
+            Tp = float(self.T) ** self.p
+        except OverflowError:
+            Tp = math.inf
+        if not (math.isfinite(Tp) and Tp > 0.0):
+            raise ProblemError(f"horizon T^p must be finite and positive: T={self.T!r}, p={self.p!r}")
         object.__setattr__(self, "alpha1", np.atleast_1d(np.asarray(self.alpha1, dtype=float)))
         object.__setattr__(self, "alpha2", np.atleast_1d(np.asarray(self.alpha2, dtype=float)))
         n = self.alpha1.size
@@ -230,8 +236,11 @@ def resolve_bounds(prob: Problem, seed: int = 0) -> Problem:
 # --- Config ingestion --------------------------------------------------
 
 def _parse_vector(text: str, key: str) -> np.ndarray:
+    tokens = text.replace(",", " ").split()
+    if not tokens:
+        raise ProblemError(f"field {key!r}: empty vector")
     try:
-        return np.array([float(tok) for tok in text.replace(",", " ").split()])
+        return np.array([float(tok) for tok in tokens])
     except ValueError as exc:
         raise ProblemError(f"field {key!r}: cannot parse vector from {text!r}") from exc
 
@@ -281,9 +290,13 @@ def problem_from_config(text: str) -> Problem:
     )
 
     source = _get(cfg, "rhs", "expr")
+    # configparser lowercases keys; constant names keep their case
+    cased = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    cased.optionxform = str
+    cased.read_string(text)
     constants: dict[str, float] = {}
-    for key, value in cfg.items("rhs"):
-        if key == "expr":
+    for key, value in cased.items("rhs"):
+        if key.lower() == "expr":
             continue
         try:
             constants[key] = float(value)

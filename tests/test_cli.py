@@ -309,6 +309,31 @@ def test_non_finite_rhs_constant_is_a_config_error(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({"alpha1 = 0": "alpha1 ="}, "field 'alpha1': empty vector"),
+        ({"p = 1.5": "p = 2", "T = 1": "T = 1e155"}, "horizon T^p must be finite and positive: T=1e+155, p=2.0"),
+        ({"p = 1.5": "p = 2", "T = 1": "T = 1e-162"}, "horizon T^p must be finite and positive: T=1e-162, p=2.0"),
+    ],
+    ids=["empty-alpha1", "T-power-overflow", "T-power-underflow"],
+)
+@pytest.mark.parametrize("stage", [["check"], ["solve"], ["exclude"], ["verify", "--recompute"]])
+def test_malformed_configs_are_config_errors_in_every_stage(tmp_path, capsys, edits, message, stage):
+    # each ended in a traceback: a ValueError from exprlang.parse, an OverflowError
+    # from fracops.kernel_constant, a ZeroDivisionError from determine._delta
+    text = BUILTIN_PROBLEMS["zero-rhs"][0]
+    for line, edit in edits.items():
+        assert text.count(f"\n{line}\n") == 1
+        text = text.replace(f"\n{line}\n", f"\n{edit}\n")
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([*stage, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_an_omega_whose_width_overflows_is_a_config_error(tmp_path):
     # each bound is finite, but hi - lo is not: the scan's linspace gave NaN
     # slopes and solve ended in a ValueError traceback from u0

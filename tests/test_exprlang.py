@@ -1,4 +1,4 @@
-"""Expression-language tests: grammar, resolution, evaluation, printing."""
+"""Expression-language tests: grammar, resolution, evaluation, binding."""
 
 import math
 import re
@@ -23,8 +23,6 @@ from fracbvp.exprlang import (
     bind,
     evaluate,
     parse,
-    pretty,
-    pretty_source,
 )
 
 GYRE_SOURCE = "-2*exp(t)/(1+exp(t))^2 * u1 - 2*omega*exp(t)*(1-exp(t))/(1+exp(t))^3"
@@ -116,10 +114,14 @@ def test_call_arity_checked():
         ("1-2-3", -4.0),
         ("0^0", 1.0),
         ("--3", 3.0),
+        ("-(1+t)", -3.0),
+        ("t*(u1+1)/(u1-1)", 4.0),
+        ("exp(t)^2", math.exp(4.0)),
+        ("pow(t,2)", 4.0),
     ],
 )
 def test_precedence(source, expected):
-    assert evaluate(parse(source, 1, {}), 0.0, [0.0])[0] == pytest.approx(expected)
+    assert evaluate(parse(source, 1, {}), 2.0, [3.0])[0] == pytest.approx(expected)
 
 
 def test_functions():
@@ -210,7 +212,24 @@ def test_scalar_evaluation_returns_vector():
     assert out[0] == 3.5
 
 
-# --- pretty printer ---------------------------------------------------------
+# --- round trip through a fully parenthesised writer --------------------------
+
+def _parenthesised(node):
+    """Source text for a parsed tree, every operation in its own parentheses."""
+    if isinstance(node, Num):
+        return repr(node.value)
+    if isinstance(node, TimeVar):
+        return "t"
+    if isinstance(node, Comp):
+        return f"u{node.index + 1}"
+    if isinstance(node, ConstRef):
+        return node.name
+    if isinstance(node, Neg):
+        return f"(-{_parenthesised(node.operand)})"
+    if isinstance(node, BinOp):
+        return f"({_parenthesised(node.left)}{node.op}{_parenthesised(node.right)})"
+    return f"{node.fn}({', '.join(_parenthesised(a) for a in node.args)})"
+
 
 @pytest.mark.parametrize(
     "source",
@@ -229,15 +248,12 @@ def test_scalar_evaluation_returns_vector():
 )
 def test_pretty_round_trip(source):
     exprs = parse(source, 1, {"omega": 4649.56})
-    text = pretty_source(exprs)
+    text = _parenthesised(exprs[0])
     again = parse(text, 1, {"omega": 4649.56})
     assert again == exprs
 
 
-def test_pretty_drops_redundant_parens():
-    exprs = parse("((1)+(2*3))", 1, {})
-    assert pretty(exprs[0]) == "1+2*3"
-
+# --- random expression trees ----------------------------------------------
 
 _leaf = st.sampled_from([Num(2.0), Num(0.5), TimeVar(), Comp(0), ConstRef("w", 3.0)])
 
@@ -253,25 +269,6 @@ def _tree(depth):
         st.builds(Call, st.just("sin"), st.tuples(sub)),
         st.builds(Call, st.just("pow"), st.tuples(sub, sub)),
     )
-
-
-@given(_tree(4))
-def test_pretty_parse_identity_on_random_trees(tree):
-    text = pretty(tree)
-    parsed = parse(text, 1, {"w": 3.0})
-    assert parsed == (tree,)
-
-
-@given(_tree(3), st.floats(0.1, 2.0), st.floats(-2.0, 2.0))
-def test_pretty_preserves_value(tree, t, u1):
-    text = pretty(tree)
-    with np.errstate(all="ignore"):
-        try:
-            v1 = evaluate((tree,), t, [u1])
-        except ExprEvalError:
-            return  # non-finite for these inputs either way
-    v2 = evaluate(parse(text, 1, {"w": 3.0}), t, [u1])
-    assert v1[0] == pytest.approx(v2[0], rel=1e-12, abs=1e-12)
 
 
 # --- f with its t-only subtrees bound -----------------------------------------

@@ -21,7 +21,6 @@ from fracbvp.iterate import (
     DomainEscape,
     DomainEscapeError,
     _check_domain,
-    _escape_stats,
     _rhs,
     iterate_step,
     run_iteration,
@@ -212,19 +211,6 @@ def test_collected_runs_log_nothing_even_at_debug(gyre):
     assert sol.escapes.count.tolist() == [3, 3]  # both rows at each of 3 checks
 
 
-def _record(*rows):
-    """A DomainEscape of (count, excess) rows."""
-    columns = zip(*rows) if rows else [()] * 2
-    return DomainEscape(*(np.array(c, dtype) for c, dtype in zip(columns, (int, float))))
-
-
-def test_escape_stats_count_probes_and_take_the_worst_excess():
-    assert _escape_stats([]) == (0, 0.0)
-    assert _escape_stats([_record()]) == (0, 0.0)
-    records = [_record((2, 2.5), (0, 0.0)), _record(), _record((0, 0.0), (0, 0.0), (1, 1.5))]
-    assert _escape_stats(records) == (2, 2.5)
-
-
 def _domain_problem(lo, hi, N=21, policy="warn"):
     """A problem with f = 0 on D = [lo, hi], one component per entry."""
     n = len(lo)
@@ -370,7 +356,8 @@ def test_one_record_per_run_matches_the_per_check_records(n, rows, checks, bound
     assert got.count.tolist() == count.tolist()
     assert got.excess.tobytes() == excess.tobytes()
     assert len(got) == len(entries) and bool(got) is bool(entries)
-    assert _escape_stats([got]) == (len({b for b, _ in entries}), max((e for _, e in entries), default=0.0))
+    assert np.count_nonzero(got.count) == len({b for b, _ in entries})
+    assert got.excess.max(initial=0.0) == max((e for _, e in entries), default=0.0)
 
 
 def test_escapes_are_true_exactly_when_a_row_left_d(gyre, zero_rhs):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import const_refs
+from fracbvp.determine import delta_at
 from fracbvp.problem import (
     BUILTIN_PROBLEMS,
     Box,
@@ -83,6 +84,24 @@ def test_problem_rejects_bad_order(p):
 def test_problem_rejects_bad_horizon():
     with pytest.raises(ProblemError, match="horizon"):
         _problem(T=0.0)
+
+
+def test_a_horizon_whose_power_overflows_is_rejected():
+    # T^p = 1e310 overflowed in fracops.kernel_constant: every stage ended in an OverflowError traceback
+    with pytest.raises(ProblemError, match="horizon T\\^p must be finite and positive"):
+        problem_from_config(MINIMAL.replace("p = 1.5", "p = 2").replace("T = 1.0", "T = 1e155"))
+
+
+@pytest.mark.parametrize("p, T", [("2", "1e-162"), ("1.5", "1e-250")])
+def test_a_horizon_whose_power_underflows_to_zero_is_rejected(p, T):
+    # T^p = 0.0: check passed, then every probe divided by it in determine._delta
+    with pytest.raises(ProblemError, match="horizon T\\^p must be finite and positive"):
+        problem_from_config(MINIMAL.replace("p = 1.5", f"p = {p}").replace("T = 1.0", f"T = {T}"))
+
+
+@pytest.mark.parametrize("p, T", [(2.0, 1e154), (2.0, 1e-161), (1.5, 1e205), (1.5, 1e-200)])
+def test_horizons_just_inside_the_power_limits_are_accepted(p, T):
+    assert _problem(p=p, T=T).T == T
 
 
 def test_problem_rejects_boundary_mismatch():
@@ -327,6 +346,19 @@ def test_config_with_bounds_and_constants():
     assert exprlang.evaluate(prob.f, 0.5, [0.0])[0] == 1.0
 
 
+def test_rhs_constant_names_keep_their_case(gyre):
+    text = BUILTIN_PROBLEMS["acc-gyre"][0]
+    assert text.count("2*omega*") == 1 and text.count("\nomega = ") == 1
+    cased = text.replace("2*omega*", "2*Omega*").replace("\nomega = ", "\nOmega = ")
+    # every other key, expr included, still matches whatever its case
+    prob = problem_from_config(cased.replace("\nexpr = ", "\nEXPR = "))
+    assert const_refs(prob.f) == {"Omega": 4649.56}
+    chi = np.linspace(gyre.omega.lo, gyre.omega.hi, 5)
+    assert delta_at(prob, chi, 2).tobytes() == delta_at(gyre, chi, 2).tobytes()
+    with pytest.raises(ProblemError, match="unknown identifier 'omega'"):
+        problem_from_config(cased.replace("2*Omega*", "2*omega*"))
+
+
 def test_config_vector_fields():
     text = textwrap.dedent(
         """
@@ -376,6 +408,8 @@ def test_config_vector_fields():
         (lambda s: s.replace("lo = -2.0", "lo = 2.0"), "domain requires lo < hi componentwise"),
         (lambda s: s.replace("hi = 3.0", "hi = -3.0"), "omega box is empty"),
         (lambda s: s.replace("alpha1 = 0.0", "alpha1 = zero"), "field 'alpha1': cannot parse vector from 'zero'"),
+        # an empty alpha1 reached exprlang.parse as a 0-component system: a ValueError traceback
+        (lambda s: s.replace("alpha1 = 0.0", "alpha1 ="), "field 'alpha1': empty vector"),
         (lambda s: s.replace("expr = 0", "expr = w * t\nw = two"), "constant 'w' in \\[rhs\\]: not a number: 'two'"),
         # configparser joins a continued value's lines with a newline
         (lambda s: s.replace("expr = 0", "expr = t +\n    2 $ 1"),
