@@ -22,7 +22,7 @@ import textwrap
 
 import numpy as np
 
-from fracbvp.fracops import Grid, GridFunction, caputo_derivative, frac_integral, gamma
+from fracbvp.fracops import Grid, caputo_derivative, frac_integral, gamma
 from fracbvp.iterate import run_iteration
 from fracbvp.problem import problem_from_config
 from fracbvp.verify import residuals
@@ -69,11 +69,11 @@ def caputo_table(p: float, grids) -> None:
     exact_errs, smooth_errs = [], []
     for N in grids:
         g = Grid(N, 1.0)
-        cap = caputo_derivative(GridFunction(g, (g.nodes**p)[None, :]), p)
-        exact_errs.append(float(np.max(np.abs(cap.values[0, 2:-2] - gamma(p + 1)))))
-        cap = caputo_derivative(GridFunction(g, (g.nodes ** (p + 1))[None, :]), p)
+        cap = caputo_derivative(g.nodes**p, g, p)
+        exact_errs.append(float(np.max(np.abs(cap[0, 2:-2] - gamma(p + 1)))))
+        cap = caputo_derivative(g.nodes ** (p + 1), g, p)
         want = gamma(p + 2) * g.nodes
-        smooth_errs.append(float(np.max(np.abs(cap.values[0, 2:-2] - want[2:-2]))))
+        smooth_errs.append(float(np.max(np.abs(cap[0, 2:-2] - want[2:-2]))))
     for N, e1, e2, o in zip(grids, exact_errs, smooth_errs, _order_column(smooth_errs)):
         print(f"{N:>6}  {e1:12.3e}  {e2:14.3e}  {o}")
 
@@ -82,7 +82,7 @@ def integral_table(p: float, grids) -> None:
     print(f"\nI^{p}[1] errors against t^p/Gamma(p+1)")
     for N in grids:
         g = Grid(N, 1.0)
-        ip = frac_integral(GridFunction(g, np.ones((1, N))), p)
+        ip = frac_integral(np.ones(N), g, p)
         err = float(np.max(np.abs(ip[0] - g.nodes**p / gamma(p + 1))))
         print(f"{N:>6}  {err:12.3e}")
 

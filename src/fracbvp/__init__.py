@@ -41,7 +41,6 @@ from .determine import (
 from .exprlang import ExprEvalError, ExprSyntaxError, evaluate, parse
 from .fracops import (
     Grid,
-    GridFunction,
     ProductTrapezoid,
     alpha1,
     caputo_derivative,
@@ -78,7 +77,6 @@ __all__ = [
     "ExprEvalError",
     "ExprSyntaxError",
     "Grid",
-    "GridFunction",
     "NoRootBracketError",
     "NonConvergenceError",
     "Problem",

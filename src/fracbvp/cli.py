@@ -304,7 +304,7 @@ def cmd_solve(args) -> int:
     iter_header = ["t"]
     for k in range(len(approx.iterates)):
         iter_header += _suffixed(f"u{k}", n)
-    cols = [approx.final.grid.nodes] + [it.values[j] for it in approx.iterates for j in range(n)]
+    cols = [prob.operator.nodes] + [it[j] for it in approx.iterates for j in range(n)]
     _write_csv(out / "iterates.csv", ",".join(iter_header), np.column_stack(cols))
     # next to each sup|u_k - u_(k-1)| its a-priori bound Q^(k-1) beta
     sd_header = ",".join(["m", *_suffixed("sup_diff", n), *_suffixed("bound", n)])
@@ -413,7 +413,7 @@ def cmd_verify(args) -> int:
     report = residuals(prob, approx, include_delta=not args.no_delta)
     header, table = emit_figure_data(prob, approx, report)
     res_header = ",".join(["t", *_suffixed("residual", prob.n)])
-    res_table = np.column_stack([report.residual_grid.grid.nodes, report.residual_grid.values.T])
+    res_table = np.column_stack([prob.operator.nodes, report.residual_grid.T])
     _write_csv(out / "figure.csv", header, table)
     _write_csv(out / "residuals.csv", res_header, res_table)
     _write_json(out / "verify.json",

@@ -38,7 +38,7 @@ import numpy as np
 
 from .conditions import ConditionsReport, _resolvent, check_conditions, delta_gap_bound
 from .fracops import gamma
-from .iterate import ApproxSolution, DomainEscape, _rhs, run_iteration
+from .iterate import ApproxSolution, DomainEscape, DomainEscapeError, _rhs, run_iteration
 from .problem import Problem
 
 __all__ = [
@@ -84,13 +84,19 @@ _BATCH_VALUES = 2**16
 
 
 def _delta(prob: Problem, chi: np.ndarray, fvals: np.ndarray) -> np.ndarray:
-    """Delta at slope(s) chi from f along the iterate, (..., n, N) -> (..., n)."""
+    """Delta at slope(s) chi from f along the iterate, (..., n, N) -> (..., n);
+    a Delta that is not finite raises DomainEscapeError at its first slope."""
     # int_0^T (T-s)^(p-1) f ds, no 1/Gamma
     raw_T = prob.operator.endpoint(fvals.reshape(-1, prob.N)).reshape(fvals.shape[:-1])
     gp1 = gamma(prob.p + 1.0)
-    return gp1 / prob.T**prob.p * (prob.alpha2 - prob.alpha1 - chi * prob.T) - (
+    delta = gp1 / prob.T**prob.p * (prob.alpha2 - prob.alpha1 - chi * prob.T) - (
         prob.p / prob.T**prob.p
     ) * raw_T
+    finite = np.isfinite(delta).reshape(-1, prob.n).all(axis=1)
+    if not finite.all():
+        bad = np.reshape(chi, (-1, prob.n))[np.argmin(finite)]
+        raise DomainEscapeError(f"Delta_m is not finite at chi1={bad.tolist()}")
+    return delta
 
 
 def delta_m(prob: Problem, approx: ApproxSolution, k: int | None = None) -> np.ndarray:
@@ -101,7 +107,7 @@ def delta_m(prob: Problem, approx: ApproxSolution, k: int | None = None) -> np.n
     iterate for every deeper k, as a run of depth k would.
     """
     u = approx.final if k is None else approx.iterates[min(k, approx.m)]
-    return _delta(prob, approx.chi1, _rhs(prob, u.values))
+    return _delta(prob, approx.chi1, _rhs(prob, u))
 
 
 def delta_at(
@@ -467,9 +473,6 @@ class ExistenceVerdict:
     sign_change: bool
     escaped_probes: int
     worst_excess: float
-
-    def __bool__(self) -> bool:
-        return self.certified
 
 
 def existence_check_scalar(prob: Problem, m: int, report: ConditionsReport | None = None,

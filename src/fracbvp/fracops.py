@@ -41,7 +41,6 @@ import numpy as np
 
 __all__ = [
     "Grid",
-    "GridFunction",
     "ProductTrapezoid",
     "alpha1",
     "caputo_derivative",
@@ -112,30 +111,6 @@ class Grid:
     @property
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.N)
-
-
-@dataclass
-class GridFunction:
-    """Vector-valued function sampled on a grid, linear between nodes.
-
-    ``values`` has shape (n, grid.N) for n components; a 1-D array is
-    promoted to a single component.  A batch of B has shape (B, n, grid.N).
-    """
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim == 1:
-            v = v[np.newaxis, :]
-        if v.ndim not in (2, 3) or v.shape[-1] != self.grid.N:
-            raise ValueError(
-                f"GridFunction: values must have shape ([B,] n, {self.grid.N}), got {np.shape(self.values)}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("GridFunction: values must be finite")
-        self.values = v
 
 
 class ProductTrapezoid:
@@ -267,20 +242,35 @@ def _require_order(p: float) -> None:
         raise ValueError(f"fractional order must lie in (1, 2], got p={p!r}")
 
 
-def frac_integral(g: GridFunction, p: float) -> np.ndarray:
+def _grid_values(values, grid: Grid) -> np.ndarray:
+    """``values`` as a float ([B,] n, grid.N) array; a 1-D array is one component."""
+    v = np.asarray(values, dtype=float)
+    if v.ndim == 1:
+        v = v[np.newaxis, :]
+    if v.ndim not in (2, 3) or v.shape[-1] != grid.N:
+        raise ValueError(f"values must have shape ([B,] n, {grid.N}), got {np.shape(values)}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("values must be finite")
+    return v
+
+
+def frac_integral(values, grid: Grid, p: float) -> np.ndarray:
     """Riemann-Liouville integral I^p g on the grid.
 
-    Returns (1/Gamma(p)) * int_0^{t_j} (t_j - s)^(p-1) g(s) ds at every
-    node as a ([B,] n, N) array; index ``[..., j]`` for node j.  Exact to
-    roundoff for piecewise-linear g.
+    ``values`` samples g on ``grid``, linear between nodes: shape ([B,] n, N),
+    a 1-D array being one component.  Returns (1/Gamma(p)) * int_0^{t_j}
+    (t_j - s)^(p-1) g(s) ds at every node as a ([B,] n, N) array; index
+    ``[..., j]`` for node j.  Exact to roundoff for piecewise-linear g.
     """
     _require_order(p)
-    return _running(g.values, g.grid, p)
+    return _running(_grid_values(values, grid), grid, p)
 
 
-def caputo_derivative(u: GridFunction, p: float) -> GridFunction:
+def caputo_derivative(values, grid: Grid, p: float) -> np.ndarray:
     """L1-type numerical Caputo derivative of order p in (1, 2].
 
+    ``values`` samples u on ``grid`` as ``frac_integral`` takes them; the
+    result has their ([B,] n, N) shape and is not checked for finiteness.
     The plain scheme, ``_caputo_plain``, forms central second differences of
     the sampled values (one-sided extrapolation at the two end nodes) and
     applies the fractional integral I^(2-p) to their interpolant, i.e. it
@@ -297,19 +287,15 @@ def caputo_derivative(u: GridFunction, p: float) -> GridFunction:
     A batch of B functions gives each row's derivative bit for bit.
     """
     _require_order(p)
-    if u.grid.N < 5:
-        raise ValueError(f"caputo_derivative: need at least 5 nodes, got N={u.grid.N}")
+    if grid.N < 5:
+        raise ValueError(f"caputo_derivative: need at least 5 nodes, got N={grid.N}")
+    v = _grid_values(values, grid)
     den = 3.0**p - 3.0 * 2.0**p + 3.0
     if p != 2.0 and abs(den) >= 1e-2:
-        h = u.grid.h
-        v = u.values
-        c = (v[..., 3] - 3.0 * v[..., 2] + 3.0 * v[..., 1] - v[..., 0]) / (h**p * den)
-        tp = u.grid.nodes**p
-        smooth = v - c[..., np.newaxis] * tp
-        out = c[..., np.newaxis] * gamma(p + 1.0) + _caputo_plain(smooth, u.grid, p)
-    else:
-        out = _caputo_plain(u.values, u.grid, p)
-    return GridFunction(u.grid, out)
+        c = (v[..., 3] - 3.0 * v[..., 2] + 3.0 * v[..., 1] - v[..., 0]) / (grid.h**p * den)
+        smooth = v - c[..., np.newaxis] * grid.nodes**p
+        return c[..., np.newaxis] * gamma(p + 1.0) + _caputo_plain(smooth, grid, p)
+    return _caputo_plain(v, grid, p)
 
 
 def _caputo_plain(values: np.ndarray, grid: Grid, p: float) -> np.ndarray:

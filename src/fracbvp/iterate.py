@@ -22,7 +22,7 @@ A run builds u_0 once and is the one place that checks iterates against
 D: it checks u_0, ..., u_m as it builds them, and its domain escapes are
 one ``DomainEscape`` record with one entry per row, which every check
 updates in place.  ``iterate_step`` is the bare operator application.  Every
-iterate lies on ``prob.grid``: each step takes the problem's shared
+iterate is an array on ``prob.grid``: each step takes the problem's shared
 operator, ``prob.operator``, and f bound on its nodes, ``prob.f_on_grid``.
 """
 
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprlang
-from .fracops import GridFunction, ProductTrapezoid
+from .fracops import ProductTrapezoid
 from .problem import Problem
 
 __all__ = [
@@ -49,7 +49,8 @@ _DOMAIN_SLACK = 1e-9
 
 
 class DomainEscapeError(RuntimeError):
-    """An iterate left the domain box D beyond the numerical slack."""
+    """An iterate left the domain box D beyond the numerical slack, or an iterate
+    or a value computed from one (Delta_m, the Caputo residual) is not finite."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,36 +108,39 @@ def _rhs(prob: Problem, values: np.ndarray) -> np.ndarray:
     return np.moveaxis(f, 0, -2)
 
 
-def u0(prob: Problem, chi1) -> GridFunction:
-    """Zeroth approximation: the (t/T)^p-corrected boundary interpolant."""
-    op = prob.operator
-    return GridFunction(op.grid, _interpolant(prob, op, np.atleast_1d(np.asarray(chi1, dtype=float))))
+def _require_finite(prob: Problem, values: np.ndarray, what: str = "iterate") -> None:
+    """DomainEscapeError at the first node where ([B,] n, N) values are not finite."""
+    finite = np.isfinite(values).reshape(-1, prob.N).all(axis=0)
+    if not finite.all():
+        raise DomainEscapeError(f"{what} is not finite at t={prob.operator.nodes[np.argmin(finite)]:.6g}")
 
 
-def iterate_step(prob: Problem, prev: GridFunction, chi1, u0_values: np.ndarray) -> GridFunction:
+def u0(prob: Problem, chi1) -> np.ndarray:
+    """Zeroth approximation on ``prob.grid``: the (t/T)^p-corrected boundary
+    interpolant, (n, N) at one slope and (B, n, N) at a (B, n) stack."""
+    return _interpolant(prob, prob.operator, np.atleast_1d(np.asarray(chi1, dtype=float)))
+
+
+def iterate_step(prob: Problem, prev: np.ndarray, chi1, u0_values: np.ndarray) -> np.ndarray:
     """One application of the integral operator to the previous iterate.
 
-    Evaluates f along ``prev`` and adds the corrected integral term to
-    ``u0_values``, the values of ``u0(prob, chi1)``; ``chi1`` itself is not
-    read (the bench tracer counts steps by it).  ``prev`` is not checked
-    against D (``run_iteration`` checks every iterate it builds) and must lie
-    on ``prob.grid`` (ValueError otherwise).  A step whose values overflow
-    raises DomainEscapeError at the first node that is not finite.
+    Evaluates f along ``prev``, values on ``prob.grid`` (ValueError otherwise),
+    and adds the corrected integral term to ``u0_values``, the values of
+    ``u0(prob, chi1)``; ``chi1`` itself is not read (the bench tracer counts
+    steps by it).  ``prev`` is not checked against D (``run_iteration`` checks
+    every iterate it builds).  A step whose values overflow raises
+    DomainEscapeError at the first node that is not finite.
     """
     op = prob.operator
-    if prev.grid != op.grid:
-        raise ValueError(f"prev lies on {prev.grid}, not on the problem's {op.grid}")
-    fvals = _rhs(prob, prev.values)
-    ip = op.running(fvals.reshape(-1, op.grid.N)).reshape(fvals.shape)
+    fvals = _rhs(prob, prev)
+    ip = op.running(fvals.reshape(-1, prob.N)).reshape(fvals.shape)
     ip /= op.gamma_p
     vals = u0_values + ip
     vals -= ip[..., -1:] * op.ratio
     vals[..., 0] = prob.alpha1
     vals[..., -1] = prob.alpha2
-    finite = np.isfinite(vals).reshape(-1, op.grid.N).all(axis=0)
-    if not finite.all():
-        raise DomainEscapeError(f"iterate is not finite at t={op.nodes[np.argmin(finite)]:.6g}")
-    return GridFunction(op.grid, vals)
+    _require_finite(prob, vals)
+    return vals
 
 
 @dataclass
@@ -144,14 +148,14 @@ class ApproxSolution:
     """The iterate trace at one parameter value (or a stack), with diagnostics."""
 
     chi1: np.ndarray  # (n,), or (B, n) for a stack
-    iterates: list[GridFunction]
+    iterates: list[np.ndarray]  # u_0, ..., u_m, each ([B,] n, N) on the problem's grid
     sup_diffs: list[np.ndarray]
     converged: bool
     m: int
     escapes: DomainEscape
 
     @property
-    def final(self) -> GridFunction:
+    def final(self) -> np.ndarray:
         return self.iterates[-1]
 
 
@@ -165,9 +169,9 @@ def run_iteration(prob: Problem, chi1, m_max: int, tol: float | np.ndarray) -> A
     is checked against D as it is built: the 'strict' policy raises at the
     first that leaves it, and excursions under 'warn' are counted in
     ``escapes``, one ``DomainEscape`` record for the whole run with one
-    entry per row.  u_0 is built once and every step adds its integral
-    term to the same values.  A (B, n) stack of slopes stops early only
-    when every row meets ``tol``.
+    entry per row; an iterate that is not finite raises DomainEscapeError.
+    u_0 is built once and every step adds its integral term to the same
+    values.  A (B, n) stack of slopes stops early only when every row meets ``tol``.
     """
     if m_max < 0:
         raise ValueError(f"m_max must be >= 0, got {m_max}")
@@ -175,16 +179,17 @@ def run_iteration(prob: Problem, chi1, m_max: int, tol: float | np.ndarray) -> A
     tol_vec = np.broadcast_to(np.asarray(tol, dtype=float), (prob.n,))
 
     current = u0(prob, chi)
+    _require_finite(prob, current)
     iterates = [current]
     rows = chi.size // prob.n
     escapes = DomainEscape(np.zeros(rows, dtype=int), np.zeros(rows))
-    _check_domain(prob, current.values, escapes)
+    _check_domain(prob, current, escapes)
     sup_diffs: list[np.ndarray] = []
     converged = False
     for _ in range(m_max):
-        nxt = iterate_step(prob, current, chi, iterates[0].values)
-        _check_domain(prob, nxt.values, escapes)
-        diff = np.max(np.abs(nxt.values - current.values), axis=-1)
+        nxt = iterate_step(prob, current, chi, iterates[0])
+        _check_domain(prob, nxt, escapes)
+        diff = np.max(np.abs(nxt - current), axis=-1)
         sup_diffs.append(diff)
         iterates.append(nxt)
         current = nxt

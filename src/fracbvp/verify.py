@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .determine import _delta
-from .fracops import GridFunction, caputo_derivative
-from .iterate import ApproxSolution, _rhs
+from .fracops import caputo_derivative
+from .iterate import ApproxSolution, _require_finite, _rhs
 from .problem import Problem
 
 __all__ = ["ResidualReport", "emit_figure_data", "residuals"]
@@ -31,7 +31,7 @@ __all__ = ["ResidualReport", "emit_figure_data", "residuals"]
 
 @dataclass
 class ResidualReport:
-    residual_grid: GridFunction
+    residual_grid: np.ndarray  # |cD^p u_m - f - Delta_m| at every node, (n, N)
     sup_residual: np.ndarray
     boundary_residuals: tuple[np.ndarray, np.ndarray]
     includes_delta_offset: bool
@@ -49,34 +49,33 @@ class ResidualReport:
         }
 
 
-def _final(approx: ApproxSolution, caller: str) -> GridFunction:
+def _final(approx: ApproxSolution, caller: str) -> np.ndarray:
     """The final iterate of a run at one chi1; a batched run has no single table."""
     if not approx.iterates:
         raise ValueError(f"{caller}: approximation holds no iterates")
-    if approx.final.values.ndim != 2:
-        raise ValueError(f"{caller}: need the run at one chi1, got a batch {approx.final.values.shape}")
+    if approx.final.ndim != 2:
+        raise ValueError(f"{caller}: need the run at one chi1, got a batch {approx.final.shape}")
     return approx.final
 
 
 def residuals(prob: Problem, approx: ApproxSolution, include_delta: bool = True) -> ResidualReport:
-    """Residual |cD^p u_m - f(., u_m) - Delta_m| of the final iterate."""
+    """Residual |cD^p u_m - f(., u_m) - Delta_m| of the final iterate; one that is
+    not finite (say, h^2 underflows in cD^p) raises DomainEscapeError."""
     u = _final(approx, "residuals")
-    grid = u.grid
-    if grid.N < 5:
-        raise ValueError("residuals: need at least 5 nodes for the Caputo stencil")
-    cap = caputo_derivative(u, prob.p).values
-    fvals = _rhs(prob, u.values)
+    cap = caputo_derivative(u, prob.grid, prob.p)
+    fvals = _rhs(prob, u)
     # Delta_m from the same f values, as delta_m(prob, approx) would evaluate them
     delta = _delta(prob, approx.chi1, fvals)
     offset = delta[:, np.newaxis] if include_delta else 0.0
     res = np.abs(cap - fvals - offset)
-    sup_interior = np.max(res[:, 2 : grid.N - 2], axis=1)
+    _require_finite(prob, res, "Caputo residual")  # also where cD^p is not finite
+    sup_interior = np.max(res[:, 2 : prob.N - 2], axis=1)
     return ResidualReport(
-        residual_grid=GridFunction(grid, res),
+        residual_grid=res,
         sup_residual=sup_interior,
         boundary_residuals=(
-            np.abs(u.values[:, 0] - prob.alpha1),
-            np.abs(u.values[:, -1] - prob.alpha2),
+            np.abs(u[:, 0] - prob.alpha1),
+            np.abs(u[:, -1] - prob.alpha2),
         ),
         includes_delta_offset=include_delta,
         delta=delta,
@@ -95,12 +94,12 @@ def emit_figure_data(
     a ``_cJ`` component suffix.  ``f`` and ``caputo`` refer to the final
     iterate, as held by ``report``, the ``residuals`` of the same ``approx``.
     """
-    grid = _final(approx, "emit_figure_data").grid
-    cols = [grid.nodes]
+    _final(approx, "emit_figure_data")
+    cols = [prob.operator.nodes]
     names = ["t"]
     for k, it in enumerate(approx.iterates):
         for j in range(prob.n):
-            cols.append(it.values[j])
+            cols.append(it[j])
             names.append(f"u_{k}" if prob.n == 1 else f"u_{k}_c{j + 1}")
     for j in range(prob.n):
         cols.append(report.rhs[j])

@@ -712,6 +712,78 @@ def test_a_non_finite_iterate_is_a_numerical_failure(tmp_path, capsys, stage):
     assert "numerical failure: iterate is not finite at t=0.000976562" in capsys.readouterr().err
 
 
+# Configs that pass `check` but whose probes are not finite (N = 21, policy warn).
+NON_FINITE_CFG = textwrap.dedent(
+    """
+    [problem]
+    p = {p}
+    T = {T}
+    alpha1 = 0
+    alpha2 = {alpha2}
+    N = 21
+    domain_policy = warn
+
+    [domain]
+    lo = {d_lo}
+    hi = {d_hi}
+
+    [rhs]
+    expr = {expr}
+
+    [omega_box]
+    lo = {omega_lo}
+    hi = {omega_hi}
+    """
+)
+# chi1 T overflows at the ends of Omega, so u_0 is not finite
+U0_OVERFLOWS = NON_FINITE_CFG.format(
+    p=1.5, T=1e110, alpha2=1, d_lo=-1e300, d_hi=1e300, expr="0.1*u1", omega_lo=-1e200, omega_hi=1e200
+) + "\n[bounds]\nM = 1\nK = 0\n"
+# the grid step's h^2 underflows to 0 in the Caputo stencil, which only verify runs
+H2_UNDERFLOWS = NON_FINITE_CFG.format(
+    p=1.5, T=1e-200, alpha2=5e-324, d_lo=-2, d_hi=2, expr="0.1*u1 + sin(t)", omega_lo=0, omega_hi=2
+)
+# T^p = 1e-322 is subnormal, so Gamma(p+1)/T^p overflows and every Delta_m is NaN
+DELTA_IS_NAN = NON_FINITE_CFG.format(
+    p=2, T=1e-161, alpha2=1e-300, d_lo=-2, d_hi=2, expr="0.1*u1 + sin(t)", omega_lo=0, omega_hi=2
+)
+PROBING_STAGES = (
+    ["solve", "--m", "1"],
+    ["exclude", "--m", "1", "--subdiv", "4"],
+    ["verify", "--m", "1"],
+    ["verify", "--recompute", "--m", "1"],
+)
+
+
+@pytest.mark.parametrize(
+    "text, codes, message",
+    [
+        # verify finds no solve outputs (exit 1)
+        pytest.param(U0_OVERFLOWS, (3, 3, 1, 3), "iterate is not finite at t=5e+108", id="u0-overflows"),
+        pytest.param(H2_UNDERFLOWS, (0, 0, 3, 3),
+                     "Caputo residual is not finite at t=5e-202", id="h2-underflows"),
+        pytest.param(DELTA_IS_NAN, (3, 3, 1, 3), "Delta_m is not finite at chi1=[", id="delta-is-nan"),
+    ],
+)
+def test_a_non_finite_probe_is_a_numerical_failure_in_every_stage(tmp_path, capsys, text, codes, message):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(text, encoding="utf-8")
+    base = ["--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert main(["check", *base]) == 0
+    assert "verdict: conditions hold" in capsys.readouterr().out
+    for stage, code in zip(PROBING_STAGES, codes):
+        with np.errstate(all="ignore"):
+            assert main([*stage, *base]) == code, stage
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if code == 3:
+            assert captured.err.startswith(f"numerical failure: {message}"), (stage, captured.err)
+            assert captured.err.count("\n") == 1 and "kept" not in captured.out
+    if codes[1] == 3:
+        # a failed sweep certifies no box and writes no table
+        assert not (tmp_path / "out" / "boxes.csv").exists()
+
+
 def test_solve_zero_rhs_exact(tmp_path):
     assert main(["solve", "--builtin", "zero-rhs", "--out", str(tmp_path)]) == 0
     det = json.loads((tmp_path / "determining.json").read_text(encoding="utf-8"))
@@ -1081,9 +1153,9 @@ def test_verify_computes_the_caputo_derivative_and_f_once(tmp_path, monkeypatch)
     assert main(["solve", "--builtin", "acc-gyre", "--out", str(tmp_path)]) == 0
     calls = []
 
-    def counted(u, p):
+    def counted(values, grid, p):
         calls.append(p)
-        return caputo_derivative(u, p)
+        return caputo_derivative(values, grid, p)
 
     monkeypatch.setattr(verify, "caputo_derivative", counted)
     assert main(["verify", "--builtin", "acc-gyre", "--out", str(tmp_path)]) == 0

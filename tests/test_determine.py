@@ -758,7 +758,6 @@ def test_exclusion_never_discards_the_root_box(seed):
 def test_existence_gyre_inconclusive(gyre):
     verdict = existence_check_scalar(gyre, 2)
     assert verdict.certified is False
-    assert bool(verdict) is False
     assert verdict.sign_change is True
     assert verdict.cleared == (False, True)   # |0.893| < tube at the left end
     assert verdict.tube == pytest.approx(8.242068542826146, rel=1e-12)
@@ -776,14 +775,12 @@ def test_existence_is_not_certified_on_escaped_probes(gyre):
     assert verdict.sign_change is True
     assert verdict.escaped_probes == 2
     assert verdict.certified is False
-    assert bool(verdict) is False
 
 
 def test_existence_certified_on_zero_rhs(zero_rhs):
     # tube = 0 and the endpoint values straddle zero: degree +-1
     verdict = existence_check_scalar(zero_rhs, 1)
     assert verdict.certified is True
-    assert bool(verdict) is True
     assert verdict.tube == 0.0
     assert verdict.cleared == (True, True)
     assert verdict.endpoint_deltas[0] == pytest.approx(GAMMA_2P5, rel=1e-13)

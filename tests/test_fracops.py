@@ -17,7 +17,6 @@ from fracbvp.fracops import (
     _caputo_plain,
     _fast_len,
     Grid,
-    GridFunction,
     ProductTrapezoid,
     alpha1,
     caputo_derivative,
@@ -50,7 +49,7 @@ def test_gamma_recurrence(x):
     assert gamma(x + 1.0) == pytest.approx(x * gamma(x), rel=1e-12)
 
 
-# --- Grid / GridFunction -------------------------------------------------
+# --- Grid and grid values ------------------------------------------------
 
 def test_grid_nodes_exact_endpoints():
     g = Grid(101, 2.5)
@@ -67,24 +66,26 @@ def test_grid_validation():
         Grid(11, -1.0)
 
 
-def test_gridfunction_promotes_and_validates():
+@pytest.mark.parametrize("op", [frac_integral, caputo_derivative], ids=["integral", "caputo"])
+def test_grid_values_are_promoted_and_validated(op):
     g = Grid(5, 1.0)
-    gf = GridFunction(g, np.arange(5.0))
-    assert gf.values.shape == (1, 5)
-    with pytest.raises(ValueError):
-        GridFunction(g, np.array([[1.0, np.nan, 0.0, 0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        GridFunction(g, np.zeros((1, 4)))
+    values = np.arange(5.0)
+    got = op(values, g, 1.5)
+    assert got.shape == (1, 5)
+    assert got.tobytes() == op(values[np.newaxis, :], g, 1.5).tobytes()
+    with pytest.raises(ValueError, match="values must be finite"):
+        op(np.array([[1.0, np.nan, 0.0, 0.0, 0.0]]), g, 1.5)
+    with pytest.raises(ValueError, match=r"values must have shape \(\[B,\] n, 5\)"):
+        op(np.zeros((1, 4)), g, 1.5)
 
 
-def test_gridfunction_linear_interpolation():
-    # the integral operators read a GridFunction as linear between nodes,
-    # so a linear one is integrated exactly at every node of a coarse grid
+def test_grid_values_are_linear_between_nodes():
+    # the integral operators read grid values as linear between nodes,
+    # so a linear function is integrated exactly at every node of a coarse grid
     g = Grid(11, 1.0)
-    gf = GridFunction(g, 3.0 * g.nodes - 1.0)
     t = g.nodes
     want = 3.0 * t**2.5 / gamma(3.5) - t**1.5 / gamma(2.5)
-    assert np.allclose(frac_integral(gf, 1.5)[0], want, rtol=0, atol=1e-14)
+    assert np.allclose(frac_integral(3.0 * t - 1.0, g, 1.5)[0], want, rtol=0, atol=1e-14)
 
 
 # --- fractional integral -------------------------------------------------
@@ -92,37 +93,36 @@ def test_gridfunction_linear_interpolation():
 def test_frac_integral_of_one():
     # I^p[1](t) = t^p / Gamma(p+1); at t=1, p=1.5 this is 1/Gamma(2.5)
     g = Grid(401, 1.0)
-    res = frac_integral(GridFunction(g, np.ones((1, 401))), 1.5)[..., -1]
+    res = frac_integral(np.ones((1, 401)), g, 1.5)[..., -1]
     assert res[0] == pytest.approx(1.0 / gamma(2.5), rel=1e-12)
-    full = frac_integral(GridFunction(g, np.ones((1, 401))), 1.5)
+    full = frac_integral(np.ones((1, 401)), g, 1.5)
     assert np.allclose(full[0], g.nodes**1.5 / gamma(2.5), atol=1e-12)
 
 
 def test_frac_integral_of_identity():
     g = Grid(401, 1.0)
-    res = frac_integral(GridFunction(g, g.nodes[None, :]), 1.5)[..., -1]
+    res = frac_integral(g.nodes[None, :], g, 1.5)[..., -1]
     assert res[0] == pytest.approx(1.0 / gamma(3.5), rel=1e-12)
 
 
 def test_frac_integral_beta_moment():
     # raw kernel moment: int_0^1 (1-s)^{1/2} s ds = B(2, 3/2) = 4/15
     g = Grid(801, 1.0)
-    res = frac_integral(GridFunction(g, g.nodes[None, :]), 1.5)[..., -1]
+    res = frac_integral(g.nodes[None, :], g, 1.5)[..., -1]
     assert gamma(1.5) * res[0] == pytest.approx(4.0 / 15.0, rel=1e-12)
 
 
 def test_frac_integral_zero_at_origin():
     g = Grid(31, 1.0)
     rng = np.random.default_rng(0)
-    gf = GridFunction(g, rng.normal(size=(2, 31)))
-    assert np.all(frac_integral(gf, 1.7)[..., 0] == 0.0)
+    assert np.all(frac_integral(rng.normal(size=(2, 31)), g, 1.7)[..., 0] == 0.0)
 
 
 @pytest.mark.parametrize("p", [0.5, 1.0, 2.1, -1.5])
 def test_frac_integral_rejects_order(p):
     g = Grid(11, 1.0)
     with pytest.raises(ValueError):
-        frac_integral(GridFunction(g, np.ones((1, 11))), p)
+        frac_integral(np.ones((1, 11)), g, p)
 
 
 @given(
@@ -133,11 +133,10 @@ def test_frac_integral_rejects_order(p):
 def test_frac_integral_linearity(p, a, b):
     g = Grid(41, 1.0)
     rng = np.random.default_rng(7)
-    g1 = GridFunction(g, rng.normal(size=(1, 41)))
-    g2 = GridFunction(g, rng.normal(size=(1, 41)))
-    combo = GridFunction(g, a * g1.values + b * g2.values)
-    lhs = frac_integral(combo, p)
-    rhs = a * frac_integral(g1, p) + b * frac_integral(g2, p)
+    g1 = rng.normal(size=(1, 41))
+    g2 = rng.normal(size=(1, 41))
+    lhs = frac_integral(a * g1 + b * g2, g, p)
+    rhs = a * frac_integral(g1, g, p) + b * frac_integral(g2, g, p)
     assert np.allclose(lhs, rhs, atol=1e-10)
 
 
@@ -145,8 +144,7 @@ def test_frac_integral_linearity(p, a, b):
 def test_frac_integral_monotone_on_nonnegative(p, seed):
     g = Grid(41, 1.0)
     rng = np.random.default_rng(seed)
-    gf = GridFunction(g, rng.uniform(0.0, 5.0, size=(1, 41)))
-    assert np.all(frac_integral(gf, p) >= -1e-14)
+    assert np.all(frac_integral(rng.uniform(0.0, 5.0, size=(1, 41)), g, p) >= -1e-14)
 
 
 def test_product_trapezoid_p1_degenerates_to_trapezoid():
@@ -247,7 +245,7 @@ def test_endpoint_is_the_last_running_entry(N):
 
 def test_frac_integral_of_one_on_the_fft_path():
     g = Grid(6401, 1.0)
-    res = frac_integral(GridFunction(g, np.ones((1, 6401))), 1.5)
+    res = frac_integral(np.ones((1, 6401)), g, 1.5)
     assert np.max(np.abs(res[0] - g.nodes**1.5 / gamma(2.5))) <= 1e-13
 
 
@@ -289,19 +287,19 @@ def test_batched_grid_functions_match_each_row(N, B, n):
     grid = Grid(N, 1.0)
     t = grid.nodes
     coef = rng.standard_normal((3, B, n, 1))
-    u = GridFunction(grid, coef[0] + coef[1] * t + coef[2] * t**1.5)
-    assert u.values.shape == (B, n, N)
+    u = coef[0] + coef[1] * t + coef[2] * t**1.5
+    assert u.shape == (B, n, N)
     ops = {
-        "caputo": lambda g: caputo_derivative(g, 1.5).values,
-        "plain": lambda g: _caputo_plain(g.values, g.grid, 1.5),
-        "integral": lambda g: frac_integral(g, 1.5),
-        "endpoint": lambda g: frac_integral(g, 1.5)[..., -1],
+        "caputo": lambda v: caputo_derivative(v, grid, 1.5),
+        "plain": lambda v: _caputo_plain(v, grid, 1.5),
+        "integral": lambda v: frac_integral(v, grid, 1.5),
+        "endpoint": lambda v: frac_integral(v, grid, 1.5)[..., -1],
     }
     for name, op in ops.items():
         got = op(u)
         assert got.shape[:2] == (B, n), name
         for b in range(B):
-            assert got[b].tobytes() == op(GridFunction(grid, u.values[b])).tobytes(), (name, b)
+            assert got[b].tobytes() == op(u[b]).tobytes(), (name, b)
 
 
 @pytest.mark.parametrize("N, T, p", [(51, 1.0, 1.5), (401, 2.5, 1.3), (1024, 0.7, 0.5)])
@@ -317,32 +315,28 @@ def test_operator_constants_are_the_closed_forms(N, T, p):
 
 def test_caputo_kills_lines():
     g = Grid(201, 1.0)
-    u = GridFunction(g, (2.0 - 3.0 * g.nodes)[None, :])
-    cap = caputo_derivative(u, 1.5)
-    assert np.max(np.abs(cap.values)) < 1e-8
+    cap = caputo_derivative((2.0 - 3.0 * g.nodes)[None, :], g, 1.5)
+    assert np.max(np.abs(cap)) < 1e-8
 
 
 def test_caputo_of_t_squared():
     # cD^p t^2 = 2 t^{2-p} / Gamma(3-p); at t=1, p=1.5: 2/Gamma(1.5)
     g = Grid(401, 1.0)
-    u = GridFunction(g, (g.nodes**2)[None, :])
-    cap = caputo_derivative(u, 1.5)
-    assert cap.values[0, -1] == pytest.approx(2.0 / gamma(1.5), rel=1e-6)
+    cap = caputo_derivative((g.nodes**2)[None, :], g, 1.5)
+    assert cap[0, -1] == pytest.approx(2.0 / gamma(1.5), rel=1e-6)
 
 
 def test_caputo_of_t_to_p_is_exact():
     for p in (1.3, 1.5, 1.9):
         g = Grid(201, 1.0)
-        u = GridFunction(g, (g.nodes**p)[None, :])
-        cap = caputo_derivative(u, p)
-        assert np.max(np.abs(cap.values[0, 2:-2] - gamma(p + 1))) < 1e-10
+        cap = caputo_derivative((g.nodes**p)[None, :], g, p)
+        assert np.max(np.abs(cap[0, 2:-2] - gamma(p + 1))) < 1e-10
 
 
 def test_caputo_p2_is_second_derivative():
     g = Grid(101, 1.0)
-    u = GridFunction(g, (g.nodes**2)[None, :])
-    cap = caputo_derivative(u, 2.0)
-    assert np.allclose(cap.values[0], 2.0, atol=1e-9)
+    cap = caputo_derivative((g.nodes**2)[None, :], g, 2.0)
+    assert np.allclose(cap[0], 2.0, atol=1e-9)
 
 
 def test_caputo_plain_scheme_stalls_on_t_to_p():
@@ -353,8 +347,7 @@ def test_caputo_plain_scheme_stalls_on_t_to_p():
     errs = []
     for N in (101, 201):
         g = Grid(N, 1.0)
-        u = GridFunction(g, (g.nodes**p)[None, :])
-        cap = _caputo_plain(u.values, g, p)
+        cap = _caputo_plain((g.nodes**p)[None, :], g, p)
         errs.append(float(np.max(np.abs(cap[0, 2:-2] - gamma(p + 1)))))
     assert errs[0] == pytest.approx(0.161, abs=0.02)
     assert errs[1] == pytest.approx(errs[0], rel=0.05)  # no decay
@@ -365,10 +358,9 @@ def test_caputo_refinement_order_on_smooth_singular_mix():
     errs = []
     for N in (101, 201, 401, 801):
         g = Grid(N, 1.0)
-        u = GridFunction(g, (g.nodes ** (p + 1))[None, :])
-        cap = caputo_derivative(u, p)
+        cap = caputo_derivative((g.nodes ** (p + 1))[None, :], g, p)
         exact = gamma(p + 2) * g.nodes
-        errs.append(float(np.max(np.abs(cap.values[0, 2 : N - 2] - exact[2 : N - 2]))))
+        errs.append(float(np.max(np.abs(cap[0, 2 : N - 2] - exact[2 : N - 2]))))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(3)]
     assert min(orders) >= 0.9
 
@@ -376,10 +368,10 @@ def test_caputo_refinement_order_on_smooth_singular_mix():
 def test_caputo_validation():
     g = Grid(4, 1.0)
     with pytest.raises(ValueError):
-        caputo_derivative(GridFunction(g, np.zeros((1, 4))), 1.5)
+        caputo_derivative(np.zeros((1, 4)), g, 1.5)
     g5 = Grid(5, 1.0)
     with pytest.raises(ValueError):
-        caputo_derivative(GridFunction(g5, np.zeros((1, 5))), 0.9)
+        caputo_derivative(np.zeros((1, 5)), g5, 0.9)
 
 
 # --- alpha1 envelope ------------------------------------------------------

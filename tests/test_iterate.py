@@ -41,22 +41,22 @@ CHI_FIRST = -320.68685748392215
 def test_u0_closed_form(gyre):
     chi = -320.0
     f = u0(gyre, chi)
-    t = f.grid.nodes
+    t = gyre.grid.nodes
     want = 1.0 + chi * t + (2.0 - 1.0 - chi) * t**1.5
-    assert np.allclose(f.values[0, 1:-1], want[1:-1], rtol=1e-14)
+    assert np.allclose(f[0, 1:-1], want[1:-1], rtol=1e-14)
 
 
 def test_u0_endpoints_exact(gyre):
     f = u0(gyre, -321.7)
-    assert f.values[0, 0] == gyre.alpha1[0]
-    assert f.values[0, -1] == gyre.alpha2[0]
+    assert f[0, 0] == gyre.alpha1[0]
+    assert f[0, -1] == gyre.alpha2[0]
 
 
 def test_u0_zero_rhs_root_is_straight_line(zero_rhs):
     # chi* = (alpha2 - alpha1)/T = 1 makes the t^p correction coefficient
     # vanish, so u0 is the interpolating line.
     f = u0(zero_rhs, 1.0)
-    assert np.allclose(f.values[0], f.grid.nodes, rtol=0, atol=1e-15)
+    assert np.allclose(f[0], zero_rhs.grid.nodes, rtol=0, atol=1e-15)
 
 
 @given(st.integers(0, 10**6))
@@ -65,8 +65,8 @@ def test_u0_pins_boundaries_for_any_parameter(seed):
     prob = random_scalar_problem(rng)
     chi = float(rng.uniform(-2, 2))
     f = u0(prob, chi)
-    assert f.values[0, 0] == prob.alpha1[0]
-    assert f.values[0, -1] == prob.alpha2[0]
+    assert f[0, 0] == prob.alpha1[0]
+    assert f[0, -1] == prob.alpha2[0]
 
 
 # --- single step ----------------------------------------------------------
@@ -74,23 +74,23 @@ def test_u0_pins_boundaries_for_any_parameter(seed):
 
 def test_iterate_step_zero_rhs_is_fixed_point(zero_rhs):
     prev = u0(zero_rhs, 1.0)
-    nxt = iterate_step(zero_rhs, prev, 1.0, prev.values)
-    assert np.array_equal(nxt.values, prev.values)
+    nxt = iterate_step(zero_rhs, prev, 1.0, prev)
+    assert np.array_equal(nxt, prev)
 
 
 def test_iterate_step_midpoint_pin(gyre):
     prev = u0(gyre, CHI_FIRST)
     t = gyre.grid.nodes
-    assert np.interp(0.5, t, prev.values[0]) == pytest.approx(-45.60994956922515, rel=1e-13)
-    nxt = iterate_step(gyre, prev, CHI_FIRST, prev.values)
-    assert np.interp(0.5, t, nxt.values[0]) == pytest.approx(-95.5556327872806, rel=1e-12)
+    assert np.interp(0.5, t, prev[0]) == pytest.approx(-45.60994956922515, rel=1e-13)
+    nxt = iterate_step(gyre, prev, CHI_FIRST, prev)
+    assert np.interp(0.5, t, nxt[0]) == pytest.approx(-95.5556327872806, rel=1e-12)
 
 
 def test_iterate_step_keeps_boundary_values(gyre):
     start = u0(gyre, CHI_THIRD)
-    nxt = iterate_step(gyre, start, CHI_THIRD, start.values)
-    assert nxt.values[0, 0] == gyre.alpha1[0]
-    assert nxt.values[0, -1] == gyre.alpha2[0]
+    nxt = iterate_step(gyre, start, CHI_THIRD, start)
+    assert nxt[0, 0] == gyre.alpha1[0]
+    assert nxt[0, -1] == gyre.alpha2[0]
 
 
 # --- the cached operator ----------------------------------------------------
@@ -102,7 +102,7 @@ def test_operator_is_built_once_per_problem(gyre):
     assert (op.p, op.grid) == (gyre.p, gyre.grid)
     assert operator(gyre.grid, gyre.p) is op
     assert gyre.operator is op
-    assert u0(gyre, CHI_FIRST).grid is op.grid
+    assert u0(gyre, CHI_FIRST).shape == (gyre.n, op.grid.N)
     other = dataclasses.replace(gyre, N=201)
     assert operator(other.grid, other.p) is not op
     assert operator(other.grid, other.p).nodes.shape == (201,)
@@ -125,7 +125,7 @@ def test_f_is_bound_once_per_grid_next_to_the_operator(gyre):
     bound = [node.value for node in (f[0].left.left, f[0].right)]
     assert all(isinstance(v, np.ndarray) and not v.flags.writeable for v in bound)
     # f along one iterate and along a stack: the bits of the unbound f
-    stack = np.stack([u0(gyre, chi).values for chi in (-330.0, -325.0, -320.0)])
+    stack = np.stack([u0(gyre, chi) for chi in (-330.0, -325.0, -320.0)])
     for values in (stack[0], stack):
         want = np.moveaxis(exprlang.evaluate(gyre.f, op.nodes, np.moveaxis(values, -2, 0)), 0, -2)
         got = _rhs(gyre, values)
@@ -159,9 +159,9 @@ def test_values_off_the_problem_grid_are_rejected(gyre):
     coarse = dataclasses.replace(gyre, N=201)
     prev = u0(coarse, CHI_FIRST)
     with pytest.raises(ValueError, match="401 nodes"):
-        _rhs(gyre, prev.values)
-    with pytest.raises(ValueError, match=r"not on the problem's Grid\(N=401"):
-        iterate_step(gyre, prev, CHI_FIRST, u0(gyre, CHI_FIRST).values)
+        _rhs(gyre, prev)
+    with pytest.raises(ValueError, match="401 nodes"):
+        iterate_step(gyre, prev, CHI_FIRST, u0(gyre, CHI_FIRST))
     with pytest.raises(ValueError, match="401 nodes"):
         delta_m(gyre, run_iteration(coarse, CHI_FIRST, m_max=1, tol=0.0))
 
@@ -172,7 +172,7 @@ def test_values_off_the_problem_grid_are_rejected(gyre):
 def test_strict_policy_raises_with_location(zero_rhs):
     # chi = 20 drives u0 past hi(D) = 2 on the strict builtin
     prev = u0(zero_rhs, 20.0)
-    assert float(np.max(prev.values)) > zero_rhs.domain.hi[0]
+    assert float(np.max(prev)) > zero_rhs.domain.hi[0]
     with pytest.raises(DomainEscapeError, match=r"leaves D by .* \(component 1\)"):
         run_iteration(zero_rhs, 20.0, m_max=1, tol=0.0)
 
@@ -185,7 +185,7 @@ def test_strict_run_raises_at_u0_whatever_its_depth(zero_rhs):
             run_iteration(zero_rhs, 20.0, m_max=m_max, tol=0.0)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
-    excess = float(np.max(u0(zero_rhs, 20.0).values)) - zero_rhs.domain.hi[0]
+    excess = float(np.max(u0(zero_rhs, 20.0))) - zero_rhs.domain.hi[0]
     assert messages[0].startswith(f"iterate leaves D by {excess:.6g} at t=")
 
 
@@ -196,7 +196,7 @@ def test_warn_policy_records_escapes(gyre):
     assert worst == pytest.approx(99.41640324513766, rel=1e-10)
     # the one row left D at all 5 checks; its excess is that of its lowest iterate
     assert (row, count) == (0, 5)
-    assert worst == max(gyre.domain.lo[0] - np.min(it.values) for it in sol.iterates)
+    assert worst == max(gyre.domain.lo[0] - np.min(it) for it in sol.iterates)
 
 
 def test_run_iteration_returns_escapes_without_warning(gyre):
@@ -423,10 +423,10 @@ def test_run_iteration_is_u0_and_a_chain_of_steps(gyre, name):
     sol = run_iteration(prob, chi, m_max=3, tol=0.0)
     chain = [u0(prob, chi)]
     for _ in range(3):
-        chain.append(iterate_step(prob, chain[-1], chi, u0(prob, chi).values))
+        chain.append(iterate_step(prob, chain[-1], chi, u0(prob, chi)))
     assert sol.m == 3
-    assert [u.values.shape for u in sol.iterates] == [u.values.shape for u in chain]
-    assert [u.values.tobytes() for u in sol.iterates] == [u.values.tobytes() for u in chain]
+    assert [u.shape for u in sol.iterates] == [u.shape for u in chain]
+    assert [u.tobytes() for u in sol.iterates] == [u.tobytes() for u in chain]
 
 
 def test_run_iteration_bound_trace_pins(gyre):
@@ -497,8 +497,8 @@ def test_run_keeps_its_slopes_as_an_array(gyre):
 def test_all_iterates_pin_boundaries(gyre):
     sol = run_iteration(gyre, CHI_THIRD, m_max=3, tol=0.0)
     for it in sol.iterates:
-        assert it.values[0, 0] == gyre.alpha1[0]
-        assert it.values[0, -1] == gyre.alpha2[0]
+        assert it[0, 0] == gyre.alpha1[0]
+        assert it[0, -1] == gyre.alpha2[0]
 
 
 @given(st.integers(0, 10**6))
@@ -519,6 +519,6 @@ def test_zero_rhs_family_converges_to_line(seed):
     prob, chi_star = zero_rhs_problem(rng)
     sol = run_iteration(prob, chi_star, m_max=3, tol=0.0)
     assert sol.converged is True
-    t = sol.final.grid.nodes
+    t = prob.grid.nodes
     line = prob.alpha1[0] + chi_star * t
-    assert np.allclose(sol.final.values[0], line, rtol=0, atol=1e-12)
+    assert np.allclose(sol.final[0], line, rtol=0, atol=1e-12)

@@ -74,7 +74,7 @@ def test_residual_delta_and_f_are_the_bits_of_delta_m_and_the_unbound_f(gyre, m,
     sol = _gyre_run(gyre, m, chi)
     rep = residuals(gyre, sol)
     assert rep.delta.tobytes() == delta_m(gyre, sol).tobytes()
-    assert rep.rhs.tobytes() == exprlang.evaluate(gyre.f, sol.final.grid.nodes, sol.final.values).tobytes()
+    assert rep.rhs.tobytes() == exprlang.evaluate(gyre.f, gyre.grid.nodes, sol.final).tobytes()
 
 
 def test_boundary_residuals_are_exact(gyre):
@@ -85,8 +85,8 @@ def test_boundary_residuals_are_exact(gyre):
 
 def test_residual_interior_sup_excludes_end_panels(gyre):
     rep = residuals(gyre, _gyre_run(gyre, 2))
-    vals = rep.residual_grid.values
-    N = rep.residual_grid.grid.N
+    vals = rep.residual_grid
+    N = gyre.N
     assert rep.sup_residual[0] == np.max(vals[0, 2 : N - 2])
     # the one-sided stencil panels are present in the grid data
     assert vals.shape == (1, N)
@@ -151,7 +151,7 @@ def test_iterate_stable_under_grid_refinement():
     for N in (401, 4001):
         g = dataclasses.replace(builtin_problem("acc-gyre"), N=N)
         sol = run_iteration(g, -320.68, m_max=1, tol=0.0)
-        vals[N] = float(np.interp(0.5, sol.final.grid.nodes, sol.final.values[0]))
+        vals[N] = float(np.interp(0.5, g.grid.nodes, sol.final[0]))
     assert vals[401] == pytest.approx(-95.55462309604106, rel=1e-12)
     assert vals[4001] == pytest.approx(-95.55464448874446, rel=1e-12)
     assert abs(vals[401] - vals[4001]) <= 1e-3
@@ -181,10 +181,10 @@ def test_figure_header_scalar_exact(gyre):
 def test_figure_columns_match_iterates(gyre):
     sol = _gyre_run(gyre, 2)
     hdr, rows = emit_figure_data(gyre, sol, residuals(gyre, sol))
-    assert np.array_equal(rows[:, 0], sol.final.grid.nodes)
+    assert np.array_equal(rows[:, 0], gyre.grid.nodes)
     for k in range(3):
-        assert np.array_equal(rows[:, 1 + k], sol.iterates[k].values[0])
-    fcol = exprlang.evaluate(gyre.f, sol.final.grid.nodes, sol.final.values)[0]
+        assert np.array_equal(rows[:, 1 + k], sol.iterates[k][0])
+    fcol = exprlang.evaluate(gyre.f, gyre.grid.nodes, sol.final)[0]
     assert np.array_equal(rows[:, 4], fcol)
 
 
@@ -236,7 +236,7 @@ def test_figure_caputo_column_near_zero_for_line(zero_rhs):
 def test_batched_runs_have_no_single_residual_table():
     gyre = builtin_problem("acc-gyre")
     approx = run_iteration(gyre, [[-330.0], [-325.0]], m_max=1, tol=0.0)
-    assert approx.final.values.shape == (2, 1, gyre.N)
+    assert approx.final.shape == (2, 1, gyre.N)
     with pytest.raises(ValueError, match=r"residuals: need the run at one chi1"):
         residuals(gyre, approx)
     one = run_iteration(gyre, -330.0, m_max=1, tol=0.0)
