@@ -67,42 +67,7 @@ class ConditionFailure(RuntimeError):
 
 
 def _write_json(path: Path, obj) -> None:
-    """``obj`` as JSON indented by 2, with a final newline.
-
-    The bytes are ``json.dumps(obj, indent=2)``'s, a float ndarray in ``obj``
-    standing for its nested lists, but such an array is rendered by one ``%``
-    over a template instead of json's pure-Python indent encoder (a call per
-    value and list); dict keys must be strings.
-    """
-    path.write_text(_json(obj, "") + "\n", encoding="utf-8")
-
-
-def _json(obj, indent: str) -> str:
-    """``json.dumps(obj, indent=2)`` nested at ``indent``."""
-    inner = indent + "  "
-    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
-        values = obj.ravel().tolist()
-        # json writes a finite float by float.__repr__, NaN and the infinities by name
-        cells = map(float.__repr__ if np.isfinite(obj).all() else json.dumps, values)
-        return _json_template(obj.shape, indent) % tuple(cells)
-    if isinstance(obj, dict) and obj:
-        items = [f"{json.dumps(key)}: {_json(value, inner)}" for key, value in obj.items()]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    if isinstance(obj, (list, tuple)) and obj:
-        items = [_json(value, inner) for value in obj]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-    return json.dumps(obj)
-
-
-def _json_template(shape: tuple[int, ...], indent: str) -> str:
-    """The JSON text of nested lists of ``shape`` at ``indent``, a ``%s`` per value."""
-    if not shape:
-        return "%s"
-    if shape[0] == 0:
-        return "[]"
-    inner = indent + "  "
-    item = _json_template(shape[1:], inner)
-    return "[\n" + inner + (",\n" + inner).join([item] * shape[0]) + "\n" + indent + "]"
+    path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
 
 
 _BLOCK_VALUES = 2**12
@@ -348,7 +313,6 @@ def cmd_exclude(args) -> int:
         "subdiv": args.subdiv,
         "boxes": len(result.subsets),
         "kept": len(result.survivors),
-        "survivors": result.survivors,
         "coefficient": result.coefficient.tolist(),
         "tail": result.tail.tolist(),
         **_domain_summary(result),
@@ -490,7 +454,10 @@ def main(argv: list[str] | None = None) -> int:
     # never depends on what ran before it in the same process
     fracops.operator.cache_clear()
     try:
-        code = _COMMANDS[args.command](args)
+        # numpy's warnings stay off stderr: every value that is not finite is
+        # checked where it is made, and fails the stage with one line below
+        with np.errstate(all="ignore"):
+            code = _COMMANDS[args.command](args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -105,6 +105,9 @@ class Problem:
             Tp = math.inf
         if not (math.isfinite(Tp) and Tp > 0.0):
             raise ProblemError(f"horizon T^p must be finite and positive: T={self.T!r}, p={self.p!r}")
+        if not math.isfinite(math.gamma(self.p + 1.0) / Tp):  # Delta's leading factor
+            raise ProblemError(f"horizon T^p must be finite and positive, and Gamma(p+1)/T^p finite: "
+                               f"T={self.T!r}, p={self.p!r}")
         object.__setattr__(self, "alpha1", np.atleast_1d(np.asarray(self.alpha1, dtype=float)))
         object.__setattr__(self, "alpha2", np.atleast_1d(np.asarray(self.alpha2, dtype=float)))
         n = self.alpha1.size

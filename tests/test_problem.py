@@ -92,14 +92,15 @@ def test_a_horizon_whose_power_overflows_is_rejected():
         problem_from_config(MINIMAL.replace("p = 1.5", "p = 2").replace("T = 1.0", "T = 1e155"))
 
 
-@pytest.mark.parametrize("p, T", [("2", "1e-162"), ("1.5", "1e-250")])
+@pytest.mark.parametrize("p, T", [("2", "1e-162"), ("1.5", "1e-250"), ("2", "1e-161")])
 def test_a_horizon_whose_power_underflows_to_zero_is_rejected(p, T):
-    # T^p = 0.0: check passed, then every probe divided by it in determine._delta
+    # T^p = 0.0: check passed, then every probe divided by it in determine._delta;
+    # T^p = 1e-322 (subnormal): check passed, then Gamma(p+1)/T^p overflowed there
     with pytest.raises(ProblemError, match="horizon T\\^p must be finite and positive"):
         problem_from_config(MINIMAL.replace("p = 1.5", f"p = {p}").replace("T = 1.0", f"T = {T}"))
 
 
-@pytest.mark.parametrize("p, T", [(2.0, 1e154), (2.0, 1e-161), (1.5, 1e205), (1.5, 1e-200)])
+@pytest.mark.parametrize("p, T", [(2.0, 1e154), (2.0, 1.1e-154), (1.5, 1e205), (1.5, 1e-200)])
 def test_horizons_just_inside_the_power_limits_are_accepted(p, T):
     assert _problem(p=p, T=T).T == T
 
