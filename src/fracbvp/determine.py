@@ -8,9 +8,13 @@ when the determining function vanishes:
 
 Every probe of Delta_m re-runs the iteration from u_0 at the probed
 chi1 (no warm starts — probes stay independent) with the problem's
-cached integral operator; a stack of chi1 is probed as one batch, and
-one depth-m run gives Delta_0..Delta_m from its iterates.  For scalar
-problems the root search is a bracket scan plus Brent's method (Brent,
+cached integral operator; a stack of chi1 is probed in batches, and
+one depth-m run gives Delta_0..Delta_m from its iterates.  On Linux the
+batches of a large stack are split across forked processes, at most one
+per usable CPU with at least ``_FORK_MIN_CHUNKS`` batches each, when no
+other Python thread runs; each row is bit-identical to a one-row probe, so
+the split changes no bit.  For scalar problems the root search is a
+bracket scan plus Brent's method (Brent,
 *Algorithms for Minimization without Derivatives*, 1973), which starts
 from the scan's values at the bracket ends; ``_brent`` is a
 line-for-line port of SciPy's ``brentq`` (same tolerances, same
@@ -31,7 +35,13 @@ rows that ``existence_check_scalar``'s sign test takes.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import mmap
+import os
+import signal
+import threading
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +91,12 @@ class DeterminingResult:
 # stay L2-resident for the convolution's ramp of dots: 2000 rows in one ramp
 # ran as fast as per-row np.convolve (best 82 vs 96 ms, medians 101 vs 97).
 _BATCH_VALUES = 2**16
+# Chunks per process below which a stack is probed in this process alone.  At
+# two each, 4 chunks took 0.68x the serial time at N = 401 and 0.78x at 6401.
+# At one each, the gyre pipeline at N = 6401 forked its sweep's 2 chunks for
+# an `exclude` 1.03x as long and a `verify` 1.15x, slowed by the copy-on-write
+# faults that a fork leaves the parent.
+_FORK_MIN_CHUNKS = 2
 
 
 def _delta(prob: Problem, chi: np.ndarray, fvals: np.ndarray) -> np.ndarray:
@@ -126,7 +142,9 @@ def delta_at(
     Delta_k for k = 0..m, each read off the same depth-m run and equal to
     ``delta_at(prob, chi1, k)`` bit for bit.  When ``escapes`` is given,
     each batch appends the ``DomainEscape`` record of its run, whose
-    entries are its rows in stack order.
+    entries are its rows in stack order.  A stack of two batches or more per
+    usable CPU runs its batches in forked processes (``_probe_split``), with
+    the same values, records and errors.
     """
     stack = np.atleast_2d(np.asarray(chi1, dtype=float))
     if stack.ndim != 2 or stack.shape[1] != prob.n:
@@ -136,16 +154,125 @@ def delta_at(
     # them one row larger: full chunks and a tail convolved a tail below
     # _RAMP_MIN_ROWS row by row, and interleaved sizes raised peak RSS by 1 MB
     chunks = -(-len(stack) // max(1, _BATCH_VALUES // (prob.n * prob.N)))
-    deltas = [np.empty((len(depths), 0, prob.n))]
-    for part in np.array_split(stack, chunks) if chunks else []:
-        approx = run_iteration(prob, part, m_max=m, tol=0.0)
-        if escapes is not None:
-            escapes.append(approx.escapes)
-        deltas.append(np.stack([delta_m(prob, approx, k) for k in depths]))
-    out = np.concatenate(deltas, axis=1)
+    parts = np.array_split(stack, chunks) if chunks else []
+    deltas, records = _probe_split(prob, parts, m, depths)
+    if escapes is not None:
+        escapes.extend(records)
+    out = np.concatenate([np.empty((len(depths), 0, prob.n)), *deltas], axis=1)
     if np.ndim(chi1) != 2:
         out = out[:, 0]
     return out if every_depth else out[0]
+
+
+def _probe(prob: Problem, parts: list, m: int, depths) -> tuple[list, list[DomainEscape]]:
+    """Delta at ``depths`` of each chunk's depth-m run, (depths, rows, n) per
+    chunk, and each run's ``DomainEscape`` record, chunk after chunk."""
+    deltas, records = [], []
+    for part in parts:
+        approx = run_iteration(prob, part, m_max=m, tol=0.0)
+        records.append(approx.escapes)
+        deltas.append(np.stack([delta_m(prob, approx, k) for k in depths]))
+    return deltas, records
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the platform does not say."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
+def _probe_split(prob: Problem, parts: list, m: int, depths) -> tuple[list, list[DomainEscape]]:
+    """``_probe`` of the chunks, split across forked processes when there are
+    at least ``_FORK_MIN_CHUNKS`` per process, two CPUs and no other thread.
+
+    The chunks are dealt into contiguous groups, the first and smallest for
+    this process.  Each child probes its group into a shared buffer and
+    exits; a group whose child did not exit 0 is probed again here, so an
+    error is raised by the serial code, in stack order.  Every row is
+    bit-identical to a one-row probe, so the results do not depend on the
+    split.  No child outlives the call.
+    """
+    workers = min(_usable_cpus(), len(parts) // _FORK_MIN_CHUNKS)
+    if workers < 2 or threading.active_count() != 1:
+        return _probe(prob, parts, m, depths)
+    q, r = divmod(len(parts), workers)
+    ends = np.cumsum([0] + [q] * (workers - r) + [q + 1] * r)
+    groups = [parts[a:b] for a, b in zip(ends[:-1], ends[1:])]
+    children = []  # (pid, None where fork failed; buffer; group), not yet reaped
+    with contextlib.ExitStack() as buffers:
+        try:
+            for group in groups[1:]:
+                size = 8 * sum(map(len, group)) * (len(depths) * prob.n + 2)
+                buf = buffers.enter_context(mmap.mmap(-1, size))
+                children.append((_fork(prob, group, m, depths, buf), buf, group))
+            deltas, records = _probe(prob, groups[0], m, depths)
+            while children:
+                pid, buf, group = children[0]
+                done = pid is not None and os.waitpid(pid, 0)[1] == 0
+                del children[0]
+                d, r = _unpack(buf, group, len(depths), prob.n) if done else _probe(prob, group, m, depths)
+                deltas += d
+                records += r
+        finally:
+            for pid, _, _ in children:
+                if pid is not None:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+    return deltas, records
+
+
+def _fork(prob: Problem, group: list, m: int, depths, buf: mmap.mmap) -> int | None:
+    """Fork a child that runs ``_child`` and leaves by ``os._exit``, 0 once it
+    wrote its block and 1 on any exception; its pid, None when fork fails."""
+    pid = None
+    try:
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns of a fork next to other OS threads, here
+            # numpy's idle OpenBLAS workers.  OpenBLAS's atfork handler stops
+            # them before the fork, and the child runs only numpy kernels and
+            # leaves by os._exit, without flushing or closing what it inherited.
+            warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)",
+                                    DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            _child(prob, group, m, depths, buf)
+            os._exit(0)
+    except OSError:
+        pass  # no child: the parent probes the group
+    finally:
+        if pid == 0:
+            os._exit(1)
+    return pid
+
+
+def _child(prob: Problem, group: list, m: int, depths, buf: mmap.mmap) -> None:
+    """Probe ``group`` into ``buf``; a warning raises, so that the parent probes
+    the group again and shows it, as the serial code does."""
+    warnings.simplefilter("error")
+    deltas, records = _probe(prob, group, m, depths)
+    delta, excess, count = _block(buf, len(depths), sum(map(len, group)), prob.n)
+    np.concatenate(deltas, axis=1, out=delta)
+    np.concatenate([r.excess for r in records], out=excess)
+    np.concatenate([r.count for r in records], out=count)
+
+
+def _block(buf: mmap.mmap, depths: int, rows: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A child's buffer as its Delta block (depths, rows, n), then the escape
+    excess and count of each row."""
+    size = depths * rows * n
+    return (
+        np.frombuffer(buf, float, size).reshape(depths, rows, n),
+        np.frombuffer(buf, float, rows, 8 * size),
+        np.frombuffer(buf, int, rows, 8 * (size + rows)),
+    )
+
+
+def _unpack(buf: mmap.mmap, group: list, depths: int, n: int) -> tuple[list, list[DomainEscape]]:
+    """A child's block and one ``DomainEscape`` record per chunk of its group, copied out of ``buf``."""
+    delta, excess, count = _block(buf, depths, sum(map(len, group)), n)
+    ends = np.cumsum([0, *map(len, group)])
+    records = [DomainEscape(count[a:b].copy(), excess[a:b].copy()) for a, b in zip(ends[:-1], ends[1:])]
+    return [delta.copy()], records
 
 
 def solve_determining(prob: Problem, m: int) -> DeterminingResult:

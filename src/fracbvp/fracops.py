@@ -137,7 +137,8 @@ class ProductTrapezoid:
     one through ``operator``, which shares it.  The FFT path keeps private
     scratch for its transforms (32 N bytes per row of the largest stack),
     so one operator serves one ``running`` call at a time; the package
-    starts no threads.
+    starts no threads, and each process that ``determine.delta_at`` forks
+    has its own copy of the operator and its scratch.
     """
 
     def __init__(self, grid: Grid, p: float) -> None:

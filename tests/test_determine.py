@@ -2,7 +2,10 @@
 
 import dataclasses
 import math
+import os
 import re
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -690,6 +693,8 @@ def test_every_chunk_of_the_sweep_takes_the_ramp(gyre, monkeypatch):
 
     monkeypatch.setattr(np, "convolve", counted_convolve)
     monkeypatch.setattr(fracops.ProductTrapezoid, "running", counted_running)
+    # one process, which counts every chunk's calls
+    monkeypatch.setattr(determine, "_usable_cpus", lambda: 1)
     res = exclusion_sweep(gyre, 2, 2000)
     # the 2000 centres and Omega's two ends: ceil(2002 / 163) = 13 chunks of
     # 154 rows, two steps each; 12 full chunks and a 46-row tail would convolve
@@ -702,6 +707,176 @@ def test_every_chunk_of_the_sweep_takes_the_ramp(gyre, monkeypatch):
     monkeypatch.undo()
     old = np.concatenate([delta_at(gyre, centers[i : i + 163], 2) for i in range(0, 2000, 163)])
     assert res.delta.tobytes() == old.tobytes()
+    # and those of the sweep split across processes
+    _assert_same_sweep(_forked(monkeypatch, exclusion_sweep, gyre, 2, 2000), res)
+
+
+# --- the probe stack split across processes ---------------------------------
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the split forks")
+
+
+def _forked(monkeypatch, fn, *args):
+    """``fn(*args)`` with two usable CPUs, asserting that it forked."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(determine, "_usable_cpus", lambda: 2)
+        patch.setattr(os, "fork", counted_fork)
+        out = fn(*args)
+    assert forks == [1]
+    _assert_no_child()
+    return out
+
+
+def _serial(monkeypatch, fn, *args):
+    """``fn(*args)`` with one usable CPU, so in this process alone."""
+    with monkeypatch.context() as patch:
+        patch.setattr(determine, "_usable_cpus", lambda: 1)
+        return fn(*args)
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _assert_same_sweep(a, b):
+    for name in ("subsets", "delta", "rhs", "keep", "coefficient", "tail"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert (a.escaped_probes, a.worst_excess) == (b.escaped_probes, b.worst_excess)
+    assert (a.ends is None) == (b.ends is None)
+    if a.ends is not None:
+        assert a.ends[0].tobytes() == b.ends[0].tobytes()
+        assert escape_rows([a.ends[1]]) == escape_rows([b.ends[1]])
+
+
+def _probes(prob, chi, m, every_depth=False):
+    """delta_at's result and its escape records, as bytes and rows."""
+    escapes = []
+    out = delta_at(prob, chi, m, escapes, every_depth)
+    return out.tobytes(), len(escapes), [len(r.count) for r in escapes], escape_rows(escapes)
+
+
+@needs_fork
+def test_the_split_sweep_keeps_every_byte(gyre, monkeypatch):
+    # quiet under warnings as errors, also where Python >= 3.12 warns that a
+    # process with other OS threads (OpenBLAS's idle workers) forks
+    fork = os.fork
+
+    def warning_fork():
+        warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to "
+                      "deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        return fork()
+
+    serial = _serial(monkeypatch, exclusion_sweep, gyre, 2, 2000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        split = _forked(monkeypatch, exclusion_sweep, gyre, 2, 2000)
+        monkeypatch.setattr(os, "fork", warning_fork)
+        warned = _forked(monkeypatch, exclusion_sweep, gyre, 2, 2000)
+    _assert_same_sweep(split, serial)
+    _assert_same_sweep(warned, serial)
+
+
+@needs_fork
+def test_the_split_keeps_every_depth_and_every_escape_record(gyre, monkeypatch):
+    # 700 rows are 5 chunks of 140: two for this process, three for the child
+    chi = np.linspace(-345.0, -310.0, 700)[:, np.newaxis]
+    serial = _serial(monkeypatch, _probes, gyre, chi, 3, True)
+    assert serial[1:3] == (5, [140] * 5) and len(serial[3]) == 700
+    assert _forked(monkeypatch, _probes, gyre, chi, 3, True) == serial
+
+
+@needs_fork
+def test_the_split_keeps_an_n2_sweep(monkeypatch):
+    prob = coupled_problem()
+    # 23^2 = 529 boxes are 4 chunks of at most 163 rows at n = 2, N = 201
+    serial = _serial(monkeypatch, exclusion_sweep, prob, 2, 23)
+    _assert_same_sweep(_forked(monkeypatch, exclusion_sweep, prob, 2, 23), serial)
+
+
+def _strict_error(monkeypatch, split, prob, chi):
+    with pytest.raises(DomainEscapeError) as err:
+        (_forked if split else _serial)(monkeypatch, delta_at, prob, chi, 2)
+    _assert_no_child()
+    return str(err.value)
+
+
+@needs_fork
+def test_a_strict_escape_in_the_split_raises_the_serial_error(zero_rhs, monkeypatch):
+    # f = 0 keeps u_0 in D = [-2, 2] at chi1 = 1 and leaves it further the
+    # steeper the slope; 652 rows are 4 chunks of 163, rows 0-325 this
+    # process's, rows 326-651 the child's
+    assert zero_rhs.domain_policy == "strict"
+    chi = np.ones((652, 1))
+    chi[500] = 20.0
+    child_only = _strict_error(monkeypatch, True, zero_rhs, chi)
+    assert child_only == _strict_error(monkeypatch, False, zero_rhs, chi)
+    # the error of the child's rows, which this process probed again
+    assert child_only == _strict_error(monkeypatch, False, zero_rhs, chi[326:])
+    chi[100] = 30.0
+    both = _strict_error(monkeypatch, True, zero_rhs, chi)
+    assert both == _strict_error(monkeypatch, False, zero_rhs, chi)
+    assert both == _strict_error(monkeypatch, False, zero_rhs, chi[:326]) != child_only
+
+
+@needs_fork
+def test_a_failed_child_is_probed_again_in_process(gyre, monkeypatch):
+    def fail(*args):
+        raise RuntimeError("child failed")
+
+    chi = np.linspace(-345.0, -310.0, 700)[:, np.newaxis]
+    serial = _serial(monkeypatch, _probes, gyre, chi, 2)
+    monkeypatch.setattr(determine, "_child", fail)
+    assert _forked(monkeypatch, _probes, gyre, chi, 2) == serial
+
+
+@needs_fork
+def test_a_failed_fork_is_probed_in_process(gyre, monkeypatch):
+    def fail():
+        raise BlockingIOError("Resource temporarily unavailable")
+
+    chi = np.linspace(-345.0, -310.0, 700)[:, np.newaxis]
+    serial = _serial(monkeypatch, _probes, gyre, chi, 2)
+    monkeypatch.setattr(determine, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", fail)
+    assert _probes(gyre, chi, 2) == serial
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("case", ["one-cpu", "no-affinity", "thread", "small"])
+def test_nothing_forks_without_two_cpus_one_thread_and_enough_chunks(gyre, monkeypatch, case):
+    def fail():
+        raise AssertionError("forked")
+
+    # a stack of four chunks forks on two CPUs; one chunk less is too few
+    chunks = 2 * determine._FORK_MIN_CHUNKS - (case == "small")
+    chi = np.linspace(-345.0, -310.0, chunks * 163)[:, np.newaxis]
+    serial = _serial(monkeypatch, _probes, gyre, chi, 2)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait, args=(60,))
+    if case == "one-cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    elif case == "no-affinity":
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(determine, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", fail)
+    if case == "thread":
+        thread.start()
+    try:
+        assert _probes(gyre, chi, 2) == serial
+    finally:
+        done.set()
+        if case == "thread":
+            thread.join(timeout=60)
+            assert not thread.is_alive()
 
 
 def test_exclusion_single_box_keeps_everything(gyre):

@@ -13,7 +13,7 @@ from conftest import (
     random_scalar_problem,
     zero_rhs_problem,
 )
-from fracbvp import exprlang, fracops, iterate
+from fracbvp import determine, exprlang, fracops, iterate
 from fracbvp.determine import delta_m, exclusion_sweep
 from fracbvp.fracops import ProductTrapezoid, operator
 from fracbvp.iterate import (
@@ -379,6 +379,8 @@ def test_sweep_builds_one_escape_record_per_run(gyre, monkeypatch):
 
     monkeypatch.setattr(DomainEscape, "__init__", counted_init)
     monkeypatch.setattr(iterate, "_check_domain", counted_check)
+    # one process, which counts every chunk's records and checks
+    monkeypatch.setattr(determine, "_usable_cpus", lambda: 1)
     res = exclusion_sweep(gyre, 2, 2000)
     chunks = -(-(2000 + 2) // 163)  # the centres and Omega's two ends
     assert res.escaped_probes == 2000
@@ -387,6 +389,13 @@ def test_sweep_builds_one_escape_record_per_run(gyre, monkeypatch):
     # two ends' rows; a record per check and run made 52, one per probe row and
     # check 12,000
     assert len(records) == chunks + 1 == 14
+    # the sweep split across two processes finds the same escapes and values
+    monkeypatch.undo()
+    monkeypatch.setattr(determine, "_usable_cpus", lambda: 2)
+    split = exclusion_sweep(gyre, 2, 2000)
+    assert split.delta.tobytes() == res.delta.tobytes()
+    assert (split.escaped_probes, split.worst_excess) == (res.escaped_probes, res.worst_excess)
+    assert escape_rows([split.ends[1]]) == escape_rows([res.ends[1]])
 
 
 # --- full runs -------------------------------------------------------------
